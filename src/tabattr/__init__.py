@@ -11,14 +11,15 @@ __version__ = "0.1.0"
 
 from .attribution import (
     AttributionResult,
-    Coalition,
-    CoalitionRecord,
+    Evaluation,
     SamplingConfig,
     compute_attributions,
     essential_coalitions,
+    evaluate,
     n_extra,
     normalize_phi,
     sample_extra,
+    score,
 )
 from .backends import (
     Backend,
@@ -33,7 +34,6 @@ from .backends import (
     build_backend,
     evaluate_prompts,
     prompt_digest,
-    query,
 )
 from .cache import (
     CacheManifest,
@@ -42,7 +42,7 @@ from .cache import (
     ensure_manifest,
     load_or_compute,
 )
-from .divergence import LN2, METRICS, jsd_nat, kl_nat, l1, similarity
+from .divergence import LN2, METRICS, jsd_nat, kl_nat, l1, similarity, similarity_rows
 from .errors import (
     AttributionError,
     BackendError,

@@ -1,51 +1,35 @@
 """Sampled-coalition feature attribution.
 
-The estimator always evaluates the M leave-one-out ("essential") coalitions,
-adds random distinct non-empty coalitions up to ``floor(((2^M - 1) - M) * r)``
-capped at ``C_max - M``, scores every coalition by the bounded similarity of
-its class distribution to the full-input distribution, and sets each
-feature's raw score to the difference between the mean similarity of
-coalitions that include it and of those that exclude it. Raw scores are
-shifted by their minimum and normalized to sum to one.
+A coalition is a row of a bool membership matrix (entry (i, j) is true when
+coalition i holds feature j). The estimator always uses the M leave-one-out
+("essential") rows and adds random distinct non-empty rows up to
+``floor(((2^M - 1) - M) * r)``, capped at ``C_max - M``.
 
-This is a tractable sampled proxy for Shapley values, not the exact
-weighted formula over all 2^M subsets.
+:func:`evaluate` queries one prompt per row and keeps each row's class
+distribution. :func:`score` then applies a metric: each row's bounded
+similarity to the full-input distribution, and per feature the mean
+similarity of the rows that include it minus that of the rows that exclude
+it, shifted by the minimum and normalized to sum to one. The metric acts
+only after the backend has answered, so one evaluation serves every metric.
+
+Averaging "with j minus without j" uniformly over sampled non-empty subsets
+is a Banzhaf-style value of the similarity game, not a Shapley value, which
+would weight each subset by its size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Mapping
 
 import numpy as np
 
 from .backends import Backend, evaluate_prompts
-from .divergence import METRICS, similarity
+from .divergence import METRICS, similarity_rows
 from .errors import AttributionError, BackendError, ConfigError
 from .tabular import PromptTemplate, TabularInstance, build_prompt
 from .verbalizer import VerbalizerMap, class_distribution
-
-
-@dataclass(frozen=True)
-class Coalition:
-    """A non-empty subset of feature indices."""
-
-    members: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        if not self.members:
-            raise ValueError("coalitions must be non-empty")
-        if min(self.members) < 0:
-            raise ValueError("feature indices must be non-negative")
-
-    def __contains__(self, j: int) -> bool:
-        return j in self.members
-
-    @property
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
 
 
 @dataclass(frozen=True)
@@ -69,13 +53,7 @@ class SamplingConfig:
             raise ConfigError("top_k must be >= 1")
 
     def to_payload(self) -> dict:
-        return {
-            "ratio": self.ratio,
-            "max_coalitions": self.max_coalitions,
-            "seed": self.seed,
-            "metric": self.metric,
-            "top_k": self.top_k,
-        }
+        return asdict(self)
 
     @classmethod
     def from_payload(cls, data: Mapping) -> "SamplingConfig":
@@ -89,55 +67,29 @@ class SamplingConfig:
 
 
 @dataclass(frozen=True)
-class CoalitionRecord:
-    """One evaluated coalition: its class distribution and similarity."""
+class Evaluation:
+    """One instance's coalitions (N x M bool), their class distributions
+    (N x C) and zero-mass flags (N), before any metric is applied."""
 
-    coalition: Coalition
-    class_dist: tuple[float, ...]
-    similarity: float
-    degenerate: bool = False
-
-    def __post_init__(self):
-        if not 0.0 <= self.similarity <= 1.0:
-            raise ValueError(f"similarity {self.similarity} out of [0, 1]")
-
-    def to_payload(self) -> dict:
-        return {
-            "members": list(self.coalition.sorted_members),
-            "class_dist": list(self.class_dist),
-            "similarity": self.similarity,
-            "degenerate": self.degenerate,
-        }
-
-    @classmethod
-    def from_payload(cls, data: Mapping) -> "CoalitionRecord":
-        return cls(
-            coalition=Coalition(frozenset(data["members"])),
-            class_dist=tuple(data["class_dist"]),
-            similarity=float(data["similarity"]),
-            degenerate=bool(data["degenerate"]),
-        )
+    instance_index: int
+    feature_keys: tuple[str, ...]
+    config: SamplingConfig
+    membership: np.ndarray
+    class_dists: np.ndarray
+    degenerate: np.ndarray
+    full_dist: np.ndarray
+    full_degenerate: bool
 
 
 @dataclass(frozen=True)
-class AttributionResult:
-    """Normalized importance scores plus everything needed to audit them."""
+class AttributionResult(Evaluation):
+    """An evaluation scored under ``metric``: everything needed to audit phi."""
 
-    instance_index: int
     metric: str
-    feature_keys: tuple[str, ...]
-    phi: np.ndarray
+    similarities: np.ndarray
     raw_phi: np.ndarray
-    records: tuple[CoalitionRecord, ...]
-    full_dist: tuple[float, ...]
-    full_degenerate: bool
+    phi: np.ndarray
     uniform_fallback: bool
-    seed: int
-    config: SamplingConfig
-
-    @property
-    def degeneracy_count(self) -> int:
-        return sum(1 for r in self.records if r.degenerate) + int(self.full_degenerate)
 
     def ranking(self) -> tuple[str, ...]:
         """Feature keys most-important first; ties keep instance field order."""
@@ -145,53 +97,65 @@ class AttributionResult:
         return tuple(self.feature_keys[i] for i in order)
 
     def to_payload(self) -> dict:
+        records = zip(
+            [np.flatnonzero(row).tolist() for row in self.membership],
+            self.class_dists.tolist(), self.similarities.tolist(), self.degenerate.tolist(),
+        )
         return {
             "instance_index": self.instance_index,
             "metric": self.metric,
             "phi": {k: float(v) for k, v in zip(self.feature_keys, self.phi)},
             "raw_phi": [float(v) for v in self.raw_phi],
             "feature_keys": list(self.feature_keys),
-            "full_dist": list(self.full_dist),
-            "seed": self.seed,
-            "coalition_count": len(self.records),
+            "full_dist": self.full_dist.tolist(),
+            "seed": self.config.seed,
+            "coalition_count": len(self.membership),
             "degeneracy_flags": {
                 "uniform_phi_fallback": self.uniform_fallback,
                 "full_prompt_degenerate": self.full_degenerate,
-                "degenerate_coalitions": sum(1 for r in self.records if r.degenerate),
+                "degenerate_coalitions": int(self.degenerate.sum()),
             },
             "config": self.config.to_payload(),
-            "records": [r.to_payload() for r in self.records],
+            "records": [
+                {"members": members, "class_dist": dist, "similarity": sim, "degenerate": flag}
+                for members, dist, sim, flag in records
+            ],
         }
 
     @classmethod
     def from_payload(cls, data: Mapping) -> "AttributionResult":
         keys = tuple(data["feature_keys"])
         flags = data["degeneracy_flags"]
+        records = data["records"]
+        membership = np.zeros((len(records), len(keys)), dtype=bool)
+        for row, record in zip(membership, records):
+            row[record["members"]] = True
         return cls(
             instance_index=int(data["instance_index"]),
             metric=str(data["metric"]),
             feature_keys=keys,
             phi=np.array([data["phi"][k] for k in keys], dtype=float),
             raw_phi=np.array(data["raw_phi"], dtype=float),
-            records=tuple(CoalitionRecord.from_payload(r) for r in data["records"]),
-            full_dist=tuple(data["full_dist"]),
+            membership=membership,
+            class_dists=np.array([r["class_dist"] for r in records], dtype=float),
+            similarities=np.array([r["similarity"] for r in records], dtype=float),
+            degenerate=np.array([r["degenerate"] for r in records], dtype=bool),
+            full_dist=np.array(data["full_dist"], dtype=float),
             full_degenerate=bool(flags["full_prompt_degenerate"]),
             uniform_fallback=bool(flags["uniform_phi_fallback"]),
-            seed=int(data["seed"]),
             config=SamplingConfig.from_payload(data["config"]),
         )
 
 
-def essential_coalitions(m: int) -> list[Coalition]:
-    """The M leave-one-out coalitions; the j-th omits exactly feature j.
+def essential_coalitions(m: int) -> np.ndarray:
+    """The M leave-one-out rows (M x M bool); row j omits exactly feature j.
 
     M = 1 is rejected: its only leave-one-out set would be empty, which the
     sampler never evaluates.
     """
     if m < 2:
         raise ValueError(f"leave-one-out coalitions need M >= 2, got {m}")
-    everyone = frozenset(range(m))
-    return [Coalition(everyone - {j}) for j in range(m)]
+    return ~np.eye(m, dtype=bool)
 
 
 def n_extra(m: int, ratio: float, max_coalitions: int) -> int:
@@ -200,51 +164,40 @@ def n_extra(m: int, ratio: float, max_coalitions: int) -> int:
     return min(proposed, max(0, max_coalitions - m))
 
 
-def sample_extra(
-    m: int,
-    ratio: float,
-    max_coalitions: int,
-    seed: int,
-    essential: Sequence[Coalition],
-) -> list[Coalition]:
-    """Draw distinct non-empty coalitions uniformly, excluding essential ones.
+def _new_rows(rows: np.ndarray) -> np.ndarray:
+    """First occurrence of each row, in order, minus empty and leave-one-out rows."""
+    sizes = rows.sum(axis=1)
+    rows = rows[(sizes > 0) & (sizes != rows.shape[1] - 1)]
+    _, first = np.unique(rows, axis=0, return_index=True)
+    return rows[np.sort(first)]
 
-    The full coalition may be drawn (its similarity is 1 by identity). For
-    small powersets the draw enumerates and shuffles; otherwise membership
-    coin-flips with rejection keep the draw uniform without materializing
-    2^M subsets. Reproducible from ``seed``.
+
+def sample_extra(m: int, ratio: float, max_coalitions: int, seed: int) -> np.ndarray:
+    """Draw distinct non-empty coalitions uniformly, excluding the essential rows.
+
+    Returns ``n_extra`` rows of M bools, in draw order and reproducible from
+    ``seed``; the full coalition may be drawn. Small powersets are shuffled
+    as bitmasks; otherwise each draw is M coin-flips, rejected if empty or
+    already seen, so 2^M subsets are never materialized.
     """
     if m < 2:
         raise ValueError(f"sampling needs M >= 2, got {m}")
     target = n_extra(m, ratio, max_coalitions)
-    if target <= 0:
-        return []
     rng = np.random.default_rng(seed)
-    excluded = {c.members for c in essential}
-
     if 2**m - 1 <= 4 * max_coalitions:
         masks = np.arange(1, 2**m, dtype=np.int64)
         rng.shuffle(masks)
-        chosen: list[Coalition] = []
-        for mask in masks:
-            members = frozenset(j for j in range(m) if mask >> j & 1)
-            if members in excluded:
-                continue
-            chosen.append(Coalition(members))
-            if len(chosen) == target:
-                break
-        return chosen
+        # At most the M leave-one-out masks are skipped, so this prefix suffices.
+        return _new_rows((masks[: target + m, None] >> np.arange(m) & 1).astype(bool))[:target]
 
-    drawn: list[Coalition] = []
-    seen: set[frozenset[int]] = set(excluded)
-    while len(drawn) < target:
-        flips = rng.integers(0, 2, size=m)
-        members = frozenset(np.flatnonzero(flips).tolist())
-        if not members or members in seen:
-            continue
-        seen.add(members)
-        drawn.append(Coalition(members))
-    return drawn
+    # Coin-flips come off the generator as one stream, so drawing them in
+    # blocks picks the same coalitions as drawing one coalition at a time.
+    drawn = np.zeros((0, m), dtype=bool)
+    while True:
+        drawn = np.vstack([drawn, rng.integers(0, 2, size=(target, m)).astype(bool)])
+        chosen = _new_rows(drawn)
+        if len(chosen) >= target:
+            return chosen[:target]
 
 
 def normalize_phi(raw: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -263,19 +216,17 @@ def normalize_phi(raw: np.ndarray) -> tuple[np.ndarray, bool]:
     return shifted / total, False
 
 
-def compute_attributions(
+def evaluate(
     instance: TabularInstance,
     backend: Backend,
     template: PromptTemplate,
     vmap: VerbalizerMap,
     config: SamplingConfig,
     workers: int = 1,
-) -> AttributionResult:
-    """Run the full estimator on one instance.
+) -> Evaluation:
+    """Sample the coalitions of one instance and query each prompt once.
 
-    Evaluates the full prompt once and every sampled coalition once; the
-    result is a deterministic function of (instance, backend responses,
-    seed, config) regardless of ``workers``.
+    ``config.metric`` plays no part; the result does not depend on ``workers``.
 
     Raises:
         ValueError: fewer than 2 features.
@@ -291,52 +242,57 @@ def compute_attributions(
             f"{instance.index}; every essential coalition must fit"
         )
 
-    coalitions = essential_coalitions(m)
-    coalitions += sample_extra(m, config.ratio, config.max_coalitions, config.seed, coalitions)
-    prompts = [build_prompt(template, instance.fields_at(c.members)) for c in coalitions]
+    extra = sample_extra(m, config.ratio, config.max_coalitions, config.seed)
+    membership = np.vstack([essential_coalitions(m), extra])
+    prompts = [
+        build_prompt(template, instance.fields_at(np.flatnonzero(row))) for row in membership
+    ]
     full_prompt = build_prompt(template, instance.fields)
 
     try:
-        responses = evaluate_prompts(
-            backend, [full_prompt] + prompts, config.top_k, workers=workers
-        )
+        responses = evaluate_prompts(backend, [full_prompt, *prompts], config.top_k, workers)
     except BackendError as exc:
         raise AttributionError(f"instance {instance.index}: backend failed: {exc}") from exc
 
     full_dist, full_degenerate = class_distribution(responses[full_prompt], vmap)
-    records = []
-    for coalition, prompt in zip(coalitions, prompts):
-        dist, degenerate = class_distribution(responses[prompt], vmap)
-        records.append(
-            CoalitionRecord(
-                coalition=coalition,
-                class_dist=tuple(float(v) for v in dist),
-                similarity=similarity(config.metric, full_dist, dist),
-                degenerate=degenerate,
-            )
-        )
+    dists = [class_distribution(responses[prompt], vmap) for prompt in prompts]
+    return Evaluation(
+        instance_index=instance.index,
+        feature_keys=instance.keys,
+        config=config,
+        membership=membership,
+        class_dists=np.array([d.probs for d in dists]),
+        degenerate=np.array([d.degenerate for d in dists]),
+        full_dist=full_dist,
+        full_degenerate=full_degenerate,
+    )
 
-    membership = np.zeros((len(records), m), dtype=bool)
-    for i, record in enumerate(records):
-        membership[i, list(record.coalition.members)] = True
-    sims = np.array([r.similarity for r in records])
+
+def score(evaluation: Evaluation, metric: str) -> AttributionResult:
+    """Attribution scores of an evaluated instance under ``metric``."""
+    config = replace(evaluation.config, metric=metric)
+    sims = similarity_rows(metric, evaluation.full_dist, evaluation.class_dists)
+    membership = evaluation.membership
     # Essential leave-one-out sets guarantee every feature is present in at
     # least one coalition and absent from at least one, so both means exist.
-    with_mean = np.array([sims[membership[:, j]].mean() for j in range(m)])
-    without_mean = np.array([sims[~membership[:, j]].mean() for j in range(m)])
+    with_mean = np.array([sims[column].mean() for column in membership.T])
+    without_mean = np.array([sims[~column].mean() for column in membership.T])
     raw_phi = with_mean - without_mean
     phi, fallback = normalize_phi(raw_phi)
-
+    evaluated = {f.name: getattr(evaluation, f.name) for f in fields(Evaluation)}
     return AttributionResult(
-        instance_index=instance.index,
-        metric=config.metric,
-        feature_keys=instance.keys,
-        phi=phi,
-        raw_phi=raw_phi,
-        records=tuple(records),
-        full_dist=tuple(float(v) for v in full_dist),
-        full_degenerate=full_degenerate,
-        uniform_fallback=fallback,
-        seed=config.seed,
-        config=config,
+        **{**evaluated, "config": config},
+        metric=metric, similarities=sims, raw_phi=raw_phi, phi=phi, uniform_fallback=fallback,
     )
+
+
+def compute_attributions(
+    instance: TabularInstance,
+    backend: Backend,
+    template: PromptTemplate,
+    vmap: VerbalizerMap,
+    config: SamplingConfig,
+    workers: int = 1,
+) -> AttributionResult:
+    """Run the full estimator on one instance: :func:`evaluate`, then :func:`score`."""
+    return score(evaluate(instance, backend, template, vmap, config, workers), config.metric)

@@ -141,11 +141,6 @@ class Backend(abc.ABC):
         ...
 
 
-def query(backend: Backend, prompt: str, k: int) -> TopKDistribution:
-    """Functional form of :meth:`Backend.query`."""
-    return backend.query(prompt, k)
-
-
 @dataclass(frozen=True)
 class SyntheticOracleSpec:
     """Analytic test double: a logistic model over PRESENT feature keys.
@@ -234,21 +229,26 @@ class SyntheticBackend(Backend):
         return TopKDistribution(entries=entries, k=k)
 
 
+def _read_store(path: Path) -> dict[str, dict]:
+    """Load a digest -> response JSON file; every failure names the file."""
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise BackendError(f"cannot read replay cache {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise BackendError(f"replay cache {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise BackendError(f"replay cache {path} must be a JSON object")
+    return raw
+
+
 class ReplayBackend(Backend):
     """Read-only backend serving a recorded digest -> response JSON file."""
 
     def __init__(self, path: str | Path):
         super().__init__()
         self.path = Path(path)
-        try:
-            raw = json.loads(self.path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise BackendError(f"cannot read replay cache {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise BackendError(f"replay cache {path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise BackendError(f"replay cache {path} must be a JSON object")
-        self._store: dict[str, dict] = raw
+        self._store = _read_store(self.path)
 
     def _fetch(self, prompt: str, k: int) -> TopKDistribution:
         digest = prompt_digest(prompt, k)
@@ -270,9 +270,7 @@ class RecordingBackend(Backend):
         self.inner = inner
         self.path = Path(path)
         self._write_lock = threading.Lock()
-        self._store: dict[str, dict] = {}
-        if self.path.exists():
-            self._store = json.loads(self.path.read_text(encoding="utf-8"))
+        self._store = _read_store(self.path) if self.path.exists() else {}
 
     def _fetch(self, prompt: str, k: int) -> TopKDistribution:
         digest = prompt_digest(prompt, k)
@@ -290,10 +288,11 @@ class RecordingBackend(Backend):
 class HttpBackend(Backend):
     """POST client for the logprob service, with bounded in-flight requests.
 
-    Retries transport failures and 5xx responses with exponential backoff;
-    4xx responses and malformed bodies raise :class:`ProtocolError`
-    immediately. A query that fails after all retries raises
-    :class:`BackendUnavailableError`.
+    Retries transport failures, 5xx and 429 responses with exponential
+    backoff; a 429 whose ``Retry-After`` gives delta-seconds waits that long
+    instead, at most ``timeout``. Other 4xx responses and malformed bodies
+    raise :class:`ProtocolError` immediately. A query that fails after all
+    retries raises :class:`BackendUnavailableError`.
     """
 
     def __init__(
@@ -316,17 +315,23 @@ class HttpBackend(Backend):
     def _fetch(self, prompt: str, k: int) -> TopKDistribution:
         body = {"prompt": prompt, "top_k": k}
         last_error: Exception | None = None
+        retry_after: float | None = None
         for attempt in range(self.retries + 1):
             if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+                step = self.backoff * 2 ** (attempt - 1)
+                time.sleep(step if retry_after is None else retry_after)
+                retry_after = None
             try:
                 with self._slots:
                     response = self._session.post(self.endpoint, json=body, timeout=self.timeout)
             except requests.RequestException as exc:
                 last_error = exc
                 continue
-            if 500 <= response.status_code < 600:
+            if response.status_code == 429 or 500 <= response.status_code < 600:
                 last_error = BackendError(f"server returned {response.status_code}")
+                delay = response.headers.get("Retry-After", "").strip()
+                if response.status_code == 429 and delay.isdecimal():
+                    retry_after = min(float(delay), self.timeout)
                 continue
             if response.status_code != 200:
                 raise ProtocolError(

@@ -17,16 +17,20 @@ variable ``TABATTR_ENDPOINT`` overrides the http backend endpoint.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .attribution import AttributionResult, SamplingConfig, compute_attributions
+from .attribution import AttributionResult, SamplingConfig, compute_attributions, evaluate, score
 from .backends import Backend, BackendDescriptor, SyntheticOracleSpec, build_backend
+from ._json_io import dump_canonical
 from .cache import (
     MANIFEST_NAME,
     CacheManifest,
@@ -39,6 +43,7 @@ from .divergence import METRICS
 from .errors import CacheError, ConfigError, TabAttrError
 from .faithfulness import (
     RANKING_SOURCES,
+    DeletionRun,
     RankingOrder,
     curve_auc,
     load_external_ranking,
@@ -47,7 +52,7 @@ from .faithfulness import (
     write_curves_csv,
     write_curves_json,
 )
-from .rank_compare import global_ranking, spearman_rho
+from .rank_compare import GlobalRanking, global_ranking, spearman_rho
 from .tabular import (
     FeatureField,
     PromptTemplate,
@@ -186,13 +191,7 @@ def _resolve_backend(cfg: RunConfig) -> Backend:
         record_path=cfg.get("record"),
     )
     if endpoint and descriptor.kind == "http":
-        descriptor = BackendDescriptor(
-            kind="http",
-            target=endpoint,
-            timeout=descriptor.timeout,
-            retries=descriptor.retries,
-            record_path=descriptor.record_path,
-        )
+        descriptor = dataclasses.replace(descriptor, target=endpoint)
     return build_backend(descriptor)
 
 
@@ -217,6 +216,8 @@ def _select_indices(cfg: RunConfig, dataset_size: int) -> list[int]:
         bad = [i for i in cfg["indices"] if not 0 <= i < dataset_size]
         if bad:
             raise ConfigError(f"indices out of range for dataset of {dataset_size} rows: {bad}")
+        if len(set(cfg["indices"])) != len(cfg["indices"]):
+            raise ConfigError(f"--indices contain duplicates: {cfg['indices']}")
         return list(cfg["indices"])
     count = min(int(cfg["instances"]), dataset_size)
     rng = np.random.default_rng(int(cfg["seed"]))
@@ -233,9 +234,7 @@ def _out_dir(cfg: RunConfig) -> Path:
 def _write_run_manifest(out: Path, command: str, cfg: RunConfig) -> None:
     effective = {k: (str(v) if isinstance(v, Path) else v) for k, v in sorted(cfg.items())}
     payload = {"tool": f"tabattr {__version__}", "command": command, "config": effective}
-    (out / "run_manifest.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (out / "run_manifest.json").write_text(dump_canonical(payload), encoding="utf-8")
 
 
 def _sampling_config(cfg: RunConfig, metric: str | None = None) -> SamplingConfig:
@@ -250,26 +249,19 @@ def _sampling_config(cfg: RunConfig, metric: str | None = None) -> SamplingConfi
 
 def _attribute_into_cache(
     out: Path,
-    instances: dict[int, TabularInstance],
     indices: list[int],
-    backend: Backend,
     template: PromptTemplate,
     vmap: VerbalizerMap,
     config: SamplingConfig,
-    workers: int,
+    compute: Callable[[int], AttributionResult],
     selection_seed: int,
 ) -> list[AttributionResult]:
-    fingerprint = config_fingerprint(config, template, vmap)
-
-    def compute(idx: int) -> AttributionResult:
-        return compute_attributions(instances[idx], backend, template, vmap, config, workers)
-
     return load_or_compute(
         out / default_cache_name(config.metric),
         indices,
         config.metric,
         compute,
-        fingerprint=fingerprint,
+        fingerprint=config_fingerprint(config, template, vmap),
         manifest_path=out / MANIFEST_NAME,
         selection_seed=selection_seed,
     )
@@ -309,9 +301,18 @@ def _load_cached_results(
 
 def _write_results_json(out: Path, metric: str, results: list[AttributionResult]) -> None:
     payload = {str(r.instance_index): r.to_payload() for r in results}
-    (out / f"results_{metric}.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (out / f"results_{metric}.json").write_text(dump_canonical(payload), encoding="utf-8")
+
+
+def _write_rank_report(out: Path, ranking: GlobalRanking, rho: float, external: list[str]) -> None:
+    report = {
+        "metric": ranking.metric,
+        "spearman_rho": rho,
+        "global_ranking": ranking.to_payload(),
+        "external_ranking": external,
+    }
+    path = out / f"rank_report_{ranking.metric}.json"
+    path.write_text(dump_canonical(report), encoding="utf-8")
 
 
 def _summary_table(rows: list[tuple], header: tuple) -> str:
@@ -341,9 +342,11 @@ def cmd_attribute(cfg: RunConfig) -> int:
     backend = _resolve_backend(cfg)
     config = _sampling_config(cfg)
 
+    workers = int(cfg["workers"])
     results = _attribute_into_cache(
-        out, instances, indices, backend, template, vmap, config,
-        int(cfg["workers"]), int(cfg["seed"]),
+        out, indices, template, vmap, config,
+        lambda idx: compute_attributions(instances[idx], backend, template, vmap, config, workers),
+        int(cfg["seed"]),
     )
     _write_results_json(out, config.metric, results)
     _write_run_manifest(out, "attribute", cfg)
@@ -353,7 +356,7 @@ def cmd_attribute(cfg: RunConfig) -> int:
     _emit_summary(
         out,
         f"attribute: metric={config.metric} instances={len(results)} "
-        f"coalitions/instance={len(results[0].records)}\n"
+        f"coalitions/instance={len(results[0].membership)}\n"
         + _summary_table(rows, ("feature", "mean_phi")),
     )
     return 0
@@ -390,6 +393,27 @@ def _build_rankings(
     return rankings
 
 
+def _deletion_curves(
+    sources: list[str],
+    instances: list[TabularInstance],
+    out: Path,
+    backend: Backend,
+    template: PromptTemplate,
+    vmap: VerbalizerMap,
+    cfg: RunConfig,
+) -> DeletionRun:
+    """Run the deletion protocol for every source and write curves.csv and curves.json."""
+    rankings = _build_rankings(sources, instances, out, template, vmap, cfg)
+    run = run_deletion(
+        instances, rankings, backend, template, vmap,
+        max_removals=int(cfg["max_removals"]), top_k=int(cfg["top_k"]),
+        workers=int(cfg["workers"]),
+    )
+    write_curves_csv(run, out / "curves.csv")
+    write_curves_json(run, out / "curves.json")
+    return run
+
+
 def cmd_deletion_curve(cfg: RunConfig) -> int:
     cfg.require("dataset", "schema", "backend")
     out = _out_dir(cfg)
@@ -411,19 +435,7 @@ def cmd_deletion_curve(cfg: RunConfig) -> int:
         raise ConfigError(f"manifest indices not in dataset: {missing}")
     instances = [by_index[i] for i in indices]
 
-    rankings = _build_rankings(sources, instances, out, template, vmap, cfg)
-    run = run_deletion(
-        instances,
-        rankings,
-        backend,
-        template,
-        vmap,
-        max_removals=int(cfg["max_removals"]),
-        top_k=int(cfg["top_k"]),
-        workers=int(cfg["workers"]),
-    )
-    write_curves_csv(run, out / "curves.csv")
-    write_curves_json(run, out / "curves.json")
+    run = _deletion_curves(sources, instances, out, backend, template, vmap, cfg)
     _write_run_manifest(out, "deletion-curve", cfg)
 
     rows = [
@@ -460,16 +472,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     if set(external.global_keys) != set(ranking.keys):
         raise ConfigError("external ranking must cover exactly the dataset's feature keys")
     rho = spearman_rho(ranking, list(external.global_keys))
-
-    report = {
-        "metric": metric,
-        "spearman_rho": rho,
-        "global_ranking": ranking.to_payload(),
-        "external_ranking": list(external.global_keys),
-    }
-    (out / f"rank_report_{metric}.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_rank_report(out, ranking, rho, list(external.global_keys))
     _write_run_manifest(out, "compare", cfg)
     _emit_summary(
         out,
@@ -514,16 +517,23 @@ def cmd_synth_demo(cfg: RunConfig) -> int:
     vmap = VerbalizerMap.from_mapping({c: [c] for c in spec.classes})
 
     true_order = [k for k, _ in sorted(spec.weights.items(), key=lambda kv: (-abs(kv[1]), kv[0]))]
-    (out / "external_ranking.json").write_text(
-        json.dumps({"global": true_order}, indent=2) + "\n", encoding="utf-8"
-    )
+    external_path = out / "external_ranking.json"
+    external_path.write_text(dump_canonical({"global": true_order}), encoding="utf-8")
+
+    # Each instance is evaluated once, on its first cache miss, and that one
+    # evaluation is scored under every metric.
+    @functools.cache
+    def evaluated(idx: int):
+        return evaluate(
+            by_index[idx], backend, template, vmap, _sampling_config(cfg), int(cfg["workers"])
+        )
 
     summary_parts = []
     for metric in METRICS:
         config = _sampling_config(cfg, metric=metric)
         results = _attribute_into_cache(
-            out, by_index, indices, backend, template, vmap, config,
-            int(cfg["workers"]), seed,
+            out, indices, template, vmap, config,
+            lambda idx: score(evaluated(idx), metric), seed,
         )
         _write_results_json(out, metric, results)
         ranking = global_ranking(results)
@@ -531,26 +541,11 @@ def cmd_synth_demo(cfg: RunConfig) -> int:
         summary_parts.append((metric, ranking, rho))
 
     sources = ["jsd", "kl", "l1", "random", "external"]
-    cfg["external"] = str(out / "external_ranking.json")
-    rankings = _build_rankings(sources, instances, out, template, vmap, cfg)
-    run = run_deletion(
-        instances, rankings, backend, template, vmap,
-        max_removals=int(cfg["max_removals"]), top_k=int(cfg["top_k"]),
-        workers=int(cfg["workers"]),
-    )
-    write_curves_csv(run, out / "curves.csv")
-    write_curves_json(run, out / "curves.json")
+    cfg["external"] = str(external_path)
+    run = _deletion_curves(sources, instances, out, backend, template, vmap, cfg)
 
-    jsd_ranking = summary_parts[0][1]
-    report = {
-        "metric": "jsd",
-        "spearman_rho": summary_parts[0][2],
-        "global_ranking": jsd_ranking.to_payload(),
-        "external_ranking": true_order,
-    }
-    (out / "rank_report_jsd.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _, jsd_ranking, jsd_rho = summary_parts[0]
+    _write_rank_report(out, jsd_ranking, jsd_rho, true_order)
     _write_run_manifest(out, "synth-demo", cfg)
 
     auc_rows = [(s, f"{curve_auc(c):.6f}") for s, c in run.curves.items()]

@@ -89,3 +89,43 @@ def similarity(metric: str, p_full, p_s) -> float:
     if metric == "l1":
         return 1.0 - min(l1(p_full, p_s) / 2.0, 1.0)
     raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+
+
+def _kl_term_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # _kl_terms per row. Each row's kept terms are summed as a contiguous row
+    # of their own length, the same additions in the same order as the 1-D sum.
+    keep = (p > 0) & (q > 0)
+    terms = p[keep] * np.log(p[keep] / q[keep])
+    counts = keep.sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    sums = np.zeros(len(keep))
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        sums[rows] = terms[starts[rows, None] + np.arange(k)].sum(axis=1)
+    return sums
+
+
+def similarity_rows(metric: str, p_full, rows) -> np.ndarray:
+    """:func:`similarity` of every row of ``rows`` to ``p_full``, bit for bit.
+
+    The matrix is validated once; a row that is not a distribution raises ``ValueError``.
+    """
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    p, _ = _checked_pair(p_full, p_full)
+    q = np.asarray(rows, dtype=float)
+    if q.ndim != 2 or q.shape[1] != p.size:
+        raise ValueError(f"rows must be a matrix of length-{p.size} rows, got {q.shape}")
+    bad = np.flatnonzero(np.any(q < 0, axis=1) | (np.abs(q.sum(axis=1) - 1.0) > _SUM_TOLERANCE))
+    if bad.size:
+        raise ValueError(f"row {bad[0]} is not a distribution: {q[bad[0]].tolist()}")
+    p = np.broadcast_to(p, q.shape)
+    if metric == "l1":
+        return 1.0 - np.minimum(np.abs(p - q).sum(axis=1) / 2.0, 1.0)
+    if metric == "jsd":
+        m = 0.5 * (p + q)
+        d = 0.5 * _kl_term_rows(p, m) + 0.5 * _kl_term_rows(q, m)
+    else:
+        d = _kl_term_rows(p, (q + KL_EPSILON) / (1.0 + KL_EPSILON * q.shape[1]))
+        d[np.all(p == q, axis=1)] = 0.0
+    return 1.0 - np.minimum(np.where(d > 0.0, d, 0.0) / LN2, 1.0)

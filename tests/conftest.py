@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,10 @@ from tabattr import (
     SyntheticOracleSpec,
     TabularInstance,
     VerbalizerMap,
+    build_prompt,
+    class_distribution,
 )
+from tabattr.divergence import similarity
 from tabattr.errors import BackendError
 
 ADULT_KEYS = (
@@ -82,3 +86,22 @@ class FlakyBackend(Backend):
         if self.poison in prompt:
             raise BackendError(f"injected failure for {self.poison!r}")
         return self.inner.query(prompt, k)
+
+
+def brute_force_raw_phi(instance, backend, template, vmap, metric="jsd"):
+    """Independent enumeration of every non-empty coalition, plain loops."""
+    m = instance.num_features
+    full_prompt = build_prompt(template, instance.fields)
+    full_dist, _ = class_distribution(backend.query(full_prompt, 10), vmap)
+    sims = {}
+    for r in range(1, m + 1):
+        for subset in itertools.combinations(range(m), r):
+            prompt = build_prompt(template, instance.fields_at(subset))
+            dist, _ = class_distribution(backend.query(prompt, 10), vmap)
+            sims[frozenset(subset)] = similarity(metric, full_dist, dist)
+    raw = []
+    for j in range(m):
+        with_j = [v for s, v in sims.items() if j in s]
+        without_j = [v for s, v in sims.items() if j not in s]
+        raw.append(sum(with_j) / len(with_j) - sum(without_j) / len(without_j))
+    return np.array(raw)

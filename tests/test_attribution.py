@@ -2,38 +2,70 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tabattr import (
-    Coalition,
+    METRICS,
+    Backend,
     PromptTemplate,
     SamplingConfig,
+    build_prompt,
     compute_attributions,
     essential_coalitions,
+    evaluate,
     n_extra,
     normalize_phi,
     sample_extra,
+    score,
 )
 from tabattr.attribution import AttributionResult
 from tabattr.errors import AttributionError, ConfigError
-from conftest import FlakyBackend, logistic, make_instance, oracle_backend
+from conftest import FlakyBackend, brute_force_raw_phi, make_instance, oracle_backend
 
 
-class TestCoalition:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Coalition(frozenset())
+def _row_sets(rows) -> list[frozenset[int]]:
+    return [frozenset(np.flatnonzero(row).tolist()) for row in rows]
 
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            Coalition(frozenset({-1, 2}))
 
-    def test_membership_and_order(self):
-        c = Coalition(frozenset({3, 1}))
-        assert 1 in c and 2 not in c
-        assert c.sorted_members == (1, 3)
+class PromptLog(Backend):
+    """Delegates to an inner backend and keeps every prompt it was asked."""
+
+    def __init__(self, inner: Backend):
+        super().__init__()
+        self.inner = inner
+        self.prompts: list[str] = []
+
+    def _fetch(self, prompt, k):
+        self.prompts.append(prompt)
+        return self.inner.query(prompt, k)
+
+
+class TestCoalitionRows:
+    def test_evaluation_stacks_essential_then_sampled_rows(self, template, yes_no_vmap):
+        instance = make_instance(0, [f"f{i}" for i in range(5)])
+        config = SamplingConfig(ratio=0.5, seed=4)
+        evaluation = evaluate(instance, oracle_backend({"f0": 1.0}), template, yes_no_vmap, config)
+        extra = sample_extra(5, config.ratio, config.max_coalitions, config.seed)
+        assert evaluation.membership.dtype == bool
+        assert np.array_equal(evaluation.membership, np.vstack([essential_coalitions(5), extra]))
+        assert evaluation.membership.any(axis=1).all()
+        assert evaluation.class_dists.shape == (len(evaluation.membership), 2)
+        assert evaluation.degenerate.shape == (len(evaluation.membership),)
+
+    def test_row_queries_its_members_in_field_order(self, template, yes_no_vmap):
+        instance = make_instance(0, ["d", "b", "c", "a"])
+        backend = PromptLog(oracle_backend({"a": 1.0}))
+        evaluation = evaluate(
+            instance, backend, template, yes_no_vmap, SamplingConfig(ratio=1.0, seed=2)
+        )
+        expected = {build_prompt(template, instance.fields)} | {
+            build_prompt(template, tuple(f for f, keep in zip(instance.fields, row) if keep))
+            for row in evaluation.membership
+        }
+        assert sorted(backend.prompts) == sorted(expected)
 
 
 class TestSamplingConfig:
@@ -49,17 +81,20 @@ class TestSamplingConfig:
 
 class TestEssentialCoalitions:
     def test_m3_leave_one_out(self):
-        members = [c.sorted_members for c in essential_coalitions(3)]
-        assert members == [(1, 2), (0, 2), (0, 1)]
+        assert essential_coalitions(3).tolist() == [
+            [False, True, True],
+            [True, False, True],
+            [True, True, False],
+        ]
 
     def test_m1_rejected(self):
         with pytest.raises(ValueError):
             essential_coalitions(1)
 
     def test_m14_cardinality(self):
-        coalitions = essential_coalitions(14)
-        assert len(coalitions) == 14
-        assert all(len(c.members) == 13 for c in coalitions)
+        rows = essential_coalitions(14)
+        assert rows.shape == (14, 14)
+        assert (rows.sum(axis=1) == 13).all()
 
 
 class TestNExtra:
@@ -74,44 +109,78 @@ class TestNExtra:
         assert n_extra(10, 0.5, 5) == 0
 
 
+def _draw_by_draw(m: int, ratio: float, max_coalitions: int, seed: int) -> list[frozenset[int]]:
+    """Reference sampler: one coalition per step, as plain sets."""
+    target = n_extra(m, ratio, max_coalitions)
+    rng = np.random.default_rng(seed)
+    seen = {frozenset(range(m)) - {j} for j in range(m)}
+    chosen: list[frozenset[int]] = []
+    if 2**m - 1 <= 4 * max_coalitions:
+        masks = np.arange(1, 2**m, dtype=np.int64)
+        rng.shuffle(masks)
+        for mask in masks:
+            members = frozenset(j for j in range(m) if mask >> j & 1)
+            if members not in seen and len(chosen) < target:
+                chosen.append(members)
+        return chosen
+    while len(chosen) < target:
+        members = frozenset(np.flatnonzero(rng.integers(0, 2, size=m)).tolist())
+        if members and members not in seen:
+            seen.add(members)
+            chosen.append(members)
+    return chosen
+
+
 class TestSampleExtra:
     def test_m3_full_ratio_recovers_powerset(self):
-        essential = essential_coalitions(3)
-        extra = sample_extra(3, 1.0, 800, seed=1, essential=essential)
-        everything = {c.members for c in essential} | {c.members for c in extra}
+        extra = sample_extra(3, 1.0, 800, seed=1)
+        everything = set(_row_sets(essential_coalitions(3))) | set(_row_sets(extra))
         expected = {
             frozenset(s)
             for r in range(1, 4)
             for s in itertools.combinations(range(3), r)
         }
         assert everything == expected
-        assert len(extra) == 4
+        assert extra.shape == (4, 3)
 
     def test_distinct_nonempty_and_disjoint_from_essential(self):
-        essential = essential_coalitions(14)
-        extra = sample_extra(14, 0.4, 800, seed=9, essential=essential)
-        assert len(extra) == 786
-        members = [c.members for c in extra]
+        extra = sample_extra(14, 0.4, 800, seed=9)
+        assert extra.shape == (786, 14)
+        members = _row_sets(extra)
         assert len(set(members)) == len(members)
         assert all(m for m in members)
-        assert not (set(members) & {c.members for c in essential})
+        assert not (set(members) & set(_row_sets(essential_coalitions(14))))
 
     def test_seed_reproducible(self):
-        essential = essential_coalitions(12)
-        a = sample_extra(12, 0.3, 400, seed=42, essential=essential)
-        b = sample_extra(12, 0.3, 400, seed=42, essential=essential)
-        assert [c.members for c in a] == [c.members for c in b]
-        c = sample_extra(12, 0.3, 400, seed=43, essential=essential)
-        assert [x.members for x in a] != [x.members for x in c]
+        a = sample_extra(12, 0.3, 400, seed=42)
+        b = sample_extra(12, 0.3, 400, seed=42)
+        assert np.array_equal(a, b)
+        c = sample_extra(12, 0.3, 400, seed=43)
+        assert not np.array_equal(a, c)
+
+    def test_cap_at_m_draws_nothing(self):
+        assert sample_extra(10, 0.5, 10, seed=0).shape == (0, 10)  # enumerate branch
+        assert sample_extra(26, 0.5, 26, seed=0).shape == (0, 26)  # coin-flip branch
 
     def test_rejection_branch_at_large_m(self):
         # 2^26 - 1 >> 4 * 120 forces the coin-flip path
-        essential = essential_coalitions(26)
-        extra = sample_extra(26, 0.4, 120, seed=5, essential=essential)
-        assert len(extra) == 120 - 26
-        members = [c.members for c in extra]
+        extra = sample_extra(26, 0.4, 120, seed=5)
+        assert extra.shape == (120 - 26, 26)
+        members = _row_sets(extra)
         assert len(set(members)) == len(members)
         assert all(0 < len(m) <= 26 for m in members)
+
+    @pytest.mark.parametrize(
+        "m, ratio, cap",
+        [(2, 1.0, 800), (5, 0.6, 800), (10, 0.4, 800), (11, 1.0, 800), (13, 0.4, 800),
+         (14, 0.4, 800), (14, 1.0, 60), (26, 0.4, 120)],
+    )
+    def test_same_coalitions_as_drawing_one_at_a_time(self, m, ratio, cap):
+        # Both branches: the enumerate-and-shuffle one (2^M - 1 <= 4 * cap) and
+        # the coin-flip one must pick the reference's coalitions, in order.
+        for seed in range(4):
+            expected = _draw_by_draw(m, ratio, cap, seed)
+            assert _row_sets(sample_extra(m, ratio, cap, seed)) == expected
 
 
 class TestNormalizePhi:
@@ -149,7 +218,7 @@ class TestComputeAttributions:
         result = compute_attributions(instance, backend, template, vmap, config)
         assert result.raw_phi == pytest.approx([0.146793, -0.073397], abs=1e-5)
         assert result.phi == pytest.approx([1.0, 0.0], abs=1e-9)
-        assert len(result.records) == 3
+        assert len(result.membership) == 3
         assert result.feature_keys == ("a", "b")
 
     def test_constant_oracle_gives_uniform_fallback(self, template, yes_no_vmap):
@@ -237,28 +306,6 @@ class TestComputeAttributions:
         assert result.ranking() == ("strong", "mid", "weak")
 
 
-def _brute_force_raw_phi(instance, backend, template, vmap, metric="jsd"):
-    """Independent enumeration of every non-empty coalition, plain loops."""
-    from tabattr import build_prompt, class_distribution
-    from tabattr.divergence import similarity
-
-    m = instance.num_features
-    full_prompt = build_prompt(template, instance.fields)
-    full_dist, _ = class_distribution(backend.query(full_prompt, 10), vmap)
-    sims = {}
-    for r in range(1, m + 1):
-        for subset in itertools.combinations(range(m), r):
-            prompt = build_prompt(template, instance.fields_at(subset))
-            dist, _ = class_distribution(backend.query(prompt, 10), vmap)
-            sims[frozenset(subset)] = similarity(metric, full_dist, dist)
-    raw = []
-    for j in range(m):
-        with_j = [v for s, v in sims.items() if j in s]
-        without_j = [v for s, v in sims.items() if j not in s]
-        raw.append(sum(with_j) / len(with_j) - sum(without_j) / len(without_j))
-    return np.array(raw)
-
-
 class TestExhaustiveEquivalence:
     def test_matches_brute_force_enumeration(self, template, yes_no_vmap):
         rng = np.random.default_rng(0)
@@ -268,6 +315,41 @@ class TestExhaustiveEquivalence:
             instance = make_instance(0, list(weights))
             config = SamplingConfig(ratio=1.0, max_coalitions=2**m, seed=int(rng.integers(1e6)))
             result = compute_attributions(instance, backend, template, yes_no_vmap, config)
-            expected = _brute_force_raw_phi(instance, backend, template, yes_no_vmap)
+            expected = brute_force_raw_phi(instance, backend, template, yes_no_vmap)
             assert result.raw_phi == pytest.approx(expected, abs=1e-12)
-            assert len(result.records) == 2**m - 1
+            assert len(result.membership) == 2**m - 1
+
+
+class TestEvaluateThenScore:
+    def test_one_evaluation_serves_every_metric(self, template, yes_no_vmap):
+        backend = oracle_backend({f"f{i}": 0.4 * i - 0.7 for i in range(7)}, bias=0.3)
+        instance = make_instance(0, [f"f{i}" for i in range(7)])
+        config = SamplingConfig(ratio=0.5, seed=8)
+        evaluation = evaluate(instance, backend, template, yes_no_vmap, config)
+        queried = backend.calls
+        full_row_drawn = evaluation.membership.all(axis=1).any()
+        assert queried == len(evaluation.membership) + 1 - full_row_drawn
+        for metric in METRICS:
+            scored = score(evaluation, metric)
+            one_shot = compute_attributions(
+                instance, backend, template, yes_no_vmap, replace(config, metric=metric)
+            )
+            assert scored.to_payload() == one_shot.to_payload()
+            assert scored.config.metric == metric
+        assert backend.calls == queried * (1 + len(METRICS))
+
+    def test_unknown_metric_rejected(self, dominant_setup):
+        backend, instance, template, vmap = dominant_setup
+        evaluation = evaluate(instance, backend, template, vmap, SamplingConfig(ratio=1.0))
+        with pytest.raises(ConfigError):
+            score(evaluation, "hellinger")
+
+    def test_payload_arrays_round_trip(self, dominant_setup):
+        backend, instance, template, vmap = dominant_setup
+        result = compute_attributions(
+            instance, backend, template, vmap, SamplingConfig(ratio=1.0, metric="kl")
+        )
+        again = AttributionResult.from_payload(result.to_payload())
+        for name in ("membership", "class_dists", "similarities", "degenerate", "full_dist"):
+            assert np.array_equal(getattr(again, name), getattr(result, name))
+            assert getattr(again, name).dtype == getattr(result, name).dtype

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -18,7 +19,6 @@ from tabattr import (
     TopKDistribution,
     build_backend,
     prompt_digest,
-    query,
 )
 from tabattr.errors import (
     BackendError,
@@ -78,10 +78,6 @@ class TestQueryContract:
         backend = oracle_backend({"a": 1.0})
         with pytest.raises(ValueError):
             backend.query("a:1", 0)
-
-    def test_functional_form(self):
-        backend = oracle_backend({"a": 1.0})
-        assert query(backend, "a:1", 5) == backend.query("a:1", 5)
 
 
 class TestSyntheticBackend:
@@ -155,16 +151,27 @@ class TestReplayAndRecording:
         with pytest.raises(BackendError):
             ReplayBackend(tmp_path / "missing.json")
 
+    def test_recording_requires_readable_json(self, tmp_path):
+        store = tmp_path / "recording.json"
+        store.write_text("{broken")
+        with pytest.raises(BackendError, match="recording.json"):
+            RecordingBackend(oracle_backend({"a": 1.0}), store)
+        store.write_text("[]")
+        with pytest.raises(BackendError, match="recording.json"):
+            RecordingBackend(oracle_backend({"a": 1.0}), store)
+
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
-    script = []  # list of ("status", body_bytes) consumed per request
+    script = []  # (status, body_bytes[, headers]) consumed per request
     requests_seen = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         type(self).requests_seen.append(json.loads(self.rfile.read(length)))
-        status, body = self.script.pop(0) if self.script else (200, b"{}")
+        status, body, *headers = self.script.pop(0) if self.script else (200, b"{}")
         self.send_response(status)
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -218,6 +225,27 @@ class TestHttpBackend:
         backend = HttpBackend(endpoint, retries=1, backoff=0.01)
         with pytest.raises(BackendUnavailableError):
             backend.query("p", 1)
+
+    def test_429_honours_retry_after_then_succeeds(self, http_server):
+        endpoint, handler = http_server
+        handler.script = [
+            (429, b"slow down", {"Retry-After": "0"}),
+            (200, _ok_body([{"token": "x", "logprob": -1.0}])),
+        ]
+        # A backoff step of 30 s would stall the test; Retry-After: 0 replaces it.
+        backend = HttpBackend(endpoint, retries=1, backoff=30.0)
+        started = time.monotonic()
+        assert backend.query("p", 1).entries[0].token == "x"
+        assert time.monotonic() - started < 10.0
+        assert len(handler.requests_seen) == 2
+
+    def test_persistent_429_exhausts_retry_budget(self, http_server):
+        endpoint, handler = http_server
+        handler.script = [(429, b"slow down")] * 5
+        backend = HttpBackend(endpoint, retries=2, backoff=0.01)
+        with pytest.raises(BackendUnavailableError, match="429"):
+            backend.query("p", 1)
+        assert len(handler.requests_seen) == 3
 
     def test_4xx_is_protocol_error(self, http_server):
         endpoint, handler = http_server

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tabattr import LN2, jsd_nat, kl_nat, l1, similarity
+from tabattr import LN2, METRICS, jsd_nat, kl_nat, l1, similarity, similarity_rows
 
 _probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -98,3 +98,56 @@ class TestSimilarity:
     def test_self_similarity_is_one(self, p, metric):
         value = similarity(metric, _binary(p), _binary(p))
         assert value == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def _distribution(draw, c: int) -> np.ndarray:
+    weights = np.array(draw(st.lists(st.one_of(st.just(0.0), _probs), min_size=c, max_size=c)))
+    if weights.sum() == 0.0:
+        weights[draw(st.integers(0, c - 1))] = 1.0
+    return weights / weights.sum()
+
+
+@st.composite
+def _full_and_rows(draw) -> tuple[np.ndarray, np.ndarray]:
+    c = draw(st.integers(1, 12))
+    full = draw(_distribution(c))
+    count = draw(st.integers(1, 8))
+    rows = [full.copy() if draw(st.booleans()) else draw(_distribution(c)) for _ in range(count)]
+    return full, np.array(rows)
+
+
+class TestSimilarityRows:
+    @given(_full_and_rows(), st.sampled_from(METRICS))
+    def test_matches_per_pair_bit_for_bit(self, case, metric):
+        full, rows = case
+        expected = np.array([similarity(metric, full, q) for q in rows])
+        assert similarity_rows(metric, full, rows).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_zeros_and_identity_rows(self, metric):
+        full = np.array([0.7, 0.3, 0.0])
+        rows = np.array([full, [0.0, 1.0, 0.0], [0.2, 0.0, 0.8], [0.0, 0.0, 1.0]])
+        got = similarity_rows(metric, full, rows)
+        assert got[0] == 1.0
+        assert got.tobytes() == np.array([similarity(metric, full, q) for q in rows]).tobytes()
+
+    @pytest.mark.parametrize("bad", [[0.5, 0.6], [1.2, -0.2], [0.0, 0.0]])
+    def test_non_distribution_row_rejected(self, bad):
+        rows = np.array([[0.5, 0.5], bad, [1.0, 0.0]])
+        with pytest.raises(ValueError, match="row 1"):
+            similarity_rows("jsd", [0.5, 0.5], rows)
+        with pytest.raises(ValueError):
+            similarity("jsd", [0.5, 0.5], bad)
+
+    def test_bad_full_or_shape_rejected(self):
+        with pytest.raises(ValueError):
+            similarity_rows("l1", [0.5, 0.6], np.array([[0.5, 0.5]]))
+        with pytest.raises(ValueError):
+            similarity_rows("l1", [0.5, 0.5], np.array([[0.2, 0.3, 0.5]]))
+        with pytest.raises(ValueError):
+            similarity_rows("l1", [0.5, 0.5], np.array([0.5, 0.5]))
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValueError, match="unknown metric"):
+            similarity_rows("hellinger", [0.5, 0.5], np.array([[0.5, 0.5]]))
