@@ -163,7 +163,9 @@ class SyntheticOracleSpec:
         object.__setattr__(self, "weights", dict(self.weights))
 
     def positive_probability(self, present_keys: Iterable[str]) -> float:
-        score = self.bias + sum(self.weights.get(key, 0.0) for key in set(present_keys))
+        # Summed in weights order: a set's order follows the string-hash seed.
+        present = set(present_keys)
+        score = self.bias + sum(w for key, w in self.weights.items() if key in present)
         return 1.0 / (1.0 + math.exp(-score))
 
     @classmethod

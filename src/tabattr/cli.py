@@ -8,10 +8,18 @@ Subcommands::
     synth-demo      full no-network pipeline on the analytic oracle
     serialize       debug prompt printer
 
-Flag values override config-file values, which override defaults; the
-effective configuration is echoed into ``run_manifest.json`` in the output
-directory so every run is reproducible from its artifacts. The environment
-variable ``TABATTR_ENDPOINT`` overrides the http backend endpoint.
+Flag values override config-file values, which override defaults. Config
+keys are the :class:`RunSpec` field names, i.e. the flags' ``dest`` names
+(``max_coalitions``); an unknown key or a wrongly typed value is an error
+(exit 2). The effective spec is echoed into ``run_manifest.json`` in the
+output directory so every run is reproducible from its artifacts. The
+environment variable ``TABATTR_ENDPOINT`` overrides the http endpoint.
+
+All commands in one output directory use the instances recorded in
+``index_manifest.json``: explicit ``--indices`` must match that record (or
+become it). Without them, ``attribute`` samples ``--instances`` rows with
+``--seed`` and enforces that sample, ``deletion-curve`` reuses the record or
+samples one, and ``compare`` reuses the record and fails without one.
 """
 
 from __future__ import annotations
@@ -22,8 +30,8 @@ import functools
 import json
 import os
 import sys
+import typing
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -65,23 +73,6 @@ from .tabular import (
 from .verbalizer import VerbalizerMap
 
 ENDPOINT_ENV = "TABATTR_ENDPOINT"
-
-DEFAULTS = {
-    "metric": "jsd",
-    "ratio": 0.4,
-    "max_coalitions": 800,
-    "top_k": 10,
-    "seed": 0,
-    "instances": 50,
-    "workers": 1,
-    "max_removals": 10,
-    "sources": "jsd,random",
-    "n_instances": 12,
-    "timeout": 30.0,
-    "retries": 2,
-}
-
-_FILE_OPTIONS = ("dataset", "schema", "template", "verbalizer", "external", "oracle", "config")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -133,175 +124,250 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serialize", help="print the prompt built for one instance")
     _add_common(p)
-    p.add_argument("--index", type=int, default=0, help="dataset row to serialize")
+    p.add_argument("--index", type=int, help="dataset row to serialize (default 0)")
     p.add_argument("--omit", help="comma-separated feature keys to leave out")
 
     return parser
 
 
-class RunConfig(dict):
-    """Effective option values after defaults < config file < flags."""
+def _input_file():
+    """A path field that must name an existing file when set."""
+    return dataclasses.field(default=None, metadata={"input_file": True})
+
+
+def _typed(key: str, hint, value):
+    """``value`` checked against field ``key``'s type; tuples take a list or a comma string."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return None if value is None else _typed(key, args[0], value)
+    if typing.get_origin(hint) is tuple:
+        if isinstance(value, str):
+            return tuple(args[0](v.strip()) for v in value.split(",") if v.strip())
+        if not isinstance(value, list):
+            raise ConfigError(f"config key {key!r} must be a list or a comma string, got {value!r}")
+        return tuple(_typed(key, args[0], v) for v in value)
+    if hint is float and type(value) is int:
+        return float(value)
+    if type(value) is not hint:
+        raise ConfigError(f"config key {key!r} must be of type {hint.__name__}, got {value!r}")
+    return value
+
+
+@dataclasses.dataclass(frozen=True)
+class RunSpec:
+    """Effective options of one run: one field per flag, named by the flag's
+    ``dest``, which is also its config-file key."""
+
+    config: str | None = _input_file()
+    dataset: str | None = _input_file()
+    schema: str | None = _input_file()
+    template: str | None = _input_file()
+    verbalizer: str | None = _input_file()
+    backend: str | None = None
+    metric: str = "jsd"
+    ratio: float = 0.4
+    max_coalitions: int = 800
+    top_k: int = 10
+    seed: int = 0
+    instances: int = 50
+    indices: tuple[int, ...] = ()
+    workers: int = 1
+    max_removals: int = 10
+    record: str | None = None
+    timeout: float = 30.0
+    retries: int = 2
+    out: str | None = None
+    sources: tuple[str, ...] = ("jsd", "random")
+    external: str | None = _input_file()
+    oracle: str | None = _input_file()
+    n_instances: int = 12
+    index: int = 0
+    omit: tuple[str, ...] = ()
+
+    @classmethod
+    def resolve(cls, args: argparse.Namespace) -> "RunSpec":
+        """Merge defaults < ``--config`` file < flags, rejecting unknown keys and
+        wrongly typed values with :class:`ConfigError`."""
+        values = {}
+        if args.config:
+            config_path = Path(args.config)
+            if not config_path.is_file():
+                raise ConfigError(f"config file not found: {config_path}")
+            values = json.loads(config_path.read_text(encoding="utf-8"))
+            if not isinstance(values, dict):
+                raise ConfigError(f"config file {config_path} must hold a JSON object")
+        values.update((k, v) for k, v in vars(args).items() if k != "command" and v is not None)
+        hints = typing.get_type_hints(cls)
+        unknown = sorted(set(values) - set(hints))
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        spec = cls(**{key: _typed(key, hints[key], value) for key, value in values.items()})
+        if spec.instances < 1:
+            raise ConfigError("--instances must be >= 1")
+        for field in dataclasses.fields(cls):
+            value = getattr(spec, field.name)
+            if field.metadata.get("input_file") and value and not Path(value).is_file():
+                raise ConfigError(f"--{field.name} file not found: {value}")
+        return spec
 
     def require(self, *names: str) -> None:
-        missing = [n for n in names if self.get(n) in (None, "")]
+        missing = [n for n in names if getattr(self, n) in (None, "")]
         if missing:
             raise ConfigError(f"missing required options: {', '.join('--' + n for n in missing)}")
 
-    def path(self, name: str) -> Path:
-        return Path(self[name])
+    def sampling(self, metric: str) -> SamplingConfig:
+        return SamplingConfig(self.ratio, self.max_coalitions, self.seed, metric, self.top_k)
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(DEFAULTS)
-    file_values = {}
-    if getattr(args, "config", None):
-        config_path = Path(args.config)
-        if not config_path.is_file():
-            raise ConfigError(f"config file not found: {config_path}")
-        file_values = json.loads(config_path.read_text(encoding="utf-8"))
-        if not isinstance(file_values, dict):
-            raise ConfigError(f"config file {config_path} must hold a JSON object")
-        cfg.update(file_values)
-    for key, value in vars(args).items():
-        if key in ("command",) or value is None:
-            continue
-        cfg[key] = value
+@dataclasses.dataclass(frozen=True)
+class Run:
+    """What every writing subcommand opens first: its spec, output directory,
+    prompt template and verbalizer; the backend is built on demand."""
 
-    if cfg.get("instances") is not None and cfg["instances"] < 1:
-        raise ConfigError("--instances must be >= 1")
-    if isinstance(cfg.get("indices"), str):
-        cfg["indices"] = [int(x) for x in cfg["indices"].split(",") if x.strip()]
-    if isinstance(cfg.get("sources"), str):
-        cfg["sources"] = [s.strip() for s in cfg["sources"].split(",") if s.strip()]
-    for name in _FILE_OPTIONS:
-        value = cfg.get(name)
-        if value and not Path(value).is_file():
-            raise ConfigError(f"--{name} file not found: {value}")
-    return cfg
+    command: str
+    spec: RunSpec
+    out: Path
+    template: PromptTemplate
+    vmap: VerbalizerMap
 
+    @classmethod
+    def open(cls, command: str, spec: RunSpec, *required: str) -> "Run":
+        """Check the ``required`` options, create the output directory and load
+        the template and verbalizer."""
+        spec.require(*required)
+        spec.require("out")
+        out = Path(spec.out)
+        out.mkdir(parents=True, exist_ok=True)
+        template = load_template(spec.template) if spec.template else PromptTemplate()
+        if spec.verbalizer:
+            vmap = VerbalizerMap.from_json(spec.verbalizer)
+        elif (spec.backend or "").startswith("synthetic:"):
+            oracle = SyntheticOracleSpec.from_json(spec.backend.partition(":")[2])
+            vmap = VerbalizerMap.from_mapping({c: [c] for c in oracle.classes})
+        else:
+            raise ConfigError("missing required options: --verbalizer")
+        return cls(command, spec, out, template, vmap)
 
-def _resolve_backend(cfg: RunConfig) -> Backend:
-    cfg.require("backend")
-    endpoint = os.environ.get(ENDPOINT_ENV)
-    spec = cfg["backend"]
-    descriptor = BackendDescriptor.parse(
-        spec,
-        timeout=float(cfg["timeout"]),
-        retries=int(cfg["retries"]),
-        record_path=cfg.get("record"),
-    )
-    if endpoint and descriptor.kind == "http":
-        descriptor = dataclasses.replace(descriptor, target=endpoint)
-    return build_backend(descriptor)
+    def backend(self) -> Backend:
+        spec = self.spec
+        descriptor = BackendDescriptor.parse(
+            spec.backend, timeout=spec.timeout, retries=spec.retries, record_path=spec.record
+        )
+        endpoint = os.environ.get(ENDPOINT_ENV)
+        if endpoint and descriptor.kind == "http":
+            descriptor = dataclasses.replace(descriptor, target=endpoint)
+        return build_backend(descriptor)
 
-
-def _resolve_template(cfg: RunConfig) -> PromptTemplate:
-    if cfg.get("template"):
-        return load_template(cfg["template"])
-    return PromptTemplate()
+    def finish(self, summary: str) -> None:
+        """Write ``run_manifest.json`` and ``summary.txt``; print the summary."""
+        config = dataclasses.asdict(self.spec)
+        payload = {"tool": f"tabattr {__version__}", "command": self.command, "config": config}
+        (self.out / "run_manifest.json").write_text(dump_canonical(payload), encoding="utf-8")
+        (self.out / "summary.txt").write_text(summary, encoding="utf-8")
+        sys.stdout.write(summary)
 
 
-def _resolve_verbalizer(cfg: RunConfig) -> VerbalizerMap:
-    if cfg.get("verbalizer"):
-        return VerbalizerMap.from_json(cfg["verbalizer"])
-    backend_spec = cfg.get("backend") or ""
-    if backend_spec.startswith("synthetic:"):
-        spec = SyntheticOracleSpec.from_json(backend_spec.partition(":")[2])
-        return VerbalizerMap.from_mapping({c: [c] for c in spec.classes})
-    raise ConfigError("missing required options: --verbalizer")
-
-
-def _select_indices(cfg: RunConfig, dataset_size: int) -> list[int]:
-    if cfg.get("indices"):
-        bad = [i for i in cfg["indices"] if not 0 <= i < dataset_size]
+def select_indices(run: Run, dataset_size: int, reuse_recorded: bool) -> list[int]:
+    """The run's instance indices: explicit ``--indices``, else the recorded
+    selection if ``reuse_recorded`` and one exists, else ``--instances`` rows
+    sampled with ``--seed``. They must match the index manifest (raising
+    IndexSetError) or are recorded in it."""
+    spec = run.spec
+    manifest_path = run.out / MANIFEST_NAME
+    if spec.indices:
+        indices = list(spec.indices)
+        bad = [i for i in indices if not 0 <= i < dataset_size]
         if bad:
             raise ConfigError(f"indices out of range for dataset of {dataset_size} rows: {bad}")
-        if len(set(cfg["indices"])) != len(cfg["indices"]):
-            raise ConfigError(f"--indices contain duplicates: {cfg['indices']}")
-        return list(cfg["indices"])
-    count = min(int(cfg["instances"]), dataset_size)
-    rng = np.random.default_rng(int(cfg["seed"]))
-    return sorted(int(i) for i in rng.choice(dataset_size, size=count, replace=False))
+        if len(set(indices)) != len(indices):
+            raise ConfigError(f"--indices contain duplicates: {indices}")
+    elif reuse_recorded and manifest_path.exists():
+        indices = list(CacheManifest.load(manifest_path).selected_test_indices)
+        missing = [i for i in indices if not 0 <= i < dataset_size]
+        if missing:
+            raise ConfigError(f"manifest indices not in dataset: {missing}")
+    else:
+        count = min(spec.instances, dataset_size)
+        rng = np.random.default_rng(spec.seed)
+        indices = sorted(int(i) for i in rng.choice(dataset_size, size=count, replace=False))
+    ensure_manifest(manifest_path, indices, spec.seed)
+    return indices
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    cfg.require("out")
-    out = cfg.path("out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_run_manifest(out: Path, command: str, cfg: RunConfig) -> None:
-    effective = {k: (str(v) if isinstance(v, Path) else v) for k, v in sorted(cfg.items())}
-    payload = {"tool": f"tabattr {__version__}", "command": command, "config": effective}
-    (out / "run_manifest.json").write_text(dump_canonical(payload), encoding="utf-8")
-
-
-def _sampling_config(cfg: RunConfig, metric: str | None = None) -> SamplingConfig:
-    return SamplingConfig(
-        ratio=float(cfg["ratio"]),
-        max_coalitions=int(cfg["max_coalitions"]),
-        seed=int(cfg["seed"]),
-        metric=metric or cfg["metric"],
-        top_k=int(cfg["top_k"]),
-    )
-
-
-def _attribute_into_cache(
-    out: Path,
-    indices: list[int],
-    template: PromptTemplate,
-    vmap: VerbalizerMap,
-    config: SamplingConfig,
-    compute: Callable[[int], AttributionResult],
-    selection_seed: int,
+def cached_results(
+    run: Run, indices: list[int], metric: str,
+    compute: typing.Callable[[int], AttributionResult] | None = None,
 ) -> list[AttributionResult]:
+    """``metric`` results for ``indices`` from the run's cache. ``compute`` fills
+    the misses; without it, a missing cache or instance is a :class:`CacheError`."""
+    cache_path = run.out / default_cache_name(metric)
+    hint = f"run `tabattr attribute --metric {metric}` first"
+    if compute is None:
+        if not cache_path.exists():
+            raise CacheError(f"no {metric} attribution cache at {cache_path}; {hint}")
+
+        def compute(idx: int) -> AttributionResult:
+            raise CacheError(f"instance {idx} missing from {cache_path}; {hint}")
+
     return load_or_compute(
-        out / default_cache_name(config.metric),
-        indices,
-        config.metric,
-        compute,
-        fingerprint=config_fingerprint(config, template, vmap),
-        manifest_path=out / MANIFEST_NAME,
-        selection_seed=selection_seed,
+        cache_path, indices, metric, compute,
+        fingerprint=config_fingerprint(run.spec.sampling(metric), run.template, run.vmap),
+        manifest_path=run.out / MANIFEST_NAME,
+        selection_seed=run.spec.seed,
     )
 
 
-def _load_cached_results(
-    out: Path,
-    indices: list[int],
-    metric: str,
-    template: PromptTemplate,
-    vmap: VerbalizerMap,
-    cfg: RunConfig,
+def attribute_step(
+    run: Run, indices: list[int], metric: str, compute: typing.Callable[[int], AttributionResult]
 ) -> list[AttributionResult]:
-    cache_path = out / default_cache_name(metric)
-    if not cache_path.exists():
-        raise CacheError(
-            f"no {metric} attribution cache at {cache_path}; run `tabattr attribute "
-            f"--metric {metric}` first"
-        )
-
-    def refuse(idx: int) -> AttributionResult:
-        raise CacheError(
-            f"instance {idx} missing from {cache_path}; run `tabattr attribute "
-            f"--metric {metric}` first"
-        )
-
-    config = _sampling_config(cfg, metric=metric)
-    return load_or_compute(
-        cache_path,
-        indices,
-        metric,
-        refuse,
-        fingerprint=config_fingerprint(config, template, vmap),
-        manifest_path=out / MANIFEST_NAME,
-    )
-
-
-def _write_results_json(out: Path, metric: str, results: list[AttributionResult]) -> None:
+    """Cache-backed ``metric`` results for ``indices``, written to ``results_{metric}.json``."""
+    results = cached_results(run, indices, metric, compute)
     payload = {str(r.instance_index): r.to_payload() for r in results}
-    (out / f"results_{metric}.json").write_text(dump_canonical(payload), encoding="utf-8")
+    (run.out / f"results_{metric}.json").write_text(dump_canonical(payload), encoding="utf-8")
+    return results
+
+
+def deletion_step(run: Run, instances: list[TabularInstance], backend: Backend) -> DeletionRun:
+    """A removal order per ``--sources`` entry, the deletion protocol over
+    ``instances``, then ``curves.csv`` and ``curves.json``."""
+    spec = run.spec
+    rankings: dict[str, dict[int, RankingOrder]] = {}
+    for source in spec.sources:
+        if source not in RANKING_SOURCES:
+            raise ConfigError(f"unknown source {source!r}; expected one of {RANKING_SOURCES}")
+        if source in METRICS:
+            rankings[source] = {
+                r.instance_index: RankingOrder(r.instance_index, r.metric, r.ranking())
+                for r in cached_results(run, [i.index for i in instances], source)
+            }
+        elif source == "random":
+            rankings[source] = {i.index: random_order(i, spec.seed + i.index) for i in instances}
+        else:
+            spec.require("external")
+            external = load_external_ranking(spec.external, instances[0].keys)
+            rankings[source] = {i.index: external.order_for(i) for i in instances}
+    deletion = run_deletion(
+        instances, rankings, backend, run.template, run.vmap,
+        max_removals=spec.max_removals, top_k=spec.top_k, workers=spec.workers,
+    )
+    write_curves_csv(deletion, run.out / "curves.csv")
+    write_curves_json(deletion, run.out / "curves.json")
+    return deletion
+
+
+def rank_against(
+    results: list[AttributionResult], external_path: str
+) -> tuple[GlobalRanking, float, list[str]]:
+    """The global ranking of ``results`` and its Spearman rho against the
+    global-form ranking file ``external_path``, which must cover the same keys."""
+    ranking = global_ranking(results)
+    external = load_external_ranking(external_path, ranking.keys)
+    if external.global_keys is None:
+        raise ConfigError("compare needs a ranking file in the global form")
+    if set(external.global_keys) != set(ranking.keys):
+        raise ConfigError("external ranking must cover exactly the dataset's feature keys")
+    external_keys = list(external.global_keys)
+    return ranking, spearman_rho(ranking, external_keys), external_keys
 
 
 def _write_rank_report(out: Path, ranking: GlobalRanking, rho: float, external: list[str]) -> None:
@@ -318,170 +384,62 @@ def _write_rank_report(out: Path, ranking: GlobalRanking, rho: float, external: 
 def _summary_table(rows: list[tuple], header: tuple) -> str:
     table = [header] + [tuple(str(c) for c in row) for row in rows]
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    lines = []
-    for i, row in enumerate(table):
-        lines.append("  ".join(cell.ljust(widths[j]) for j, cell in enumerate(row)).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
+    table.insert(1, tuple("-" * w for w in widths))
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
     return "\n".join(lines) + "\n"
 
 
-def _emit_summary(out: Path, text: str) -> None:
-    (out / "summary.txt").write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
-
-
-def cmd_attribute(cfg: RunConfig) -> int:
-    cfg.require("dataset", "schema", "backend")
-    out = _out_dir(cfg)
-    dataset = load_dataset(cfg["dataset"], load_schema(cfg["schema"]))
-    instances = {i.index: i for i in dataset}
-    indices = _select_indices(cfg, len(dataset))
-    template = _resolve_template(cfg)
-    vmap = _resolve_verbalizer(cfg)
-    backend = _resolve_backend(cfg)
-    config = _sampling_config(cfg)
-
-    workers = int(cfg["workers"])
-    results = _attribute_into_cache(
-        out, indices, template, vmap, config,
-        lambda idx: compute_attributions(instances[idx], backend, template, vmap, config, workers),
-        int(cfg["seed"]),
-    )
-    _write_results_json(out, config.metric, results)
-    _write_run_manifest(out, "attribute", cfg)
-
-    ranking = global_ranking(results)
-    rows = [(k, f"{s:.6f}") for k, s in ranking.entries]
-    _emit_summary(
-        out,
-        f"attribute: metric={config.metric} instances={len(results)} "
+def cmd_attribute(spec: RunSpec) -> int:
+    run = Run.open("attribute", spec, "dataset", "schema", "backend")
+    dataset = load_dataset(spec.dataset, load_schema(spec.schema))
+    config = spec.sampling(spec.metric)
+    backend = run.backend()
+    indices = select_indices(run, len(dataset), reuse_recorded=False)
+    results = attribute_step(run, indices, spec.metric, lambda idx: compute_attributions(
+        dataset[idx], backend, run.template, run.vmap, config, spec.workers
+    ))
+    rows = [(k, f"{s:.6f}") for k, s in global_ranking(results).entries]
+    run.finish(
+        f"attribute: metric={spec.metric} instances={len(results)} "
         f"coalitions/instance={len(results[0].membership)}\n"
-        + _summary_table(rows, ("feature", "mean_phi")),
+        + _summary_table(rows, ("feature", "mean_phi"))
     )
     return 0
 
 
-def _build_rankings(
-    sources: list[str],
-    instances: list[TabularInstance],
-    out: Path,
-    template: PromptTemplate,
-    vmap: VerbalizerMap,
-    cfg: RunConfig,
-) -> dict[str, dict[int, RankingOrder]]:
-    rankings: dict[str, dict[int, RankingOrder]] = {}
-    indices = [i.index for i in instances]
-    for source in sources:
-        if source not in RANKING_SOURCES:
-            raise ConfigError(f"unknown source {source!r}; expected one of {RANKING_SOURCES}")
-        if source in METRICS:
-            results = _load_cached_results(out, indices, source, template, vmap, cfg)
-            rankings[source] = {
-                r.instance_index: RankingOrder(r.instance_index, r.metric, r.ranking())
-                for r in results
-            }
-        elif source == "random":
-            seed = int(cfg["seed"])
-            rankings[source] = {
-                i.index: random_order(i, seed + i.index) for i in instances
-            }
-        else:
-            cfg.require("external")
-            external = load_external_ranking(cfg["external"], instances[0].keys)
-            rankings[source] = {i.index: external.order_for(i) for i in instances}
-    return rankings
-
-
-def _deletion_curves(
-    sources: list[str],
-    instances: list[TabularInstance],
-    out: Path,
-    backend: Backend,
-    template: PromptTemplate,
-    vmap: VerbalizerMap,
-    cfg: RunConfig,
-) -> DeletionRun:
-    """Run the deletion protocol for every source and write curves.csv and curves.json."""
-    rankings = _build_rankings(sources, instances, out, template, vmap, cfg)
-    run = run_deletion(
-        instances, rankings, backend, template, vmap,
-        max_removals=int(cfg["max_removals"]), top_k=int(cfg["top_k"]),
-        workers=int(cfg["workers"]),
-    )
-    write_curves_csv(run, out / "curves.csv")
-    write_curves_json(run, out / "curves.json")
-    return run
-
-
-def cmd_deletion_curve(cfg: RunConfig) -> int:
-    cfg.require("dataset", "schema", "backend")
-    out = _out_dir(cfg)
-    dataset = load_dataset(cfg["dataset"], load_schema(cfg["schema"]))
-    template = _resolve_template(cfg)
-    vmap = _resolve_verbalizer(cfg)
-    backend = _resolve_backend(cfg)
-    sources = list(cfg["sources"])
-
-    manifest_path = out / MANIFEST_NAME
-    if manifest_path.exists():
-        indices = list(CacheManifest.load(manifest_path).selected_test_indices)
-    else:
-        indices = _select_indices(cfg, len(dataset))
-        ensure_manifest(manifest_path, indices, int(cfg["seed"]))
-    by_index = {i.index: i for i in dataset}
-    missing = [i for i in indices if i not in by_index]
-    if missing:
-        raise ConfigError(f"manifest indices not in dataset: {missing}")
-    instances = [by_index[i] for i in indices]
-
-    run = _deletion_curves(sources, instances, out, backend, template, vmap, cfg)
-    _write_run_manifest(out, "deletion-curve", cfg)
-
+def cmd_deletion_curve(spec: RunSpec) -> int:
+    run = Run.open("deletion-curve", spec, "dataset", "schema", "backend")
+    dataset = load_dataset(spec.dataset, load_schema(spec.schema))
+    backend = run.backend()
+    instances = [dataset[i] for i in select_indices(run, len(dataset), reuse_recorded=True)]
+    deletion = deletion_step(run, instances, backend)
     rows = [
         (source, f"{curve_auc(curve):.6f}", f"{curve.mean_probs[0]:.6f}")
-        for source, curve in run.curves.items()
+        for source, curve in deletion.curves.items()
     ]
-    _emit_summary(
-        out,
-        f"deletion-curve: instances={len(instances) - len(run.dropped)} "
-        f"dropped={len(run.dropped)} max_removals={cfg['max_removals']}\n"
-        + _summary_table(rows, ("source", "auc", "step0_prob")),
+    run.finish(
+        f"deletion-curve: instances={len(instances) - len(deletion.dropped)} "
+        f"dropped={len(deletion.dropped)} max_removals={spec.max_removals}\n"
+        + _summary_table(rows, ("source", "auc", "step0_prob"))
     )
-    return 1 if run.dropped else 0
+    return 1 if deletion.dropped else 0
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    cfg.require("dataset", "schema", "external")
-    out = _out_dir(cfg)
-    dataset = load_dataset(cfg["dataset"], load_schema(cfg["schema"]))
-    template = _resolve_template(cfg)
-    vmap = _resolve_verbalizer(cfg)
-    metric = cfg["metric"]
-
-    manifest_path = out / MANIFEST_NAME
+def cmd_compare(spec: RunSpec) -> int:
+    run = Run.open("compare", spec, "dataset", "schema", "external")
+    dataset = load_dataset(spec.dataset, load_schema(spec.schema))
+    manifest_path = run.out / MANIFEST_NAME
     if not manifest_path.exists():
         raise CacheError(f"no index manifest at {manifest_path}; run `tabattr attribute` first")
-    indices = list(CacheManifest.load(manifest_path).selected_test_indices)
-    results = _load_cached_results(out, indices, metric, template, vmap, cfg)
-
-    ranking = global_ranking(results)
-    external = load_external_ranking(cfg["external"], ranking.keys)
-    if external.global_keys is None:
-        raise ConfigError("compare needs a ranking file in the global form")
-    if set(external.global_keys) != set(ranking.keys):
-        raise ConfigError("external ranking must cover exactly the dataset's feature keys")
-    rho = spearman_rho(ranking, list(external.global_keys))
-    _write_rank_report(out, ranking, rho, list(external.global_keys))
-    _write_run_manifest(out, "compare", cfg)
-    _emit_summary(
-        out,
-        f"compare: metric={metric} instances={ranking.n_instances} "
+    indices = select_indices(run, len(dataset), reuse_recorded=True)
+    results = cached_results(run, indices, spec.metric)
+    ranking, rho, external = rank_against(results, spec.external)
+    _write_rank_report(run.out, ranking, rho, external)
+    rows = [(i + 1, k, e) for i, (k, e) in enumerate(zip(ranking.keys, external))]
+    run.finish(
+        f"compare: metric={spec.metric} instances={ranking.n_instances} "
         f"spearman_rho={rho:.6f}\n"
-        + _summary_table(
-            [(i + 1, k, e) for i, (k, e) in enumerate(zip(ranking.keys, external.global_keys))],
-            ("rank", "tabattr", "external"),
-        ),
+        + _summary_table(rows, ("rank", "tabattr", "external"))
     )
     return 0
 
@@ -500,78 +458,61 @@ def synthetic_instances(spec: SyntheticOracleSpec, count: int, seed: int) -> lis
     return instances
 
 
-def cmd_synth_demo(cfg: RunConfig) -> int:
-    cfg.require("oracle")
-    out = _out_dir(cfg)
-    spec = SyntheticOracleSpec.from_json(cfg["oracle"])
-    if len(spec.weights) < 2:
+def cmd_synth_demo(spec: RunSpec) -> int:
+    spec.require("oracle")
+    spec.require("out")
+    spec = dataclasses.replace(
+        spec,
+        backend=f"synthetic:{spec.oracle}",
+        verbalizer=None,
+        sources=("jsd", "kl", "l1", "random", "external"),
+        external=str(Path(spec.out) / "external_ranking.json"),
+    )
+    run = Run.open("synth-demo", spec)
+    oracle = SyntheticOracleSpec.from_json(spec.oracle)
+    if len(oracle.weights) < 2:
         raise ConfigError("oracle spec needs at least 2 weighted features")
-    seed = int(cfg["seed"])
-    instances = synthetic_instances(spec, int(cfg["n_instances"]), seed)
-    by_index = {i.index: i for i in instances}
-    indices = [i.index for i in instances]
-
-    cfg["backend"] = f"synthetic:{cfg['oracle']}"
-    backend = _resolve_backend(cfg)
-    template = _resolve_template(cfg)
-    vmap = VerbalizerMap.from_mapping({c: [c] for c in spec.classes})
-
-    true_order = [k for k, _ in sorted(spec.weights.items(), key=lambda kv: (-abs(kv[1]), kv[0]))]
-    external_path = out / "external_ranking.json"
-    external_path.write_text(dump_canonical({"global": true_order}), encoding="utf-8")
+    instances = synthetic_instances(oracle, spec.n_instances, spec.seed)
+    backend = run.backend()
+    true_order = sorted(oracle.weights, key=lambda k: (-abs(oracle.weights[k]), k))
+    Path(spec.external).write_text(dump_canonical({"global": true_order}), encoding="utf-8")
 
     # Each instance is evaluated once, on its first cache miss, and that one
     # evaluation is scored under every metric.
-    @functools.cache
-    def evaluated(idx: int):
-        return evaluate(
-            by_index[idx], backend, template, vmap, _sampling_config(cfg), int(cfg["workers"])
-        )
-
-    summary_parts = []
-    for metric in METRICS:
-        config = _sampling_config(cfg, metric=metric)
-        results = _attribute_into_cache(
-            out, indices, template, vmap, config,
-            lambda idx: score(evaluated(idx), metric), seed,
-        )
-        _write_results_json(out, metric, results)
-        ranking = global_ranking(results)
-        rho = spearman_rho(ranking, true_order)
-        summary_parts.append((metric, ranking, rho))
-
-    sources = ["jsd", "kl", "l1", "random", "external"]
-    cfg["external"] = str(external_path)
-    run = _deletion_curves(sources, instances, out, backend, template, vmap, cfg)
-
-    _, jsd_ranking, jsd_rho = summary_parts[0]
-    _write_rank_report(out, jsd_ranking, jsd_rho, true_order)
-    _write_run_manifest(out, "synth-demo", cfg)
-
-    auc_rows = [(s, f"{curve_auc(c):.6f}") for s, c in run.curves.items()]
-    rho_rows = [(m, f"{rho:.6f}") for m, _, rho in summary_parts]
-    _emit_summary(
-        out,
-        f"synth-demo: instances={len(instances)} seed={seed}\n"
-        + _summary_table(rho_rows, ("metric", "rho_vs_true_order"))
-        + _summary_table(auc_rows, ("source", "deletion_auc")),
+    config = spec.sampling(spec.metric)
+    evaluated = functools.cache(
+        lambda idx: evaluate(instances[idx], backend, run.template, run.vmap, config, spec.workers)
     )
-    return 1 if run.dropped else 0
+
+    results = {}
+    for metric in METRICS:
+        results[metric] = attribute_step(
+            run, [i.index for i in instances], metric,
+            lambda idx: score(evaluated(idx), metric),
+        )
+    deletion = deletion_step(run, instances, backend)
+    ranked = {metric: rank_against(results[metric], spec.external) for metric in METRICS}
+    _write_rank_report(run.out, *ranked["jsd"])
+
+    auc_rows = [(s, f"{curve_auc(c):.6f}") for s, c in deletion.curves.items()]
+    rho_rows = [(m, f"{rho:.6f}") for m, (_, rho, _) in ranked.items()]
+    run.finish(
+        f"synth-demo: instances={len(instances)} seed={spec.seed}\n"
+        + _summary_table(rho_rows, ("metric", "rho_vs_true_order"))
+        + _summary_table(auc_rows, ("source", "deletion_auc"))
+    )
+    return 1 if deletion.dropped else 0
 
 
-def cmd_serialize(cfg: RunConfig) -> int:
-    cfg.require("dataset", "schema")
-    dataset = load_dataset(cfg["dataset"], load_schema(cfg["schema"]))
-    index = int(cfg.get("index", 0))
-    by_index = {i.index: i for i in dataset}
-    if index not in by_index:
-        raise ConfigError(f"--index {index} not in dataset of {len(dataset)} rows")
-    instance = by_index[index]
-    fields = instance.fields
-    if cfg.get("omit"):
-        removed = [k.strip() for k in str(cfg["omit"]).split(",") if k.strip()]
-        fields = instance.fields_without_keys(removed)
-    sys.stdout.write(build_prompt(_resolve_template(cfg), fields))
+def cmd_serialize(spec: RunSpec) -> int:
+    spec.require("dataset", "schema")
+    dataset = load_dataset(spec.dataset, load_schema(spec.schema))
+    if not 0 <= spec.index < len(dataset):
+        raise ConfigError(f"--index {spec.index} not in dataset of {len(dataset)} rows")
+    instance = dataset[spec.index]
+    fields = instance.fields_without_keys(spec.omit) if spec.omit else instance.fields
+    template = load_template(spec.template) if spec.template else PromptTemplate()
+    sys.stdout.write(build_prompt(template, fields))
     return 0
 
 
@@ -587,8 +528,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](RunSpec.resolve(args))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

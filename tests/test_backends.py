@@ -2,11 +2,17 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
+
+import tabattr
 
 from tabattr import (
     BackendDescriptor,
@@ -104,6 +110,30 @@ class TestSyntheticBackend:
     def test_deterministic(self):
         backend = oracle_backend({"a": 2.0}, bias=-0.3)
         assert backend.query("a:1", 10) == backend.query("a:1", 10)
+
+    def test_probability_does_not_depend_on_the_hash_seed(self):
+        # Set iteration order follows the per-process string-hash seed; the
+        # oracle's sum must not, or runs differ in the last bits.
+        script = (
+            "import hashlib, itertools\n"
+            "from tabattr import SyntheticOracleSpec\n"
+            "keys = [f'feature_{i}' for i in range(14)]\n"
+            "weights = {k: 2.0 * 0.75**i * (1 + 0.013 * i) for i, k in enumerate(keys)}\n"
+            "spec = SyntheticOracleSpec(('yes', 'no'), weights, bias=-3.0)\n"
+            "subsets = (s for r in range(1, 15) for s in itertools.combinations(keys, r))\n"
+            "text = ' '.join(repr(spec.positive_probability(s)) for s in subsets)\n"
+            "print(hashlib.sha256(text.encode()).hexdigest())\n"
+        )
+        src = str(Path(tabattr.__file__).resolve().parents[1])
+        digests = set()
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                check=True, timeout=120,
+            )
+            digests.add(done.stdout)
+        assert len(digests) == 1
 
     def test_k_one_truncates(self):
         backend = oracle_backend({"a": 2.0})

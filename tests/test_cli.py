@@ -14,6 +14,7 @@ from tabattr import (
     cli,
     curve_auc,
 )
+from tabattr.errors import BackendError
 from tabattr.faithfulness import DeletionCurve
 from conftest import brute_force_raw_phi
 
@@ -102,6 +103,12 @@ def _tabular_inputs(tmp_path):
     return ["--dataset", str(dataset), "--schema", str(schema)]
 
 
+def _true_order(tmp_path):
+    path = tmp_path / "true_order.json"
+    path.write_text(json.dumps({"global": ["f1", "f0", "f2"]}))
+    return path
+
+
 class TestIndexSelection:
     @pytest.mark.parametrize("command", ["attribute", "deletion-curve"])
     def test_duplicate_indices_rejected(self, command, oracle, tmp_path, capsys):
@@ -112,6 +119,36 @@ class TestIndexSelection:
         assert cli.main(argv) == 2
         assert "duplicates" in capsys.readouterr().err
         assert not (out / "index_manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["deletion-curve", "compare"])
+    def test_explicit_indices_must_match_the_recorded_selection(
+        self, command, oracle, tmp_path, capsys
+    ):
+        _, oracle_path = oracle
+        out = tmp_path / "out"
+        common = [*_tabular_inputs(tmp_path), "--backend", f"synthetic:{oracle_path}",
+                  "--max-coalitions", "10", "--out", str(out)]
+        assert cli.main(["attribute", *common, "--indices", "0,1"]) == 0
+        capsys.readouterr()
+        argv = [command, *common, "--indices", "2", "--external", str(_true_order(tmp_path))]
+        if command == "deletion-curve":
+            argv += ["--sources", "random"]
+        assert cli.main(argv) == 1
+        assert "diverge" in capsys.readouterr().err
+        assert not (out / "curves.json").exists()
+        assert not (out / "rank_report_jsd.json").exists()
+        # The recorded selection, named explicitly, is accepted.
+        argv[argv.index("2")] = "1,0"
+        assert cli.main(argv) == 0
+
+    def test_compare_without_a_manifest_writes_nothing(self, oracle, tmp_path, capsys):
+        _, oracle_path = oracle
+        out = tmp_path / "out"
+        argv = ["compare", *_tabular_inputs(tmp_path), "--backend", f"synthetic:{oracle_path}",
+                "--indices", "0", "--external", str(_true_order(tmp_path)), "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "no index manifest" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestRecordingFile:
@@ -126,3 +163,96 @@ class TestRecordingFile:
                 str(vmap), "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 1
         assert str(recording) in capsys.readouterr().err
+
+
+class TestRunSpec:
+    @staticmethod
+    def _resolve(argv):
+        return cli.RunSpec.resolve(cli.build_parser().parse_args(argv))
+
+    @staticmethod
+    def _config(tmp_path, values) -> str:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(values))
+        return str(path)
+
+    def test_flags_override_file_which_overrides_defaults(self, tmp_path):
+        config = self._config(tmp_path, {"ratio": 0.3, "seed": 5})
+        spec = self._resolve(["attribute", "--config", config, "--seed", "7"])
+        assert (spec.ratio, spec.seed, spec.top_k) == (0.3, 7, 10)
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [("indices", "2,0", (2, 0)), ("indices", [2, 0], (2, 0)),
+         ("sources", "kl, random", ("kl", "random")),
+         ("sources", ["kl", "random"], ("kl", "random"))],
+    )
+    def test_lists_take_a_comma_string_or_a_json_list(self, key, value, expected, tmp_path):
+        spec = self._resolve(["deletion-curve", "--config", self._config(tmp_path, {key: value})])
+        assert getattr(spec, key) == expected
+
+    def test_an_integer_fills_a_float_field(self, tmp_path):
+        spec = self._resolve(["attribute", "--config", self._config(tmp_path, {"ratio": 1})])
+        assert spec.ratio == 1.0 and isinstance(spec.ratio, float)
+
+    @pytest.mark.parametrize(
+        "values, named",
+        [({"max_coalition": 4}, "max_coalition"), ({"seed": 1.9}, "seed"),
+         ({"instances": "2"}, "instances"), ({"workers": True}, "workers"),
+         ({"indices": ["1"]}, "indices"), ({"sources": 3}, "sources")],
+    )
+    def test_unknown_or_mistyped_key_exits_2(self, values, named, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["attribute", "--config", self._config(tmp_path, values), "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_synth_demo_manifest_records_what_ran(self, oracle, tmp_path):
+        _, path = oracle
+        out = tmp_path / "out"
+        argv = ["synth-demo", "--oracle", str(path), "--out", str(out), "--n-instances", "1",
+                "--max-coalitions", "20"]
+        assert cli.main(argv) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["command"] == "synth-demo"
+        assert manifest["config"]["sources"] == ["jsd", "kl", "l1", "random", "external"]
+        assert manifest["config"]["external"] == str(out / "external_ranking.json")
+        assert manifest["config"]["backend"] == f"synthetic:{path}"
+        assert set((json.loads((out / "curves.json").read_text())["curves"])) == {
+            "jsd", "kl", "l1", "random", "external"
+        }
+
+
+class TestRunErrors:
+    def test_changed_ratio_in_an_existing_out_dir_is_a_stale_cache(
+        self, oracle, tmp_path, capsys
+    ):
+        _, oracle_path = oracle
+        common = ["attribute", *_tabular_inputs(tmp_path), "--backend",
+                  f"synthetic:{oracle_path}", "--indices", "0", "--out", str(tmp_path / "out")]
+        assert cli.main([*common, "--ratio", "0.4"]) == 0
+        capsys.readouterr()
+        assert cli.main([*common, "--ratio", "0.3"]) == 1
+        assert "does not match the current configuration" in capsys.readouterr().err
+
+    def test_deletion_curve_exits_1_when_an_instance_fails(
+        self, oracle, tmp_path, monkeypatch, capsys
+    ):
+        _, oracle_path = oracle
+        fetch = SyntheticBackend._fetch
+
+        def failing_on_row_1(self, prompt, k):
+            if "f0:4" in prompt:
+                raise BackendError("injected failure")
+            return fetch(self, prompt, k)
+
+        monkeypatch.setattr(SyntheticBackend, "_fetch", failing_on_row_1)
+        out = tmp_path / "out"
+        argv = ["deletion-curve", *_tabular_inputs(tmp_path), "--backend",
+                f"synthetic:{oracle_path}", "--indices", "0,1,2", "--sources", "random",
+                "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "dropped=1" in capsys.readouterr().out
+        assert json.loads((out / "curves.json").read_text())["dropped_instances"] == [1]
