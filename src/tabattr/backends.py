@@ -12,24 +12,37 @@ Three interchangeable implementations sit behind one query interface:
 
 Wrapping any live backend in :class:`RecordingBackend` persists every
 response so the run can later be replayed bit-exactly.
+
+A recording is one JSON object mapping prompt digest to response. Each new
+response is appended as one compact line, ``"<digest>":{...}`` (with a
+leading comma after the first), written over the closing brace together
+with a new ``}\n``; the file is never rewritten, so N responses cost O(N)
+bytes. Recordings in any other JSON layout, such as pretty-printed ones,
+are read and appended to the same way.
+
+:class:`HttpBackend` speaks HTTP/1.1 through the standard library's
+``http.client`` over a pool of kept-alive connections. Unlike a full HTTP
+client it ignores ``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY`` and
+``.netrc``, and it follows no redirects: a 3xx answer is a
+:class:`ProtocolError`.
 """
 
 from __future__ import annotations
 
 import abc
 import hashlib
+import http.client
 import json
 import math
+import ssl
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+from urllib.parse import urlsplit
 
-import requests
-
-from ._json_io import atomic_write_json
 from .errors import (
     BackendError,
     BackendUnavailableError,
@@ -139,6 +152,15 @@ class Backend(abc.ABC):
     @abc.abstractmethod
     def _fetch(self, prompt: str, k: int) -> TopKDistribution:
         ...
+
+    def close(self) -> None:
+        """Release what the backend holds open, such as pooled connections."""
+
+    def __enter__(self) -> "Backend":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 @dataclass(frozen=True)
@@ -260,11 +282,47 @@ class ReplayBackend(Backend):
         return TopKDistribution.from_payload(payload, k=k)
 
 
+def _open_recording(path: Path) -> tuple[dict[str, dict], int | None]:
+    """Load a recording for appending: its store and the offset of its closing
+    brace, or ``None`` when the file does not exist yet.
+
+    A last line cut short by a process killed mid-append is dropped and the
+    brace closed again; any other damage is a :class:`BackendError` naming
+    the file."""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return {}, None
+    except OSError as exc:
+        raise BackendError(f"cannot read recording {path}: {exc}") from exc
+    try:
+        store = json.loads(data)
+    except ValueError as exc:
+        kept = data[: data.rfind(b"\n") + 1]
+        try:
+            store = json.loads(kept + b"}\n")
+        except ValueError:
+            raise BackendError(f"recording {path} is not valid JSON: {exc}") from exc
+    else:
+        kept = data[: data.rstrip().rfind(b"}")]
+    if not isinstance(store, dict):
+        raise BackendError(f"recording {path} must be a JSON object")
+    tail = b"}\n" if kept.endswith(b"\n") else b"\n}\n"
+    if data[len(kept):] != tail:
+        with open(path, "r+b") as handle:
+            handle.seek(len(kept))
+            handle.write(tail)
+            handle.truncate()
+    return store, len(kept) + len(tail) - 2
+
+
 class RecordingBackend(Backend):
     """Wraps a live backend and persists every response for later replay.
 
-    One writer; appends are serialized through a lock and each write is
-    atomic (temp file + rename), so a crash never leaves a torn cache.
+    Appends are serialized through a lock. Each is one write of one line over
+    the closing brace, at an offset tracked here, so earlier bytes are never
+    touched and a crash can tear at most the last line, which the next open
+    drops.
     """
 
     def __init__(self, inner: Backend, path: str | Path):
@@ -272,7 +330,7 @@ class RecordingBackend(Backend):
         self.inner = inner
         self.path = Path(path)
         self._write_lock = threading.Lock()
-        self._store = _read_store(self.path) if self.path.exists() else {}
+        self._store, self._brace = _open_recording(self.path)
 
     def _fetch(self, prompt: str, k: int) -> TopKDistribution:
         digest = prompt_digest(prompt, k)
@@ -281,20 +339,39 @@ class RecordingBackend(Backend):
         if cached is not None:
             return TopKDistribution.from_payload(cached, k=k)
         result = self.inner.query(prompt, k)
+        payload = result.to_payload()
         with self._write_lock:
-            self._store[digest] = result.to_payload()
-            atomic_write_json(self.path, self._store)
+            if digest not in self._store:
+                self._append(digest, payload)
+                self._store[digest] = payload
         return result
+
+    def _append(self, digest: str, payload: dict) -> None:
+        if self._brace is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self.path.write_bytes(b"{\n}\n")
+            self._brace = 2
+        line = json.dumps({digest: payload}, separators=(",", ":"))[1:-1].encode("ascii")
+        data = (b"," if self._store else b"") + line + b"\n}\n"
+        with open(self.path, "r+b") as handle:
+            handle.seek(self._brace)
+            handle.write(data)
+        self._brace += len(data) - 2
+
+    def close(self) -> None:
+        self.inner.close()
 
 
 class HttpBackend(Backend):
     """POST client for the logprob service, with bounded in-flight requests.
 
-    Retries transport failures, 5xx and 429 responses with exponential
-    backoff; a 429 whose ``Retry-After`` gives delta-seconds waits that long
-    instead, at most ``timeout``. Other 4xx responses and malformed bodies
-    raise :class:`ProtocolError` immediately. A query that fails after all
-    retries raises :class:`BackendUnavailableError`.
+    At most ``max_in_flight`` requests run at once, each on a kept-alive
+    connection from a pool of that size. Retries transport failures, 5xx
+    and 429 responses with exponential backoff; a 429 whose ``Retry-After``
+    gives delta-seconds waits that long instead, at most ``timeout``. Other
+    non-200 responses and malformed bodies raise :class:`ProtocolError`
+    immediately. A query that fails after all retries raises
+    :class:`BackendUnavailableError`.
     """
 
     def __init__(
@@ -304,7 +381,6 @@ class HttpBackend(Backend):
         retries: int = 2,
         max_in_flight: int = 8,
         backoff: float = 0.25,
-        session: requests.Session | None = None,
     ):
         super().__init__()
         self.endpoint = endpoint
@@ -312,10 +388,58 @@ class HttpBackend(Backend):
         self.retries = retries
         self.backoff = backoff
         self._slots = threading.BoundedSemaphore(max_in_flight)
-        self._session = session or requests.Session()
+        url = urlsplit(endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname or url.username is not None:
+            raise ConfigError(
+                f"http backend needs an http(s) URL without credentials, got {endpoint!r}"
+            )
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._host = url.netloc
+        self._context = ssl.create_default_context() if url.scheme == "https" else None
+        try:
+            self._idle = [self._connection()]
+        except http.client.InvalidURL as exc:
+            raise ConfigError(f"malformed http endpoint {endpoint!r}: {exc}") from exc
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """A new, not yet connected, connection to the endpoint's host."""
+        if self._context is None:
+            return http.client.HTTPConnection(self._host, timeout=self.timeout)
+        return http.client.HTTPSConnection(self._host, timeout=self.timeout, context=self._context)
+
+    def _exchange(self, conn: http.client.HTTPConnection, body: bytes) -> tuple[int, str, bytes]:
+        conn.request("POST", self._path, body, {"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, response.getheader("Retry-After", "").strip(), response.read()
+
+    def _post(self, body: bytes) -> tuple[int, str, bytes]:
+        """One POST on a pooled connection: status, ``Retry-After`` and body.
+
+        A kept-alive connection that the server closed while it sat idle fails
+        on first use; it is reopened at once, not counted as a failed attempt.
+        """
+        with self._slots:
+            try:
+                conn = self._idle.pop()
+            except IndexError:
+                conn = self._connection()
+            try:
+                reused = conn.sock is not None
+                try:
+                    return self._exchange(conn, body)
+                except (BrokenPipeError, ConnectionResetError):
+                    if not reused:
+                        raise
+                    conn.close()
+                    return self._exchange(conn, body)
+            except BaseException:
+                conn.close()
+                raise
+            finally:
+                self._idle.append(conn)
 
     def _fetch(self, prompt: str, k: int) -> TopKDistribution:
-        body = {"prompt": prompt, "top_k": k}
+        body = json.dumps({"prompt": prompt, "top_k": k}).encode("utf-8")
         last_error: Exception | None = None
         retry_after: float | None = None
         for attempt in range(self.retries + 1):
@@ -324,29 +448,30 @@ class HttpBackend(Backend):
                 time.sleep(step if retry_after is None else retry_after)
                 retry_after = None
             try:
-                with self._slots:
-                    response = self._session.post(self.endpoint, json=body, timeout=self.timeout)
-            except requests.RequestException as exc:
+                status, delay, content = self._post(body)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            if response.status_code == 429 or 500 <= response.status_code < 600:
-                last_error = BackendError(f"server returned {response.status_code}")
-                delay = response.headers.get("Retry-After", "").strip()
-                if response.status_code == 429 and delay.isdecimal():
+            if status == 429 or 500 <= status < 600:
+                last_error = BackendError(f"server returned {status}")
+                if status == 429 and delay.isdecimal():
                     retry_after = min(float(delay), self.timeout)
                 continue
-            if response.status_code != 200:
-                raise ProtocolError(
-                    f"{self.endpoint} answered {response.status_code}: {response.text[:200]}"
-                )
+            if status != 200:
+                text = content.decode("utf-8", "replace")
+                raise ProtocolError(f"{self.endpoint} answered {status}: {text[:200]}")
             try:
-                payload = response.json()
+                payload = json.loads(content)
             except ValueError as exc:
                 raise ProtocolError(f"{self.endpoint} returned non-JSON body") from exc
             return TopKDistribution.from_payload(payload, k=k)
         raise BackendUnavailableError(
             f"{self.endpoint} unreachable after {self.retries + 1} attempts: {last_error}"
         )
+
+    def close(self) -> None:
+        for conn in self._idle:
+            conn.close()
 
 
 @dataclass(frozen=True)

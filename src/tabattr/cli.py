@@ -273,6 +273,8 @@ def select_indices(run: Run, dataset_size: int, reuse_recorded: bool) -> list[in
     sampled with ``--seed``. They must match the index manifest (raising
     IndexSetError) or are recorded in it."""
     spec = run.spec
+    if dataset_size == 0:
+        raise ConfigError(f"dataset {spec.dataset} has no rows")
     manifest_path = run.out / MANIFEST_NAME
     if spec.indices:
         indices = list(spec.indices)
@@ -393,11 +395,11 @@ def cmd_attribute(spec: RunSpec) -> int:
     run = Run.open("attribute", spec, "dataset", "schema", "backend")
     dataset = load_dataset(spec.dataset, load_schema(spec.schema))
     config = spec.sampling(spec.metric)
-    backend = run.backend()
-    indices = select_indices(run, len(dataset), reuse_recorded=False)
-    results = attribute_step(run, indices, spec.metric, lambda idx: compute_attributions(
-        dataset[idx], backend, run.template, run.vmap, config, spec.workers
-    ))
+    with run.backend() as backend:
+        indices = select_indices(run, len(dataset), reuse_recorded=False)
+        results = attribute_step(run, indices, spec.metric, lambda idx: compute_attributions(
+            dataset[idx], backend, run.template, run.vmap, config, spec.workers
+        ))
     rows = [(k, f"{s:.6f}") for k, s in global_ranking(results).entries]
     run.finish(
         f"attribute: metric={spec.metric} instances={len(results)} "
@@ -410,9 +412,9 @@ def cmd_attribute(spec: RunSpec) -> int:
 def cmd_deletion_curve(spec: RunSpec) -> int:
     run = Run.open("deletion-curve", spec, "dataset", "schema", "backend")
     dataset = load_dataset(spec.dataset, load_schema(spec.schema))
-    backend = run.backend()
-    instances = [dataset[i] for i in select_indices(run, len(dataset), reuse_recorded=True)]
-    deletion = deletion_step(run, instances, backend)
+    with run.backend() as backend:
+        instances = [dataset[i] for i in select_indices(run, len(dataset), reuse_recorded=True)]
+        deletion = deletion_step(run, instances, backend)
     rows = [
         (source, f"{curve_auc(curve):.6f}", f"{curve.mean_probs[0]:.6f}")
         for source, curve in deletion.curves.items()
@@ -461,6 +463,8 @@ def synthetic_instances(spec: SyntheticOracleSpec, count: int, seed: int) -> lis
 def cmd_synth_demo(spec: RunSpec) -> int:
     spec.require("oracle")
     spec.require("out")
+    if spec.indices:
+        raise ConfigError("synth-demo runs instances 0..n-1; use --n-instances, not --indices")
     spec = dataclasses.replace(
         spec,
         backend=f"synthetic:{spec.oracle}",

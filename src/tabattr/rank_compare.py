@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 import numpy as np
-from scipy import stats
 
 from .attribution import AttributionResult
 
@@ -77,7 +76,9 @@ def _rank_vector(ranking: Ranking, keys: Sequence[str]) -> np.ndarray:
         ranking = ranking.scores
     if isinstance(ranking, Mapping):
         scores = np.array([float(ranking[k]) for k in keys])
-        return stats.rankdata(-scores, method="average")
+        higher = (scores[None, :] > scores[:, None]).sum(axis=1)
+        tied = (scores[None, :] == scores[:, None]).sum(axis=1)
+        return higher + (tied + 1) / 2.0
     positions = {k: i + 1 for i, k in enumerate(ranking)}
     return np.array([positions[k] for k in keys], dtype=float)
 
@@ -98,7 +99,7 @@ def spearman_rho(r1: Ranking, r2: Ranking) -> float:
 
     Accepts ordered key sequences, key -> score mappings, or
     :class:`GlobalRanking` objects; score inputs get average-rank tie
-    handling.
+    handling. A ranking whose keys all tie gives ``nan``.
     """
     keys1, keys2 = _ranking_keys(r1), _ranking_keys(r2)
     if keys1 != keys2:
@@ -109,5 +110,9 @@ def spearman_rho(r1: Ranking, r2: Ranking) -> float:
     if len(keys1) < 2:
         raise ValueError("need at least 2 keys for a rank correlation")
     keys = sorted(keys1)
-    rho = stats.spearmanr(_rank_vector(r1, keys), _rank_vector(r2, keys)).statistic
-    return float(rho)
+    ranks1, ranks2 = _rank_vector(r1, keys), _rank_vector(r2, keys)
+    if (ranks1 == ranks1[0]).all() or (ranks2 == ranks2[0]).all():
+        return float("nan")  # a constant ranking has no rank correlation
+    # Pearson correlation of the ranks, in the column layout (and so with the
+    # summation order) of scipy.stats.spearmanr.
+    return float(np.corrcoef(np.column_stack((ranks1, ranks2)), rowvar=False)[1, 0])

@@ -3,10 +3,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import socket
 import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from tabattr import (
     TokenLogprob,
     TopKDistribution,
     build_backend,
+    evaluate_prompts,
     prompt_digest,
 )
 from tabattr.errors import (
@@ -33,6 +36,7 @@ from tabattr.errors import (
     ConfigError,
     ProtocolError,
 )
+from tabattr._json_io import dump_canonical
 from conftest import logistic, oracle_backend
 
 
@@ -191,6 +195,122 @@ class TestReplayAndRecording:
             RecordingBackend(oracle_backend({"a": 1.0}), store)
 
 
+class _CountingBackend(tabattr.Backend):
+    """Delegates to an inner backend and keeps every prompt it was asked."""
+
+    def __init__(self, inner):
+        super().__init__()
+        self.inner = inner
+        self.prompts = []
+
+    def _fetch(self, prompt, k):
+        self.prompts.append(prompt)
+        return self.inner.query(prompt, k)
+
+
+def _record(path, prompts):
+    recorder = RecordingBackend(oracle_backend({"a": 1.0, "b": -0.5}), path)
+    return {p: recorder.query(p, 3) for p in prompts}
+
+
+class TestAppendOnlyRecording:
+    PROMPTS = [f"a:{i} b:{i % 7}" for i in range(6)]
+
+    def test_appends_keep_the_file_and_every_earlier_byte(self, tmp_path):
+        io_stats = Path("/proc/self/io")
+        if not io_stats.exists():
+            pytest.skip("needs /proc/self/io to count the bytes this process writes")
+
+        def written() -> int:
+            fields = dict(line.split(": ") for line in io_stats.read_text().splitlines())
+            return int(fields["wchar"])
+
+        store = tmp_path / "recording.json"
+        recorder = RecordingBackend(oracle_backend({"a": 1.0}), store)
+        recorder.query("a:0", 3)
+        inode = store.stat().st_ino
+        before = written()
+        previous = store.read_bytes()
+        for i in range(1, 2000):
+            recorder.query(f"a:{i}", 3)
+            current = store.read_bytes()
+            brace = previous.rindex(b"}")
+            assert current[:brace] == previous[:brace]
+            assert current.endswith(b"\n}\n")
+            previous = current
+        total = written() - before
+        assert store.stat().st_ino == inode
+        # Rewriting the store on every response would write about 1000 times
+        # the final file size; appending writes it once.
+        assert total < 2 * len(previous)
+        assert len(json.loads(previous)) == 2000
+        replay = ReplayBackend(store)
+        assert replay.query("a:1999", 3) == recorder.query("a:1999", 3)
+
+    @pytest.mark.parametrize("damage", ["cut_in_last_line", "closing_brace_missing"])
+    def test_torn_last_append_is_repaired_on_open(self, damage, tmp_path):
+        store = tmp_path / "recording.json"
+        recorded = _record(store, self.PROMPTS)
+        data = store.read_bytes()
+        body = data[: -len(b"}\n")]
+        if damage == "cut_in_last_line":
+            last_line_start = body.rindex(b"\n", 0, len(body) - 1) + 1
+            store.write_bytes(body[: last_line_start + 40])
+            requeried = self.PROMPTS[-1:]
+        else:
+            store.write_bytes(body)
+            requeried = []
+        live = _CountingBackend(oracle_backend({"a": 1.0, "b": -0.5}))
+        recorder = RecordingBackend(live, store)
+        for prompt in self.PROMPTS:
+            assert recorder.query(prompt, 3) == recorded[prompt]
+        assert live.prompts == requeried
+        assert len(json.loads(store.read_bytes())) == len(self.PROMPTS)
+        replay = ReplayBackend(store)
+        assert all(replay.query(p, 3) == recorded[p] for p in self.PROMPTS)
+
+    def test_damage_before_the_last_line_is_still_an_error(self, tmp_path):
+        store = tmp_path / "recording.json"
+        _record(store, self.PROMPTS)
+        data = store.read_bytes()
+        store.write_bytes(data.replace(b'":{', b'"#{', 1))
+        with pytest.raises(BackendError, match="recording.json"):
+            RecordingBackend(oracle_backend({"a": 1.0}), store)
+
+    def test_appends_to_a_pretty_printed_recording(self, tmp_path):
+        store = tmp_path / "recording.json"
+        old = oracle_backend({"a": 1.0, "b": -0.5})
+        pretty = {prompt_digest(p, 3): old.query(p, 3).to_payload() for p in self.PROMPTS[:3]}
+        store.write_text(dump_canonical(pretty), encoding="utf-8")
+        live = _CountingBackend(oracle_backend({"a": 1.0, "b": -0.5}))
+        recorder = RecordingBackend(live, store)
+        answers = {p: recorder.query(p, 3) for p in self.PROMPTS}
+        assert live.prompts == self.PROMPTS[3:]
+        replay = ReplayBackend(store)
+        assert {p: replay.query(p, 3) for p in self.PROMPTS} == answers
+
+    def test_concurrent_appends_lose_no_response(self, tmp_path):
+        store = tmp_path / "recording.json"
+        prompts = [f"a:{i} b:{i % 5}" for i in range(400)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            recorder = RecordingBackend(oracle_backend({"a": 1.0, "b": -0.5}), store)
+            answers = evaluate_prompts(recorder, prompts, 3, workers=16)
+        finally:
+            sys.setswitchinterval(interval)
+        replay = ReplayBackend(store)
+        assert len(json.loads(store.read_bytes())) == len(prompts)
+        assert all(replay.query(p, 3) == answers[p] for p in prompts)
+
+    def test_empty_object_file_takes_appends(self, tmp_path):
+        store = tmp_path / "recording.json"
+        store.write_text("{}")
+        recorded = _record(store, self.PROMPTS[:2])
+        replay = ReplayBackend(store)
+        assert {p: replay.query(p, 3) for p in self.PROMPTS[:2]} == recorded
+
+
 class _ScriptedHandler(BaseHTTPRequestHandler):
     script = []  # (status, body_bytes[, headers]) consumed per request
     requests_seen = []
@@ -211,16 +331,67 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def http_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 oracle answers; counts the TCP connections it accepts."""
+
+    protocol_version = "HTTP/1.1"
+    oracle = oracle_backend({"a": 1.0})
+    connections = 0
+    answered = 0
+    close_after_answer = False
+    counts_lock = threading.Lock()
+
+    def setup(self):
+        super().setup()
+        # Headers and body go out in two writes; without this the body waits
+        # for the client's delayed acknowledgement.
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with self.counts_lock:
+            type(self).connections += 1
+
+    def do_POST(self):
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        body = json.dumps(self.oracle.query(request["prompt"], request["top_k"]).to_payload())
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body.encode())
+        with self.counts_lock:
+            type(self).answered += 1
+        # Close without a "Connection: close" header, as an idle timeout would.
+        self.close_connection = self.close_after_answer
+
+    def log_message(self, *args):
+        pass
+
+
+@contextmanager
+def _serving(handler):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/logprobs"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def http_server():
     _ScriptedHandler.script = []
     _ScriptedHandler.requests_seen = []
-    yield f"http://127.0.0.1:{server.server_address[1]}/logprobs", _ScriptedHandler
-    server.shutdown()
-    server.server_close()
+    with _serving(_ScriptedHandler) as endpoint:
+        yield endpoint, _ScriptedHandler
+
+
+@pytest.fixture
+def keep_alive_handler():
+    class Handler(_KeepAliveHandler):
+        pass
+
+    return Handler
 
 
 def _ok_body(tokens):
@@ -313,6 +484,51 @@ class TestHttpBackend:
         # second call replays without touching the network
         assert backend.query("p", 1) == live
         assert len(handler.requests_seen) == 1
+
+
+class TestPooledConnections:
+    def test_sequential_queries_share_one_connection(self, keep_alive_handler):
+        with _serving(keep_alive_handler) as endpoint, HttpBackend(endpoint, retries=0) as backend:
+            answers = [backend.query(f"a:{i}", 2) for i in range(50)]
+        assert keep_alive_handler.answered == 50
+        assert keep_alive_handler.connections == 1
+        assert answers[0] == keep_alive_handler.oracle.query("a:0", 2)
+
+    def test_connection_closed_while_idle_is_replaced_without_a_retry(self, keep_alive_handler):
+        keep_alive_handler.close_after_answer = True
+        # With no retry budget, a reopen that spent an attempt would fail the
+        # query; a backoff sleep would outlast the time limit.
+        with _serving(keep_alive_handler) as endpoint, \
+                HttpBackend(endpoint, retries=0, backoff=60.0) as backend:
+            started = time.monotonic()
+            for i in range(20):
+                assert backend.query(f"a:{i}", 2) == keep_alive_handler.oracle.query(f"a:{i}", 2)
+            assert time.monotonic() - started < 30.0
+        assert keep_alive_handler.answered == 20
+        assert keep_alive_handler.connections == 20
+
+    def test_concurrent_queries_open_at_most_max_in_flight_connections(
+        self, keep_alive_handler
+    ):
+        prompts = [f"a:{i}" for i in range(200)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _serving(keep_alive_handler) as endpoint, \
+                    HttpBackend(endpoint, retries=0, max_in_flight=3) as backend:
+                answers = evaluate_prompts(backend, prompts, 2, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert keep_alive_handler.answered == 200
+        assert keep_alive_handler.connections <= 3
+        assert answers["a:7"] == keep_alive_handler.oracle.query("a:7", 2)
+
+    @pytest.mark.parametrize(
+        "endpoint", ["http:localhost:80", "ftp://host/x", "http://h:x/", "https://u:p@host/"]
+    )
+    def test_malformed_endpoint_is_a_config_error(self, endpoint):
+        with pytest.raises(ConfigError):
+            HttpBackend(endpoint)
 
 
 class TestBackendDescriptor:

@@ -2,8 +2,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import tabattr
 
 from tabattr import (
     PromptTemplate,
@@ -151,6 +157,29 @@ class TestIndexSelection:
         assert list(out.iterdir()) == []
 
 
+    @pytest.mark.parametrize("command", ["attribute", "deletion-curve"])
+    def test_dataset_without_rows_writes_no_manifest(self, command, oracle, tmp_path, capsys):
+        _, oracle_path = oracle
+        inputs = _tabular_inputs(tmp_path)
+        dataset = Path(inputs[1])
+        dataset.write_text("f0,f1,f2\n")
+        out = tmp_path / "out"
+        argv = [command, *inputs, "--backend", f"synthetic:{oracle_path}", "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(dataset) in err and "no rows" in err
+        assert not (out / "index_manifest.json").exists()
+
+    def test_synth_demo_rejects_indices(self, oracle, tmp_path, capsys):
+        _, oracle_path = oracle
+        out = tmp_path / "out"
+        argv = ["synth-demo", "--oracle", str(oracle_path), "--out", str(out),
+                "--n-instances", "2", "--indices", "1"]
+        assert cli.main(argv) == 2
+        assert "--indices" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRecordingFile:
     def test_corrupt_recording_is_a_backend_error(self, tmp_path, capsys):
         recording = tmp_path / "recording.json"
@@ -256,3 +285,16 @@ class TestRunErrors:
         assert cli.main(argv) == 1
         assert "dropped=1" in capsys.readouterr().out
         assert json.loads((out / "curves.json").read_text())["dropped_instances"] == [1]
+
+
+def test_cli_import_loads_neither_scipy_nor_an_http_library():
+    script = (
+        "import sys, tabattr.cli\n"
+        "print(sorted({'scipy', 'requests', 'urllib3'} & {m.split('.')[0] for m in sys.modules}))"
+    )
+    src = str(Path(tabattr.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout.strip() == "[]"

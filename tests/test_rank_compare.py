@@ -14,3 +14,8 @@ class TestSpearmanRho:
         expected = 4.5 / math.sqrt(4.5 * 5.0)
         assert spearman_rho(scores, ["a", "b", "c", "d"]) == pytest.approx(expected, abs=1e-12)
         assert spearman_rho(scores, ["a", "c", "b", "d"]) == pytest.approx(expected, abs=1e-12)
+
+    def test_constant_ranking_gives_nan(self):
+        scores = {"a": 0.5, "b": 0.5, "c": 0.5}
+        assert math.isnan(spearman_rho(scores, ["a", "b", "c"]))
+        assert math.isnan(spearman_rho(["c", "a", "b"], scores))
