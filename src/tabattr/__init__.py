@@ -13,7 +13,6 @@ from .attribution import (
     AttributionResult,
     Evaluation,
     SamplingConfig,
-    compute_attributions,
     essential_coalitions,
     evaluate,
     n_extra,
@@ -35,13 +34,7 @@ from .backends import (
     evaluate_prompts,
     prompt_digest,
 )
-from .cache import (
-    CacheManifest,
-    config_fingerprint,
-    default_cache_name,
-    ensure_manifest,
-    load_or_compute,
-)
+from .cache import CacheManifest, config_fingerprint, ensure_manifest, load_or_evaluate
 from .divergence import LN2, METRICS, jsd_nat, kl_nat, l1, similarity, similarity_rows
 from .errors import (
     AttributionError,
@@ -53,6 +46,7 @@ from .errors import (
     CorruptCacheError,
     DatasetError,
     IndexSetError,
+    MalformedManifestError,
     NormalizationError,
     ProtocolError,
     RankingError,
@@ -79,13 +73,11 @@ from .tabular import (
     PromptTemplate,
     TabularInstance,
     build_prompt,
-    input_block,
     load_dataset,
     load_schema,
     load_template,
     normalize_key,
     normalize_value,
-    parse_features,
     serialize_features,
 )
 from .verbalizer import (

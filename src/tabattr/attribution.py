@@ -10,7 +10,9 @@ distribution. :func:`score` then applies a metric: each row's bounded
 similarity to the full-input distribution, and per feature the mean
 similarity of the rows that include it minus that of the rows that exclude
 it, shifted by the minimum and normalized to sum to one. The metric acts
-only after the backend has answered, so one evaluation serves every metric.
+only after the backend has answered, so it is a scoring choice, not a
+sampling setting: one :class:`Evaluation`, stored once per output directory
+(:mod:`tabattr.cache`), serves every metric.
 
 Averaging "with j minus without j" uniformly over sampled non-empty subsets
 is a Banzhaf-style value of the similarity game, not a Shapley value, which
@@ -20,8 +22,7 @@ would weight each subset by its size.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
-from typing import Mapping
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -34,12 +35,14 @@ from .verbalizer import VerbalizerMap, class_distribution
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    """Estimator knobs. Defaults: ratio 0.4, cap 800 coalitions, top-10 logits."""
+    """Estimator knobs. Defaults: ratio 0.4, cap 800 coalitions, top-10 logits.
+
+    The metric is not one of them: it is chosen when an evaluation is scored.
+    """
 
     ratio: float = 0.4
     max_coalitions: int = 800
     seed: int = 0
-    metric: str = "jsd"
     top_k: int = 10
 
     def __post_init__(self):
@@ -47,23 +50,11 @@ class SamplingConfig:
             raise ConfigError(f"ratio must be in (0, 1], got {self.ratio}")
         if self.max_coalitions < 1:
             raise ConfigError("max_coalitions must be positive")
-        if self.metric not in METRICS:
-            raise ConfigError(f"unknown metric {self.metric!r}; expected one of {METRICS}")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
 
     def to_payload(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_payload(cls, data: Mapping) -> "SamplingConfig":
-        return cls(
-            ratio=float(data["ratio"]),
-            max_coalitions=int(data["max_coalitions"]),
-            seed=int(data["seed"]),
-            metric=str(data["metric"]),
-            top_k=int(data["top_k"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -115,36 +106,12 @@ class AttributionResult(Evaluation):
                 "full_prompt_degenerate": self.full_degenerate,
                 "degenerate_coalitions": int(self.degenerate.sum()),
             },
-            "config": self.config.to_payload(),
+            "config": {**self.config.to_payload(), "metric": self.metric},
             "records": [
                 {"members": members, "class_dist": dist, "similarity": sim, "degenerate": flag}
                 for members, dist, sim, flag in records
             ],
         }
-
-    @classmethod
-    def from_payload(cls, data: Mapping) -> "AttributionResult":
-        keys = tuple(data["feature_keys"])
-        flags = data["degeneracy_flags"]
-        records = data["records"]
-        membership = np.zeros((len(records), len(keys)), dtype=bool)
-        for row, record in zip(membership, records):
-            row[record["members"]] = True
-        return cls(
-            instance_index=int(data["instance_index"]),
-            metric=str(data["metric"]),
-            feature_keys=keys,
-            phi=np.array([data["phi"][k] for k in keys], dtype=float),
-            raw_phi=np.array(data["raw_phi"], dtype=float),
-            membership=membership,
-            class_dists=np.array([r["class_dist"] for r in records], dtype=float),
-            similarities=np.array([r["similarity"] for r in records], dtype=float),
-            degenerate=np.array([r["degenerate"] for r in records], dtype=bool),
-            full_dist=np.array(data["full_dist"], dtype=float),
-            full_degenerate=bool(flags["full_prompt_degenerate"]),
-            uniform_fallback=bool(flags["uniform_phi_fallback"]),
-            config=SamplingConfig.from_payload(data["config"]),
-        )
 
 
 def essential_coalitions(m: int) -> np.ndarray:
@@ -226,7 +193,7 @@ def evaluate(
 ) -> Evaluation:
     """Sample the coalitions of one instance and query each prompt once.
 
-    ``config.metric`` plays no part; the result does not depend on ``workers``.
+    The result does not depend on ``workers``.
 
     Raises:
         ValueError: fewer than 2 features.
@@ -270,7 +237,8 @@ def evaluate(
 
 def score(evaluation: Evaluation, metric: str) -> AttributionResult:
     """Attribution scores of an evaluated instance under ``metric``."""
-    config = replace(evaluation.config, metric=metric)
+    if metric not in METRICS:
+        raise ConfigError(f"unknown metric {metric!r}; expected one of {METRICS}")
     sims = similarity_rows(metric, evaluation.full_dist, evaluation.class_dists)
     membership = evaluation.membership
     # Essential leave-one-out sets guarantee every feature is present in at
@@ -281,18 +249,6 @@ def score(evaluation: Evaluation, metric: str) -> AttributionResult:
     phi, fallback = normalize_phi(raw_phi)
     evaluated = {f.name: getattr(evaluation, f.name) for f in fields(Evaluation)}
     return AttributionResult(
-        **{**evaluated, "config": config},
+        **evaluated,
         metric=metric, similarities=sims, raw_phi=raw_phi, phi=phi, uniform_fallback=fallback,
     )
-
-
-def compute_attributions(
-    instance: TabularInstance,
-    backend: Backend,
-    template: PromptTemplate,
-    vmap: VerbalizerMap,
-    config: SamplingConfig,
-    workers: int = 1,
-) -> AttributionResult:
-    """Run the full estimator on one instance: :func:`evaluate`, then :func:`score`."""
-    return score(evaluate(instance, backend, template, vmap, config, workers), config.metric)

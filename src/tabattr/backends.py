@@ -105,15 +105,6 @@ class TopKDistribution:
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed top-k payload: {exc}") from exc
 
-    @classmethod
-    def from_probabilities(cls, probs: Mapping[str, float], k: int) -> "TopKDistribution":
-        """Convenience: build from token -> probability, sorted descending."""
-        entries = tuple(
-            TokenLogprob(token=t, logprob=math.log(p) if p > 0 else float("-inf"))
-            for t, p in sorted(probs.items(), key=lambda item: -item[1])
-        )
-        return cls(entries=entries, k=k)
-
 
 def prompt_digest(prompt: str, k: int) -> str:
     """Cryptographic digest of the exact prompt bytes plus k; the replay cache key."""
@@ -383,6 +374,11 @@ class HttpBackend(Backend):
         backoff: float = 0.25,
     ):
         super().__init__()
+        if retries < 0 or not timeout > 0 or max_in_flight < 1:
+            raise ConfigError(
+                "http backend needs retries >= 0, timeout > 0 and max_in_flight >= 1, got "
+                f"retries={retries}, timeout={timeout}, max_in_flight={max_in_flight}"
+            )
         self.endpoint = endpoint
         self.timeout = timeout
         self.retries = retries

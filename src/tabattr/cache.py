@@ -1,11 +1,18 @@
-"""Per-metric attribution caches and the shared instance-index manifest.
+"""The instance-index manifest and the evaluation store of an output directory.
 
 Ablation runs must score the SAME instances: the first run records its
 selected indices in a manifest, and every later run (any metric) is rejected
-loudly if it asks for a different index set. Each metric gets its own cache
-file stamped with a configuration fingerprint covering everything that
-changes prompts or scores; a mismatched fingerprint is an explicit
-stale-cache error, never a silent recompute.
+loudly if it asks for a different index set.
+
+All runs in a directory share one store of :class:`Evaluation` lines. Line 1
+is a header with a fingerprint of everything that changes prompts or their
+answers; a mismatch is an explicit stale-cache error, never a silent
+recompute. The metric is not part of it: it only scores an evaluation after
+the backend has answered, so one store serves every metric. Each instance's
+line is appended and flushed as soon as it is evaluated, so a killed run
+keeps every instance it finished. A last line torn by a kill mid-append is
+dropped on open; damage anywhere else is a :class:`CorruptCacheError` with
+its byte offset.
 """
 
 from __future__ import annotations
@@ -16,30 +23,28 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
+import numpy as np
+
 from ._json_io import atomic_write_json, dump_canonical
-from .attribution import AttributionResult, SamplingConfig
-from .errors import CacheError, CorruptCacheError, IndexSetError, StaleCacheError
+from .attribution import Evaluation, SamplingConfig
+from .errors import (
+    CacheError,
+    CorruptCacheError,
+    IndexSetError,
+    MalformedManifestError,
+    StaleCacheError,
+)
 from .tabular import PromptTemplate
 from .verbalizer import VerbalizerMap
 
-#: Default cache file names, one per metric.
-CACHE_NAMES = {
-    "jsd": "tokenshap_validation_cache.json",
-    "kl": "kl_validation_cache.json",
-    "l1": "l1_validation_cache.json",
-}
-
+STORE_NAME = "evaluations.jsonl"
 MANIFEST_NAME = "index_manifest.json"
-
-
-def default_cache_name(metric: str) -> str:
-    return CACHE_NAMES.get(metric, f"{metric}_validation_cache.json")
 
 
 def config_fingerprint(
     config: SamplingConfig, template: PromptTemplate, vmap: VerbalizerMap
 ) -> str:
-    """Hash of everything that changes prompts or scores."""
+    """Hash of everything that changes prompts or their answers."""
     payload = {
         "sampling": config.to_payload(),
         "template": {
@@ -65,11 +70,15 @@ class CacheManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "CacheManifest":
+        """Raises :class:`MalformedManifestError` for a file that parses but
+        holds no ``selected_test_indices`` list of integers."""
         data = _read_json(Path(path))
-        return cls(
-            selected_test_indices=tuple(int(i) for i in data["selected_test_indices"]),
-            selection_seed=data.get("selection_seed"),
-        )
+        indices = data.get("selected_test_indices") if isinstance(data, dict) else None
+        if not isinstance(indices, list) or any(type(i) is not int for i in indices):
+            raise MalformedManifestError(
+                f"{path}: not an index manifest: needs a selected_test_indices list of integers"
+            )
+        return cls(selected_test_indices=tuple(indices), selection_seed=data.get("selection_seed"))
 
     def save(self, path: str | Path) -> None:
         atomic_write_json(
@@ -95,9 +104,8 @@ def ensure_manifest(
     path = Path(path)
     if path.exists():
         manifest = CacheManifest.load(path)
-        if set(manifest.selected_test_indices) != set(indices):
-            recorded = set(manifest.selected_test_indices)
-            requested = set(indices)
+        recorded, requested = set(manifest.selected_test_indices), set(indices)
+        if recorded != requested:
             raise IndexSetError(
                 f"{path}: requested indices diverge from the recorded selection: "
                 f"missing={sorted(recorded - requested)} extra={sorted(requested - recorded)}"
@@ -111,7 +119,7 @@ def ensure_manifest(
     return manifest
 
 
-def _read_json(path: Path) -> dict:
+def _read_json(path: Path):
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -122,29 +130,107 @@ def _read_json(path: Path) -> dict:
         raise CorruptCacheError(str(path), exc.pos, exc.msg) from exc
 
 
-def load_or_compute(
-    cache_path: str | Path,
+def _encode(evaluation: Evaluation) -> bytes:
+    """One store line: membership rows as little-endian packed bits in hex,
+    which round-trips for any M, and the degenerate rows by position."""
+    packed = np.packbits(evaluation.membership, axis=1, bitorder="little")
+    entry = {
+        "instance_index": evaluation.instance_index,
+        "feature_keys": list(evaluation.feature_keys),
+        "membership": packed.tobytes().hex(),
+        "class_dists": evaluation.class_dists.tolist(),
+        "degenerate": np.flatnonzero(evaluation.degenerate).tolist(),
+        "full_dist": evaluation.full_dist.tolist(),
+        "full_degenerate": evaluation.full_degenerate,
+    }
+    return json.dumps(entry, separators=(",", ":")).encode("ascii") + b"\n"
+
+
+def _decode(entry: dict, config: SamplingConfig) -> Evaluation:
+    keys = tuple(entry["feature_keys"])
+    class_dists = np.array(entry["class_dists"], dtype=float)
+    packed = np.frombuffer(bytes.fromhex(entry["membership"]), dtype=np.uint8)
+    membership = np.unpackbits(
+        packed.reshape(len(class_dists), -1), axis=1, count=len(keys), bitorder="little"
+    ).astype(bool)
+    degenerate = np.zeros(len(class_dists), dtype=bool)
+    degenerate[entry["degenerate"]] = True
+    return Evaluation(
+        instance_index=int(entry["instance_index"]),
+        feature_keys=keys,
+        config=config,
+        membership=membership,
+        class_dists=class_dists,
+        degenerate=degenerate,
+        full_dist=np.array(entry["full_dist"], dtype=float),
+        full_degenerate=bool(entry["full_degenerate"]),
+    )
+
+
+def _read_store(path: Path, fingerprint: str, config: SamplingConfig) -> dict[int, Evaluation]:
+    """The store's evaluations by instance index, after dropping a torn last line."""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return {}
+    except OSError as exc:
+        raise CacheError(f"cannot read {path}: {exc}") from exc
+    kept = data[: data.rfind(b"\n") + 1]
+    if len(kept) < len(data):
+        with open(path, "r+b") as handle:
+            handle.truncate(len(kept))
+    try:
+        text = kept.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise CorruptCacheError(str(path), exc.start, "non-ASCII byte") from exc
+
+    stored: dict[int, Evaluation] = {}
+    offset = 0
+    for number, line in enumerate(text.split("\n")[:-1]):
+        try:
+            entry = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorruptCacheError(str(path), offset + exc.pos, exc.msg) from exc
+        if number == 0:
+            found = entry.get("fingerprint") if isinstance(entry, dict) else None
+            if found != fingerprint:
+                raise StaleCacheError(
+                    f"{path}: store fingerprint {found!r} does not match the current "
+                    f"configuration {fingerprint!r}; refusing to reuse or silently recompute"
+                )
+        else:
+            try:
+                evaluation = _decode(entry, config)
+            except (LookupError, TypeError, ValueError) as exc:
+                raise CorruptCacheError(str(path), offset, f"not an evaluation: {exc!r}") from exc
+            stored[evaluation.instance_index] = evaluation
+        offset += len(line) + 1
+    return stored
+
+
+def load_or_evaluate(
+    path: str | Path,
     indices: Sequence[int],
-    metric: str,
-    compute_fn: Callable[[int], AttributionResult],
+    evaluate_fn: Callable[[int], Evaluation],
+    config: SamplingConfig,
     fingerprint: str,
     manifest_path: str | Path | None = None,
     selection_seed: int | None = None,
-) -> list[AttributionResult]:
-    """Return attribution results for ``indices``, computing only cache misses.
+) -> list[Evaluation]:
+    """Return evaluations for ``indices`` from the store at ``path``,
+    evaluating only the missing ones.
 
-    Cached entries are returned verbatim; anything missing is computed via
-    ``compute_fn``, appended, and persisted atomically. When ``manifest_path``
-    is given, the requested indices are checked against (or recorded as) the
-    shared selection so every metric runs on the same instances.
-
-    If ``compute_fn`` raises, entries computed so far are persisted before the
-    error propagates, so a rerun resumes instead of repeating work.
+    Stored evaluations are read back under ``config``, which ``fingerprint``
+    must describe; each missing one comes from ``evaluate_fn`` and is
+    appended at once, so an error or a kill keeps every instance finished
+    before it. When ``manifest_path`` is given, the requested indices are
+    checked against (or recorded as) the shared selection.
 
     Raises:
         IndexSetError: divergent index request (see :func:`ensure_manifest`).
-        StaleCacheError: fingerprint or metric mismatch with the cache file.
-        CorruptCacheError: unparseable cache file.
+        StaleCacheError: the store was written under another fingerprint.
+        CorruptCacheError: damage before the store's last line.
+        CacheError: the store holds instances outside the selection.
         ValueError: empty or duplicated ``indices``.
     """
     indices = [int(i) for i in indices]
@@ -153,58 +239,28 @@ def load_or_compute(
     if len(set(indices)) != len(indices):
         raise ValueError("indices contain duplicates")
 
-    selected: tuple[int, ...] = tuple(indices)
+    selected = set(indices)
     if manifest_path is not None:
         manifest = ensure_manifest(manifest_path, indices, selection_seed)
-        selected = manifest.selected_test_indices
+        selected = set(manifest.selected_test_indices)
 
-    cache_path = Path(cache_path)
-    entries: dict[str, dict] = {}
-    if cache_path.exists():
-        payload = _read_json(cache_path)
-        if payload.get("fingerprint") != fingerprint:
-            raise StaleCacheError(
-                f"{cache_path}: cache fingerprint {payload.get('fingerprint')!r} does not "
-                f"match the current configuration {fingerprint!r}; refusing to reuse or "
-                "silently recompute"
-            )
-        if payload.get("metric") != metric:
-            raise StaleCacheError(
-                f"{cache_path}: cache holds metric {payload.get('metric')!r}, not {metric!r}"
-            )
-        entries = dict(payload["entries"])
-        stray = [i for i in entries if int(i) not in set(selected)]
-        if stray:
-            raise CacheError(
-                f"{cache_path}: entries outside selected_test_indices: {sorted(stray)}"
-            )
+    path = Path(path)
+    stored = _read_store(path, fingerprint, config)
+    stray = sorted(set(stored) - selected)
+    if stray:
+        raise CacheError(f"{path}: entries outside selected_test_indices: {stray}")
 
-    computed = False
-    try:
-        for idx in indices:
-            if str(idx) in entries:
-                continue
-            result = compute_fn(idx)
-            if result.instance_index != idx:
-                raise ValueError(
-                    f"compute_fn returned instance {result.instance_index} for index {idx}"
-                )
-            if result.metric != metric:
-                raise ValueError(
-                    f"compute_fn returned metric {result.metric!r}, expected {metric!r}"
-                )
-            entries[str(idx)] = result.to_payload()
-            computed = True
-    finally:
-        if computed:
-            atomic_write_json(
-                cache_path,
-                {
-                    "metric": metric,
-                    "fingerprint": fingerprint,
-                    "selected_test_indices": list(selected),
-                    "entries": entries,
-                },
+    for idx in indices:
+        if idx in stored:
+            continue
+        evaluation = evaluate_fn(idx)
+        if evaluation.instance_index != idx:
+            raise ValueError(
+                f"evaluate_fn returned instance {evaluation.instance_index} for index {idx}"
             )
-
-    return [AttributionResult.from_payload(entries[str(idx)]) for idx in indices]
+        with open(path, "ab") as handle:
+            if handle.tell() == 0:
+                handle.write(json.dumps({"fingerprint": fingerprint}).encode("ascii") + b"\n")
+            handle.write(_encode(evaluation))
+        stored[idx] = evaluation
+    return [stored[idx] for idx in indices]

@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    attribute       run the estimator over selected instances, fill caches
+    attribute       evaluate selected instances into the store, score one metric
     deletion-curve  build removal orders and emit faithfulness curves
     compare         global ranking vs. an external ranking (Spearman rho)
     synth-demo      full no-network pipeline on the analytic oracle
@@ -20,13 +20,16 @@ All commands in one output directory use the instances recorded in
 become it). Without them, ``attribute`` samples ``--instances`` rows with
 ``--seed`` and enforces that sample, ``deletion-curve`` reuses the record or
 samples one, and ``compare`` reuses the record and fails without one.
+
+Every command reads and fills the same evaluation store,
+``evaluations.jsonl``, and scores its metric from it: after any
+``attribute``, another metric costs no backend call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import os
 import sys
@@ -36,16 +39,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attribution import AttributionResult, SamplingConfig, compute_attributions, evaluate, score
+from .attribution import AttributionResult, Evaluation, SamplingConfig, evaluate, score
 from .backends import Backend, BackendDescriptor, SyntheticOracleSpec, build_backend
 from ._json_io import dump_canonical
 from .cache import (
     MANIFEST_NAME,
+    STORE_NAME,
     CacheManifest,
     config_fingerprint,
-    default_cache_name,
     ensure_manifest,
-    load_or_compute,
+    load_or_evaluate,
 )
 from .divergence import METRICS
 from .errors import CacheError, ConfigError, TabAttrError
@@ -204,6 +207,8 @@ class RunSpec:
         spec = cls(**{key: _typed(key, hints[key], value) for key, value in values.items()})
         if spec.instances < 1:
             raise ConfigError("--instances must be >= 1")
+        if spec.metric not in METRICS:
+            raise ConfigError(f"unknown metric {spec.metric!r}; expected one of {METRICS}")
         for field in dataclasses.fields(cls):
             value = getattr(spec, field.name)
             if field.metadata.get("input_file") and value and not Path(value).is_file():
@@ -215,8 +220,8 @@ class RunSpec:
         if missing:
             raise ConfigError(f"missing required options: {', '.join('--' + n for n in missing)}")
 
-    def sampling(self, metric: str) -> SamplingConfig:
-        return SamplingConfig(self.ratio, self.max_coalitions, self.seed, metric, self.top_k)
+    def sampling(self) -> SamplingConfig:
+        return SamplingConfig(self.ratio, self.max_coalitions, self.seed, self.top_k)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -296,34 +301,33 @@ def select_indices(run: Run, dataset_size: int, reuse_recorded: bool) -> list[in
     return indices
 
 
-def cached_results(
-    run: Run, indices: list[int], metric: str,
-    compute: typing.Callable[[int], AttributionResult] | None = None,
-) -> list[AttributionResult]:
-    """``metric`` results for ``indices`` from the run's cache. ``compute`` fills
-    the misses; without it, a missing cache or instance is a :class:`CacheError`."""
-    cache_path = run.out / default_cache_name(metric)
-    hint = f"run `tabattr attribute --metric {metric}` first"
-    if compute is None:
-        if not cache_path.exists():
-            raise CacheError(f"no {metric} attribution cache at {cache_path}; {hint}")
+def stored_evaluations(
+    run: Run, indices: list[int],
+    evaluate_fn: typing.Callable[[int], Evaluation] | None = None,
+) -> list[Evaluation]:
+    """Evaluations of ``indices`` from the run's store. ``evaluate_fn`` fills
+    the misses; without it, a missing store or instance is a :class:`CacheError`."""
+    path = run.out / STORE_NAME
+    hint = "run `tabattr attribute` first"
+    if evaluate_fn is None:
+        if not path.exists():
+            raise CacheError(f"no evaluation store at {path}; {hint}")
 
-        def compute(idx: int) -> AttributionResult:
-            raise CacheError(f"instance {idx} missing from {cache_path}; {hint}")
+        def evaluate_fn(idx: int) -> Evaluation:
+            raise CacheError(f"instance {idx} missing from {path}; {hint}")
 
-    return load_or_compute(
-        cache_path, indices, metric, compute,
-        fingerprint=config_fingerprint(run.spec.sampling(metric), run.template, run.vmap),
+    config = run.spec.sampling()
+    return load_or_evaluate(
+        path, indices, evaluate_fn, config,
+        fingerprint=config_fingerprint(config, run.template, run.vmap),
         manifest_path=run.out / MANIFEST_NAME,
         selection_seed=run.spec.seed,
     )
 
 
-def attribute_step(
-    run: Run, indices: list[int], metric: str, compute: typing.Callable[[int], AttributionResult]
-) -> list[AttributionResult]:
-    """Cache-backed ``metric`` results for ``indices``, written to ``results_{metric}.json``."""
-    results = cached_results(run, indices, metric, compute)
+def attribute_step(run: Run, evaluations: list[Evaluation], metric: str) -> list[AttributionResult]:
+    """``evaluations`` scored under ``metric``, written to ``results_{metric}.json``."""
+    results = [score(e, metric) for e in evaluations]
     payload = {str(r.instance_index): r.to_payload() for r in results}
     (run.out / f"results_{metric}.json").write_text(dump_canonical(payload), encoding="utf-8")
     return results
@@ -334,13 +338,15 @@ def deletion_step(run: Run, instances: list[TabularInstance], backend: Backend) 
     ``instances``, then ``curves.csv`` and ``curves.json``."""
     spec = run.spec
     rankings: dict[str, dict[int, RankingOrder]] = {}
+    evaluations: list[Evaluation] = []
     for source in spec.sources:
         if source not in RANKING_SOURCES:
             raise ConfigError(f"unknown source {source!r}; expected one of {RANKING_SOURCES}")
         if source in METRICS:
+            evaluations = evaluations or stored_evaluations(run, [i.index for i in instances])
             rankings[source] = {
-                r.instance_index: RankingOrder(r.instance_index, r.metric, r.ranking())
-                for r in cached_results(run, [i.index for i in instances], source)
+                e.instance_index: RankingOrder(e.instance_index, source, score(e, source).ranking())
+                for e in evaluations
             }
         elif source == "random":
             rankings[source] = {i.index: random_order(i, spec.seed + i.index) for i in instances}
@@ -394,12 +400,13 @@ def _summary_table(rows: list[tuple], header: tuple) -> str:
 def cmd_attribute(spec: RunSpec) -> int:
     run = Run.open("attribute", spec, "dataset", "schema", "backend")
     dataset = load_dataset(spec.dataset, load_schema(spec.schema))
-    config = spec.sampling(spec.metric)
+    config = spec.sampling()
     with run.backend() as backend:
         indices = select_indices(run, len(dataset), reuse_recorded=False)
-        results = attribute_step(run, indices, spec.metric, lambda idx: compute_attributions(
+        evaluations = stored_evaluations(run, indices, lambda idx: evaluate(
             dataset[idx], backend, run.template, run.vmap, config, spec.workers
         ))
+    results = attribute_step(run, evaluations, spec.metric)
     rows = [(k, f"{s:.6f}") for k, s in global_ranking(results).entries]
     run.finish(
         f"attribute: metric={spec.metric} instances={len(results)} "
@@ -434,7 +441,7 @@ def cmd_compare(spec: RunSpec) -> int:
     if not manifest_path.exists():
         raise CacheError(f"no index manifest at {manifest_path}; run `tabattr attribute` first")
     indices = select_indices(run, len(dataset), reuse_recorded=True)
-    results = cached_results(run, indices, spec.metric)
+    results = [score(e, spec.metric) for e in stored_evaluations(run, indices)]
     ranking, rho, external = rank_against(results, spec.external)
     _write_rank_report(run.out, ranking, rho, external)
     rows = [(i + 1, k, e) for i, (k, e) in enumerate(zip(ranking.keys, external))]
@@ -481,19 +488,11 @@ def cmd_synth_demo(spec: RunSpec) -> int:
     true_order = sorted(oracle.weights, key=lambda k: (-abs(oracle.weights[k]), k))
     Path(spec.external).write_text(dump_canonical({"global": true_order}), encoding="utf-8")
 
-    # Each instance is evaluated once, on its first cache miss, and that one
-    # evaluation is scored under every metric.
-    config = spec.sampling(spec.metric)
-    evaluated = functools.cache(
-        lambda idx: evaluate(instances[idx], backend, run.template, run.vmap, config, spec.workers)
-    )
-
-    results = {}
-    for metric in METRICS:
-        results[metric] = attribute_step(
-            run, [i.index for i in instances], metric,
-            lambda idx: score(evaluated(idx), metric),
-        )
+    config = spec.sampling()
+    evaluations = stored_evaluations(run, [i.index for i in instances], lambda idx: evaluate(
+        instances[idx], backend, run.template, run.vmap, config, spec.workers
+    ))
+    results = {metric: attribute_step(run, evaluations, metric) for metric in METRICS}
     deletion = deletion_step(run, instances, backend)
     ranked = {metric: rank_against(results[metric], spec.external) for metric in METRICS}
     _write_rank_report(run.out, *ranked["jsd"])

@@ -58,19 +58,23 @@ class RankingError(TabAttrError):
 
 
 class CacheError(TabAttrError):
-    """Base class for attribution-cache failures."""
+    """Base class for evaluation-store and index-manifest failures."""
 
 
 class StaleCacheError(CacheError):
-    """Cache file was written under a different configuration fingerprint."""
+    """The evaluation store was written under a different configuration fingerprint."""
 
 
 class IndexSetError(CacheError):
     """Requested instance indices diverge from the recorded selection."""
 
 
+class MalformedManifestError(CacheError):
+    """The index manifest parses but holds no list of instance indices."""
+
+
 class CorruptCacheError(CacheError):
-    """Cache file exists but does not parse."""
+    """A manifest or evaluation store exists but does not parse."""
 
     def __init__(self, path: str, offset: int, message: str):
         super().__init__(f"{path}: corrupt cache at byte offset {offset}: {message}")

@@ -183,17 +183,6 @@ def serialize_features(coalition_fields: Sequence[FeatureField]) -> str:
     return " ".join(f.serialized for f in coalition_fields)
 
 
-def parse_features(serialized: str) -> list[tuple[str, str]]:
-    """Invert :func:`serialize_features`: split on spaces, then at the first colon."""
-    pairs = []
-    for token in serialized.split(" "):
-        key, sep, value = token.partition(":")
-        if not sep:
-            raise SerializationError(f"token {token!r} has no colon")
-        pairs.append((key, value))
-    return pairs
-
-
 def build_prompt(template: PromptTemplate, coalition_fields: Sequence[FeatureField]) -> str:
     """Embed the serialized coalition into the fixed template.
 
@@ -205,13 +194,6 @@ def build_prompt(template: PromptTemplate, coalition_fields: Sequence[FeatureFie
         f"{template.instruction}\n\n{template.input_marker}\n"
         f"{features}\n\n{template.response_marker}{template.suffix}"
     )
-
-
-def input_block(template: PromptTemplate, prompt: str) -> str:
-    """Extract the feature string between the template markers."""
-    start = prompt.index(template.input_marker) + len(template.input_marker)
-    end = prompt.index(template.response_marker)
-    return prompt[start:end].strip("\n")
 
 
 def load_schema(path: str | Path) -> dict[str, str]:

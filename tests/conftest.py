@@ -13,9 +13,13 @@ from tabattr import (
     SyntheticBackend,
     SyntheticOracleSpec,
     TabularInstance,
+    TokenLogprob,
+    TopKDistribution,
     VerbalizerMap,
     build_prompt,
     class_distribution,
+    evaluate,
+    score,
 )
 from tabattr.divergence import similarity
 from tabattr.errors import BackendError
@@ -67,6 +71,19 @@ def template() -> PromptTemplate:
 @pytest.fixture
 def yes_no_vmap() -> VerbalizerMap:
     return VerbalizerMap.from_mapping({"yes": ["yes"], "no": ["no"]})
+
+
+def topk_from(probs: dict[str, float], k: int) -> TopKDistribution:
+    """Top-k candidates from token -> probability, most probable first."""
+    ranked = sorted(probs.items(), key=lambda item: -item[1])
+    return TopKDistribution(
+        tuple(TokenLogprob(t, math.log(p) if p > 0 else float("-inf")) for t, p in ranked), k
+    )
+
+
+def attribute(instance, backend, template, vmap, config, metric="jsd", workers=1):
+    """One instance evaluated, then scored under ``metric``."""
+    return score(evaluate(instance, backend, template, vmap, config, workers), metric)
 
 
 def oracle_backend(weights: dict[str, float], bias: float = 0.0) -> SyntheticBackend:

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from tabattr import (
     PromptTemplate,
     SamplingConfig,
     build_prompt,
-    compute_attributions,
     essential_coalitions,
     evaluate,
     n_extra,
@@ -21,9 +19,9 @@ from tabattr import (
     sample_extra,
     score,
 )
-from tabattr.attribution import AttributionResult
+from tabattr.cache import load_or_evaluate
 from tabattr.errors import AttributionError, ConfigError
-from conftest import FlakyBackend, brute_force_raw_phi, make_instance, oracle_backend
+from conftest import FlakyBackend, attribute, brute_force_raw_phi, make_instance, oracle_backend
 
 
 def _row_sets(rows) -> list[frozenset[int]]:
@@ -73,7 +71,7 @@ class TestSamplingConfig:
         config = SamplingConfig()
         assert (config.ratio, config.max_coalitions, config.top_k) == (0.4, 800, 10)
 
-    @pytest.mark.parametrize("bad", [{"ratio": 0.0}, {"ratio": 1.2}, {"top_k": 0}, {"metric": "x"}])
+    @pytest.mark.parametrize("bad", [{"ratio": 0.0}, {"ratio": 1.2}, {"top_k": 0}, {"max_coalitions": 0}])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ConfigError):
             SamplingConfig(**bad)
@@ -214,8 +212,8 @@ def dominant_setup(template, yes_no_vmap):
 class TestComputeAttributions:
     def test_worked_two_feature_example(self, dominant_setup):
         backend, instance, template, vmap = dominant_setup
-        config = SamplingConfig(ratio=1.0, seed=3, metric="jsd")
-        result = compute_attributions(instance, backend, template, vmap, config)
+        config = SamplingConfig(ratio=1.0, seed=3)
+        result = attribute(instance, backend, template, vmap, config)
         assert result.raw_phi == pytest.approx([0.146793, -0.073397], abs=1e-5)
         assert result.phi == pytest.approx([1.0, 0.0], abs=1e-9)
         assert len(result.membership) == 3
@@ -224,7 +222,7 @@ class TestComputeAttributions:
     def test_constant_oracle_gives_uniform_fallback(self, template, yes_no_vmap):
         backend = oracle_backend({}, bias=0.7)
         instance = make_instance(0, ["a", "b", "c"])
-        result = compute_attributions(
+        result = attribute(
             instance, backend, template, yes_no_vmap, SamplingConfig(ratio=1.0)
         )
         assert result.raw_phi == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
@@ -234,16 +232,16 @@ class TestComputeAttributions:
     def test_seed_determinism_bit_identical(self, dominant_setup):
         backend, instance, template, vmap = dominant_setup
         config = SamplingConfig(ratio=1.0, seed=11)
-        a = compute_attributions(instance, backend, template, vmap, config)
-        b = compute_attributions(instance, backend, template, vmap, config)
+        a = attribute(instance, backend, template, vmap, config)
+        b = attribute(instance, backend, template, vmap, config)
         assert a.to_payload() == b.to_payload()
 
     def test_workers_do_not_change_the_result(self, template, yes_no_vmap):
         backend = oracle_backend({f"f{i}": 0.2 * i for i in range(6)}, bias=-0.5)
         instance = make_instance(0, [f"f{i}" for i in range(6)])
         config = SamplingConfig(ratio=0.5, seed=2)
-        serial = compute_attributions(instance, backend, template, yes_no_vmap, config)
-        threaded = compute_attributions(
+        serial = attribute(instance, backend, template, yes_no_vmap, config)
+        threaded = attribute(
             instance, backend, template, yes_no_vmap, config, workers=4
         )
         assert serial.to_payload() == threaded.to_payload()
@@ -256,8 +254,8 @@ class TestComputeAttributions:
         permutation = [3, 0, 4, 1, 2]
         permuted = make_instance(0, [keys[i] for i in permutation])
         config = SamplingConfig(ratio=1.0, seed=6)  # exhaustive: sampler-order free
-        base = compute_attributions(instance, backend, template, yes_no_vmap, config)
-        moved = compute_attributions(permuted, backend, template, yes_no_vmap, config)
+        base = attribute(instance, backend, template, yes_no_vmap, config)
+        moved = attribute(permuted, backend, template, yes_no_vmap, config)
         by_key_base = dict(zip(base.feature_keys, base.phi))
         by_key_moved = dict(zip(moved.feature_keys, moved.phi))
         for key in keys:
@@ -266,7 +264,7 @@ class TestComputeAttributions:
     def test_single_feature_rejected(self, template, yes_no_vmap):
         backend = oracle_backend({"a": 1.0})
         with pytest.raises(ValueError, match="at least 2"):
-            compute_attributions(
+            attribute(
                 make_instance(0, ["a"]), backend, template, yes_no_vmap, SamplingConfig()
             )
 
@@ -274,7 +272,7 @@ class TestComputeAttributions:
         backend = oracle_backend({"a": 1.0})
         instance = make_instance(0, [f"f{i}" for i in range(5)])
         with pytest.raises(ConfigError, match="max_coalitions"):
-            compute_attributions(
+            attribute(
                 instance, backend, template, yes_no_vmap, SamplingConfig(max_coalitions=4)
             )
 
@@ -283,24 +281,14 @@ class TestComputeAttributions:
         backend = FlakyBackend(inner, poison="b:2")
         instance = make_instance(0, ["a", "b"])
         with pytest.raises(AttributionError, match="instance 0"):
-            compute_attributions(
+            attribute(
                 instance, backend, template, yes_no_vmap, SamplingConfig(ratio=1.0)
             )
-
-    def test_payload_round_trip(self, dominant_setup):
-        backend, instance, template, vmap = dominant_setup
-        result = compute_attributions(
-            instance, backend, template, vmap, SamplingConfig(ratio=1.0, seed=5)
-        )
-        again = AttributionResult.from_payload(result.to_payload())
-        assert again.to_payload() == result.to_payload()
-        assert again.config == result.config
-        assert np.array_equal(again.phi, result.phi)
 
     def test_ranking_orders_by_phi(self, template, yes_no_vmap):
         backend = oracle_backend({"weak": 0.1, "strong": 2.5, "mid": 0.8}, bias=-1.0)
         instance = make_instance(0, ["weak", "strong", "mid"])
-        result = compute_attributions(
+        result = attribute(
             instance, backend, template, yes_no_vmap, SamplingConfig(ratio=1.0, seed=1)
         )
         assert result.ranking() == ("strong", "mid", "weak")
@@ -314,7 +302,7 @@ class TestExhaustiveEquivalence:
             backend = oracle_backend(weights, bias=float(rng.normal()) / 2)
             instance = make_instance(0, list(weights))
             config = SamplingConfig(ratio=1.0, max_coalitions=2**m, seed=int(rng.integers(1e6)))
-            result = compute_attributions(instance, backend, template, yes_no_vmap, config)
+            result = attribute(instance, backend, template, yes_no_vmap, config)
             expected = brute_force_raw_phi(instance, backend, template, yes_no_vmap)
             assert result.raw_phi == pytest.approx(expected, abs=1e-12)
             assert len(result.membership) == 2**m - 1
@@ -331,11 +319,9 @@ class TestEvaluateThenScore:
         assert queried == len(evaluation.membership) + 1 - full_row_drawn
         for metric in METRICS:
             scored = score(evaluation, metric)
-            one_shot = compute_attributions(
-                instance, backend, template, yes_no_vmap, replace(config, metric=metric)
-            )
+            one_shot = attribute(instance, backend, template, yes_no_vmap, config, metric)
             assert scored.to_payload() == one_shot.to_payload()
-            assert scored.config.metric == metric
+            assert scored.to_payload()["config"]["metric"] == metric
         assert backend.calls == queried * (1 + len(METRICS))
 
     def test_unknown_metric_rejected(self, dominant_setup):
@@ -344,12 +330,19 @@ class TestEvaluateThenScore:
         with pytest.raises(ConfigError):
             score(evaluation, "hellinger")
 
-    def test_payload_arrays_round_trip(self, dominant_setup):
+    def test_payload_arrays_round_trip(self, dominant_setup, tmp_path):
+        # An evaluation read back from its store line scores exactly as the original.
         backend, instance, template, vmap = dominant_setup
-        result = compute_attributions(
-            instance, backend, template, vmap, SamplingConfig(ratio=1.0, metric="kl")
+        config = SamplingConfig(ratio=1.0, seed=5)
+        evaluation = evaluate(instance, backend, template, vmap, config)
+        path = tmp_path / "evaluations.jsonl"
+        load_or_evaluate(path, [0], lambda idx: evaluation, config, "f")
+        [again] = load_or_evaluate(path, [0], lambda idx: pytest.fail("stored"), config, "f")
+        for name in ("membership", "class_dists", "degenerate", "full_dist"):
+            assert np.array_equal(getattr(again, name), getattr(evaluation, name))
+            assert getattr(again, name).dtype == getattr(evaluation, name).dtype
+        assert (again.instance_index, again.feature_keys, again.config, again.full_degenerate) == (
+            0, ("a", "b"), config, evaluation.full_degenerate
         )
-        again = AttributionResult.from_payload(result.to_payload())
-        for name in ("membership", "class_dists", "similarities", "degenerate", "full_dist"):
-            assert np.array_equal(getattr(again, name), getattr(result, name))
-            assert getattr(again, name).dtype == getattr(result, name).dtype
+        for metric in METRICS:
+            assert score(again, metric).to_payload() == score(evaluation, metric).to_payload()

@@ -37,7 +37,7 @@ from tabattr.errors import (
     ProtocolError,
 )
 from tabattr._json_io import dump_canonical
-from conftest import logistic, oracle_backend
+from conftest import logistic, oracle_backend, topk_from
 
 
 class TestWireTypes:
@@ -62,7 +62,7 @@ class TestWireTypes:
             TopKDistribution(entries=entries, k=5)
 
     def test_payload_round_trip(self):
-        dist = TopKDistribution.from_probabilities({" yes": 0.6, " no": 0.2}, k=4)
+        dist = topk_from({" yes": 0.6, " no": 0.2}, k=4)
         again = TopKDistribution.from_payload(dist.to_payload(), k=4)
         assert again == dist
 
@@ -529,6 +529,16 @@ class TestPooledConnections:
     def test_malformed_endpoint_is_a_config_error(self, endpoint):
         with pytest.raises(ConfigError):
             HttpBackend(endpoint)
+
+    @pytest.mark.parametrize(
+        "setting, named",
+        [({"retries": -1}, "retries=-1"), ({"timeout": 0.0}, "timeout=0.0"),
+         ({"timeout": -1.0}, "timeout=-1.0"), ({"max_in_flight": 0}, "max_in_flight=0")],
+    )
+    def test_invalid_setting_is_a_config_error(self, setting, named):
+        # max_in_flight=0 would make a semaphore that blocks every query forever.
+        with pytest.raises(ConfigError, match=named):
+            HttpBackend("http://127.0.0.1:9/logprobs", **setting)
 
 
 class TestBackendDescriptor:

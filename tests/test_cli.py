@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +181,105 @@ class TestIndexSelection:
         assert not out.exists()
 
 
+class TestEvaluationStore:
+    """Every command in an output directory reads and fills one metric-free store."""
+
+    @staticmethod
+    def _argv(command, oracle_path, tmp_path, out, *extra):
+        return [command, *_tabular_inputs(tmp_path), "--backend", f"synthetic:{oracle_path}",
+                "--max-coalitions", "10", "--indices", "0,1", "--out", str(out), *extra]
+
+    @staticmethod
+    def _counting(monkeypatch) -> list[str]:
+        fetched: list[str] = []
+        fetch = SyntheticBackend._fetch
+
+        def counting_fetch(self, prompt, k):
+            fetched.append(prompt)
+            return fetch(self, prompt, k)
+
+        monkeypatch.setattr(SyntheticBackend, "_fetch", counting_fetch)
+        return fetched
+
+    def test_second_metric_makes_no_backend_call(self, oracle, tmp_path, monkeypatch, capsys):
+        _, oracle_path = oracle
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert cli.main(self._argv("attribute", oracle_path, tmp_path, out)) == 0
+        fetched = self._counting(monkeypatch)
+        assert cli.main(self._argv("attribute", oracle_path, tmp_path, out, "--metric", "kl")) == 0
+        assert fetched == []
+        assert cli.main(self._argv("attribute", oracle_path, tmp_path, fresh, "--metric", "kl")) == 0
+        assert (out / "results_kl.json").read_bytes() == (fresh / "results_kl.json").read_bytes()
+        assert [p.name for p in out.glob("*cache*")] == []
+
+    def test_compare_and_deletion_score_any_metric_from_the_store(
+        self, oracle, tmp_path, capsys
+    ):
+        _, oracle_path = oracle
+        out = tmp_path / "out"
+        assert cli.main(self._argv("attribute", oracle_path, tmp_path, out)) == 0
+        external = ["--external", str(_true_order(tmp_path))]
+        assert cli.main(self._argv("compare", oracle_path, tmp_path, out, "--metric", "l1",
+                                   *external)) == 0
+        assert json.loads((out / "rank_report_l1.json").read_text())["metric"] == "l1"
+        assert cli.main(self._argv("deletion-curve", oracle_path, tmp_path, out,
+                                   "--sources", "kl,random")) == 0
+
+    def test_killed_run_keeps_finished_instances(self, oracle, tmp_path, monkeypatch, capsys):
+        _, oracle_path = oracle
+        out = tmp_path / "out"
+        argv = self._argv("attribute", oracle_path, tmp_path, out)
+        script = (
+            "import os, signal, sys\n"
+            "from tabattr import SyntheticBackend, cli\n"
+            "fetch = SyntheticBackend._fetch\n"
+            "def dying(self, prompt, k):\n"
+            "    if 'f0:4' in prompt:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return fetch(self, prompt, k)\n"
+            "SyntheticBackend._fetch = dying\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        src = str(Path(tabattr.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, timeout=120,
+        )
+        assert done.returncode == -signal.SIGKILL
+        lines = (out / "evaluations.jsonl").read_text().splitlines()
+        assert [json.loads(line)["instance_index"] for line in lines[1:]] == [0]
+
+        fetched = self._counting(monkeypatch)
+        assert cli.main(argv) == 0
+        # Row 0 is f0:1 f1:2 f2:3; none of its values appears in a rerun prompt.
+        assert fetched and not any(v in p for p in fetched for v in ("f0:1", "f1:2", "f2:3"))
+        assert cli.main(self._argv("attribute", oracle_path, tmp_path, tmp_path / "fresh")) == 0
+        assert (out / "results_jsd.json").read_bytes() == (
+            tmp_path / "fresh" / "results_jsd.json"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("command", ["attribute", "compare"])
+    @pytest.mark.parametrize(
+        "manifest",
+        ["[1, 2]", "{}", '{"selected_test_indices": 5}', '{"selected_test_indices": ["0"]}'],
+    )
+    def test_damaged_index_manifest_names_the_file(
+        self, command, manifest, oracle, tmp_path, capsys
+    ):
+        _, oracle_path = oracle
+        out = tmp_path / "out"
+        assert cli.main(self._argv("attribute", oracle_path, tmp_path, out)) == 0
+        (out / "index_manifest.json").write_text(manifest)
+        capsys.readouterr()
+        argv = [command, *_tabular_inputs(tmp_path), "--backend", f"synthetic:{oracle_path}",
+                "--max-coalitions", "10", "--out", str(out)]
+        if command == "compare":
+            argv += ["--external", str(_true_order(tmp_path))]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out / "index_manifest.json") in err
+
+
 class TestRecordingFile:
     def test_corrupt_recording_is_a_backend_error(self, tmp_path, capsys):
         recording = tmp_path / "recording.json"
@@ -265,6 +365,16 @@ class TestRunErrors:
         capsys.readouterr()
         assert cli.main([*common, "--ratio", "0.3"]) == 1
         assert "does not match the current configuration" in capsys.readouterr().err
+
+    def test_negative_http_retries_exit_2(self, tmp_path, capsys):
+        vmap = tmp_path / "vmap.json"
+        vmap.write_text(json.dumps({"yes": ["yes"], "no": ["no"]}))
+        # The backend is refused at construction, so nothing listens here.
+        argv = ["attribute", *_tabular_inputs(tmp_path), "--backend",
+                "http://127.0.0.1:9/logprobs", "--retries", "-1", "--verbalizer", str(vmap),
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert "retries=-1" in capsys.readouterr().err
 
     def test_deletion_curve_exits_1_when_an_instance_fails(
         self, oracle, tmp_path, monkeypatch, capsys

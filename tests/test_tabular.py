@@ -10,17 +10,25 @@ from tabattr import (
     PromptTemplate,
     TabularInstance,
     build_prompt,
-    input_block,
     load_dataset,
     load_schema,
     load_template,
     normalize_key,
     normalize_value,
-    parse_features,
     serialize_features,
 )
 from tabattr.errors import DatasetError, NormalizationError, SerializationError
 from conftest import ADULT_KEYS, make_instance
+
+
+def parse_features(serialized: str) -> list[tuple[str, str]]:
+    """Invert ``serialize_features``: split on spaces, then at the first colon."""
+    return [tuple(token.split(":", 1)) for token in serialized.split(" ")]
+
+
+def input_block(prompt: str) -> str:
+    """The feature string between the default template's markers."""
+    return prompt.partition("### Input:")[2].partition("### Response:")[0].strip("\n")
 
 
 class TestNormalizeValue:
@@ -131,7 +139,7 @@ class TestBuildPrompt:
             head, _, rest = prompt.partition("### Input:")
             assert head == full.partition("### Input:")[0]
             assert rest.partition("### Response:")[2] == full.partition("### Input:")[2].partition("### Response:")[2]
-        assert input_block(template, full) != input_block(template, partial)
+        assert input_block(full) != input_block(partial)
 
     def test_deterministic(self, template):
         instance = make_instance(0, ADULT_KEYS)

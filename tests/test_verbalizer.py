@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tabattr import (
-    TopKDistribution,
     VerbalizerMap,
     aggregate_raw,
     canonicalize_token,
@@ -15,7 +14,7 @@ from tabattr import (
     normalize_classes,
 )
 from tabattr.errors import ConfigError
-from conftest import logistic, make_instance, oracle_backend
+from conftest import logistic, make_instance, oracle_backend, topk_from
 from tabattr import PromptTemplate, build_prompt
 
 
@@ -30,7 +29,7 @@ class TestCanonicalizeToken:
 
 @pytest.fixture
 def mixed_topk():
-    return TopKDistribution.from_probabilities(
+    return topk_from(
         {" yes": 0.6, "Yes": 0.2, " no": 0.1, "maybe": 0.05}, k=10
     )
 
@@ -41,11 +40,11 @@ class TestAggregateRaw:
         assert raw == pytest.approx([0.8, 0.1], abs=1e-12)
 
     def test_no_class_tokens_gives_zeros(self, yes_no_vmap):
-        topk = TopKDistribution.from_probabilities({"alpha": 0.4, "beta": 0.3}, k=5)
+        topk = topk_from({"alpha": 0.4, "beta": 0.3}, k=5)
         assert aggregate_raw(topk, yes_no_vmap).tolist() == [0.0, 0.0]
 
     def test_single_match(self, yes_no_vmap):
-        topk = TopKDistribution.from_probabilities({" no": 0.3}, k=5)
+        topk = topk_from({" no": 0.3}, k=5)
         raw = aggregate_raw(topk, yes_no_vmap)
         assert raw[0] == 0.0
         assert raw[1] == pytest.approx(0.3, abs=1e-12)
