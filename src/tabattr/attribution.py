@@ -74,10 +74,11 @@ class Evaluation:
 
 @dataclass(frozen=True)
 class AttributionResult(Evaluation):
-    """An evaluation scored under ``metric``: everything needed to audit phi."""
+    """An evaluation scored under ``metric``. Its payload keeps the scores;
+    the coalitions and their class distributions stay in the evaluation
+    store, and ``score`` of the stored evaluation reproduces phi exactly."""
 
     metric: str
-    similarities: np.ndarray
     raw_phi: np.ndarray
     phi: np.ndarray
     uniform_fallback: bool
@@ -88,10 +89,6 @@ class AttributionResult(Evaluation):
         return tuple(self.feature_keys[i] for i in order)
 
     def to_payload(self) -> dict:
-        records = zip(
-            [np.flatnonzero(row).tolist() for row in self.membership],
-            self.class_dists.tolist(), self.similarities.tolist(), self.degenerate.tolist(),
-        )
         return {
             "instance_index": self.instance_index,
             "metric": self.metric,
@@ -107,10 +104,6 @@ class AttributionResult(Evaluation):
                 "degenerate_coalitions": int(self.degenerate.sum()),
             },
             "config": {**self.config.to_payload(), "metric": self.metric},
-            "records": [
-                {"members": members, "class_dist": dist, "similarity": sim, "degenerate": flag}
-                for members, dist, sim, flag in records
-            ],
         }
 
 
@@ -250,5 +243,5 @@ def score(evaluation: Evaluation, metric: str) -> AttributionResult:
     evaluated = {f.name: getattr(evaluation, f.name) for f in fields(Evaluation)}
     return AttributionResult(
         **evaluated,
-        metric=metric, similarities=sims, raw_phi=raw_phi, phi=phi, uniform_fallback=fallback,
+        metric=metric, raw_phi=raw_phi, phi=phi, uniform_fallback=fallback,
     )

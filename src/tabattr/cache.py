@@ -214,8 +214,6 @@ def load_or_evaluate(
     evaluate_fn: Callable[[int], Evaluation],
     config: SamplingConfig,
     fingerprint: str,
-    manifest_path: str | Path | None = None,
-    selection_seed: int | None = None,
 ) -> list[Evaluation]:
     """Return evaluations for ``indices`` from the store at ``path``,
     evaluating only the missing ones.
@@ -223,11 +221,10 @@ def load_or_evaluate(
     Stored evaluations are read back under ``config``, which ``fingerprint``
     must describe; each missing one comes from ``evaluate_fn`` and is
     appended at once, so an error or a kill keeps every instance finished
-    before it. When ``manifest_path`` is given, the requested indices are
-    checked against (or recorded as) the shared selection.
+    before it. ``indices`` is the whole selection of the output directory
+    (see :func:`ensure_manifest`), so a stored instance outside it is refused.
 
     Raises:
-        IndexSetError: divergent index request (see :func:`ensure_manifest`).
         StaleCacheError: the store was written under another fingerprint.
         CorruptCacheError: damage before the store's last line.
         CacheError: the store holds instances outside the selection.
@@ -239,14 +236,9 @@ def load_or_evaluate(
     if len(set(indices)) != len(indices):
         raise ValueError("indices contain duplicates")
 
-    selected = set(indices)
-    if manifest_path is not None:
-        manifest = ensure_manifest(manifest_path, indices, selection_seed)
-        selected = set(manifest.selected_test_indices)
-
     path = Path(path)
     stored = _read_store(path, fingerprint, config)
-    stray = sorted(set(stored) - selected)
+    stray = sorted(set(stored) - set(indices))
     if stray:
         raise CacheError(f"{path}: entries outside selected_test_indices: {stray}")
 

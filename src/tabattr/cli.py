@@ -23,7 +23,12 @@ samples one, and ``compare`` reuses the record and fails without one.
 
 Every command reads and fills the same evaluation store,
 ``evaluations.jsonl``, and scores its metric from it: after any
-``attribute``, another metric costs no backend call.
+``attribute``, another metric costs no backend call. The store holds each
+instance's coalitions and their class distributions; a stored instance over
+other feature keys than the dataset's is refused. ``results_{metric}.json``
+holds only the scores (phi, raw_phi, the full-input distribution and the
+degeneracy flags per instance), which scoring the stored evaluation
+reproduces exactly.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .cache import (
     load_or_evaluate,
 )
 from .divergence import METRICS
-from .errors import CacheError, ConfigError, TabAttrError
+from .errors import CacheError, ConfigError, StaleCacheError, TabAttrError
 from .faithfulness import (
     RANKING_SOURCES,
     DeletionRun,
@@ -302,27 +307,37 @@ def select_indices(run: Run, dataset_size: int, reuse_recorded: bool) -> list[in
 
 
 def stored_evaluations(
-    run: Run, indices: list[int],
-    evaluate_fn: typing.Callable[[int], Evaluation] | None = None,
+    run: Run, instances: list[TabularInstance], backend: Backend | None = None
 ) -> list[Evaluation]:
-    """Evaluations of ``indices`` from the run's store. ``evaluate_fn`` fills
-    the misses; without it, a missing store or instance is a :class:`CacheError`."""
+    """Evaluations of the selected ``instances`` from the run's store.
+    ``backend`` evaluates the misses; without it, a missing store or instance
+    is a :class:`CacheError`. A stored evaluation over other feature keys than
+    its instance's is a :class:`StaleCacheError`."""
     path = run.out / STORE_NAME
+    config = run.spec.sampling()
+    by_index = {instance.index: instance for instance in instances}
     hint = "run `tabattr attribute` first"
-    if evaluate_fn is None:
-        if not path.exists():
-            raise CacheError(f"no evaluation store at {path}; {hint}")
-
+    if backend is not None:
+        def evaluate_fn(idx: int) -> Evaluation:
+            return evaluate(by_index[idx], backend, run.template, run.vmap, config, run.spec.workers)
+    elif not path.exists():
+        raise CacheError(f"no evaluation store at {path}; {hint}")
+    else:
         def evaluate_fn(idx: int) -> Evaluation:
             raise CacheError(f"instance {idx} missing from {path}; {hint}")
 
-    config = run.spec.sampling()
-    return load_or_evaluate(
-        path, indices, evaluate_fn, config,
+    evaluations = load_or_evaluate(
+        path, list(by_index), evaluate_fn, config,
         fingerprint=config_fingerprint(config, run.template, run.vmap),
-        manifest_path=run.out / MANIFEST_NAME,
-        selection_seed=run.spec.seed,
     )
+    for instance, evaluation in zip(instances, evaluations):
+        if evaluation.feature_keys != instance.keys:
+            raise StaleCacheError(
+                f"{path}: instance {instance.index} was evaluated over features "
+                f"{list(evaluation.feature_keys)}, but the dataset has {list(instance.keys)}; "
+                f"refusing to reuse it"
+            )
+    return evaluations
 
 
 def attribute_step(run: Run, evaluations: list[Evaluation], metric: str) -> list[AttributionResult]:
@@ -343,7 +358,7 @@ def deletion_step(run: Run, instances: list[TabularInstance], backend: Backend) 
         if source not in RANKING_SOURCES:
             raise ConfigError(f"unknown source {source!r}; expected one of {RANKING_SOURCES}")
         if source in METRICS:
-            evaluations = evaluations or stored_evaluations(run, [i.index for i in instances])
+            evaluations = evaluations or stored_evaluations(run, instances)
             rankings[source] = {
                 e.instance_index: RankingOrder(e.instance_index, source, score(e, source).ranking())
                 for e in evaluations
@@ -400,12 +415,9 @@ def _summary_table(rows: list[tuple], header: tuple) -> str:
 def cmd_attribute(spec: RunSpec) -> int:
     run = Run.open("attribute", spec, "dataset", "schema", "backend")
     dataset = load_dataset(spec.dataset, load_schema(spec.schema))
-    config = spec.sampling()
     with run.backend() as backend:
         indices = select_indices(run, len(dataset), reuse_recorded=False)
-        evaluations = stored_evaluations(run, indices, lambda idx: evaluate(
-            dataset[idx], backend, run.template, run.vmap, config, spec.workers
-        ))
+        evaluations = stored_evaluations(run, [dataset[i] for i in indices], backend)
     results = attribute_step(run, evaluations, spec.metric)
     rows = [(k, f"{s:.6f}") for k, s in global_ranking(results).entries]
     run.finish(
@@ -440,8 +452,8 @@ def cmd_compare(spec: RunSpec) -> int:
     manifest_path = run.out / MANIFEST_NAME
     if not manifest_path.exists():
         raise CacheError(f"no index manifest at {manifest_path}; run `tabattr attribute` first")
-    indices = select_indices(run, len(dataset), reuse_recorded=True)
-    results = [score(e, spec.metric) for e in stored_evaluations(run, indices)]
+    instances = [dataset[i] for i in select_indices(run, len(dataset), reuse_recorded=True)]
+    results = [score(e, spec.metric) for e in stored_evaluations(run, instances)]
     ranking, rho, external = rank_against(results, spec.external)
     _write_rank_report(run.out, ranking, rho, external)
     rows = [(i + 1, k, e) for i, (k, e) in enumerate(zip(ranking.keys, external))]
@@ -488,10 +500,8 @@ def cmd_synth_demo(spec: RunSpec) -> int:
     true_order = sorted(oracle.weights, key=lambda k: (-abs(oracle.weights[k]), k))
     Path(spec.external).write_text(dump_canonical({"global": true_order}), encoding="utf-8")
 
-    config = spec.sampling()
-    evaluations = stored_evaluations(run, [i.index for i in instances], lambda idx: evaluate(
-        instances[idx], backend, run.template, run.vmap, config, spec.workers
-    ))
+    ensure_manifest(run.out / MANIFEST_NAME, [i.index for i in instances], spec.seed)
+    evaluations = stored_evaluations(run, instances, backend)
     results = {metric: attribute_step(run, evaluations, metric) for metric in METRICS}
     deletion = deletion_step(run, instances, backend)
     ranked = {metric: rank_against(results[metric], spec.external) for metric in METRICS}

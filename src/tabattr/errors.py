@@ -62,7 +62,8 @@ class CacheError(TabAttrError):
 
 
 class StaleCacheError(CacheError):
-    """The evaluation store was written under a different configuration fingerprint."""
+    """The evaluation store was written under a different configuration
+    fingerprint, or for instances with other feature keys."""
 
 
 class IndexSetError(CacheError):

@@ -14,6 +14,7 @@ feature count over evaluated instances.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +22,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from ._json_io import dump_canonical
 from .backends import Backend, evaluate_prompts
 from .errors import BackendError, RankingError
 from .tabular import PromptTemplate, TabularInstance, build_prompt
@@ -209,24 +211,24 @@ def run_deletion(
     tie_count = 0
 
     for instance in instances:
-        plan: dict[str, list[str]] = {}
+        # removals[source][t - 1] is the prompt without the source's top-t keys.
+        removals: dict[str, list[str]] = {}
         for source, per_instance in rankings.items():
-            order = per_instance[instance.index]
-            unknown = [k for k in order.keys if k not in instance.keys]
+            order_keys = per_instance[instance.index].keys
+            unknown = [k for k in order_keys if k not in instance.keys]
             if unknown:
                 raise RankingError(
                     f"source {source!r} ranking names keys absent from instance "
                     f"{instance.index}: {unknown}"
                 )
-            plan[source] = list(order.keys)
+            t_max = min(max_removals, instance.num_features - 1, len(order_keys))
+            removals[source] = [
+                build_prompt(template, instance.fields_without_keys(order_keys[:t]))
+                for t in range(1, t_max + 1)
+            ]
 
         full_prompt = build_prompt(template, instance.fields)
-        prompts = [full_prompt]
-        for source, order_keys in plan.items():
-            t_max = min(max_removals, instance.num_features - 1, len(order_keys))
-            for t in range(1, t_max + 1):
-                fields = instance.fields_without_keys(order_keys[:t])
-                prompts.append(build_prompt(template, fields))
+        prompts = [full_prompt, *itertools.chain.from_iterable(removals.values())]
         try:
             responses = evaluate_prompts(backend, prompts, top_k, workers=workers)
         except BackendError:
@@ -236,12 +238,10 @@ def run_deletion(
         full_dist, _ = class_distribution(responses[full_prompt], vmap)
         target = predicted_class(full_dist)
         tie_count += int(target.tie)
-        for source, order_keys in plan.items():
-            t_max = min(max_removals, instance.num_features - 1, len(order_keys))
+        for source, source_prompts in removals.items():
             trace = [float(full_dist[target.index])]
-            for t in range(1, t_max + 1):
-                fields = instance.fields_without_keys(order_keys[:t])
-                dist, _ = class_distribution(responses[build_prompt(template, fields)], vmap)
+            for prompt in source_prompts:
+                dist, _ = class_distribution(responses[prompt], vmap)
                 trace.append(float(dist[target.index]))
             traces[source][instance.index] = tuple(trace)
 
@@ -298,4 +298,4 @@ def write_curves_json(run: DeletionRun, path: str | Path) -> None:
         "tie_count": run.tie_count,
         "curves": {source: curve.to_payload() for source, curve in run.curves.items()},
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    Path(path).write_text(dump_canonical(payload), encoding="utf-8")

@@ -103,10 +103,10 @@ class TestLoadOrCompute:
             load_or_evaluate(path, [0], evaluate_row, CONFIG, "g")
 
     def test_entry_outside_the_manifest_is_refused(self, evaluate_row, tmp_path):
-        path, manifest = tmp_path / "evaluations.jsonl", tmp_path / "index_manifest.json"
+        path = tmp_path / "evaluations.jsonl"
         load_or_evaluate(path, [0, 1], evaluate_row, CONFIG, "f")
         with pytest.raises(CacheError, match=r"outside selected_test_indices: \[1\]"):
-            load_or_evaluate(path, [0], evaluate_row, CONFIG, "f", manifest_path=manifest)
+            load_or_evaluate(path, [0], evaluate_row, CONFIG, "f")
 
     @pytest.mark.parametrize("line", ['[1, 2]', '{"instance_index": 0}', '"x"'])
     def test_line_that_is_no_evaluation_is_corrupt(self, line, evaluate_row, tmp_path):

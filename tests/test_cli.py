@@ -14,12 +14,16 @@ import tabattr
 
 from tabattr import (
     PromptTemplate,
+    SamplingConfig,
     SyntheticBackend,
     SyntheticOracleSpec,
     VerbalizerMap,
     build_prompt,
     cli,
+    config_fingerprint,
     curve_auc,
+    load_or_evaluate,
+    score,
 )
 from tabattr.errors import BackendError
 from tabattr.faithfulness import DeletionCurve
@@ -100,6 +104,31 @@ class TestSynthDemoGolden:
 
         curves = json.loads((out / "curves.json").read_text())["curves"]
         assert _auc(curves["jsd"]) < _auc(curves["random"])
+
+    def test_results_hold_the_scores_and_the_store_reproduces_them(
+        self, oracle, tmp_path, capsys
+    ):
+        spec, path = oracle
+        out = tmp_path / "out"
+        argv = ["synth-demo", "--oracle", str(path), "--out", str(out), "--ratio", "1.0",
+                "--n-instances", "3"]
+        assert cli.main(argv) == 0
+
+        config = SamplingConfig(ratio=1.0)
+        vmap = VerbalizerMap.from_mapping({c: [c] for c in spec.classes})
+        evaluations = load_or_evaluate(
+            out / "evaluations.jsonl", [0, 1, 2], lambda idx: pytest.fail("not stored"),
+            config, config_fingerprint(config, PromptTemplate(), vmap),
+        )
+        for metric in ("jsd", "kl", "l1"):
+            results = json.loads((out / f"results_{metric}.json").read_text())
+            for evaluation in evaluations:
+                payload = results[str(evaluation.instance_index)]
+                assert "records" not in payload
+                rescored = score(evaluation, metric)
+                assert payload["raw_phi"] == rescored.raw_phi.tolist()
+                assert [payload["phi"][k] for k in payload["feature_keys"]] == rescored.phi.tolist()
+                assert payload == json.loads(json.dumps(rescored.to_payload()))
 
 
 def _tabular_inputs(tmp_path):
@@ -257,6 +286,20 @@ class TestEvaluationStore:
         assert (out / "results_jsd.json").read_bytes() == (
             tmp_path / "fresh" / "results_jsd.json"
         ).read_bytes()
+
+    def test_store_of_other_feature_keys_is_refused(self, oracle, tmp_path, capsys):
+        _, oracle_path = oracle
+        out = tmp_path / "out"
+        assert cli.main(self._argv("attribute", oracle_path, tmp_path, out)) == 0
+        argv = self._argv("attribute", oracle_path, tmp_path, out)
+        for path in (tmp_path / "data.csv", tmp_path / "schema.json"):
+            path.write_text(path.read_text().replace("f", "g"))
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "evaluated over features ['f0', 'f1', 'f2']" in captured.err
+        assert "the dataset has ['g0', 'g1', 'g2']" in captured.err
 
     @pytest.mark.parametrize("command", ["attribute", "compare"])
     @pytest.mark.parametrize(
