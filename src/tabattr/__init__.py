@@ -35,7 +35,7 @@ from .backends import (
     prompt_digest,
 )
 from .cache import CacheManifest, config_fingerprint, ensure_manifest, load_or_evaluate
-from .divergence import LN2, METRICS, jsd_nat, kl_nat, l1, similarity, similarity_rows
+from .divergence import LN2, METRICS, similarity_rows
 from .errors import (
     AttributionError,
     BackendError,
@@ -73,6 +73,7 @@ from .tabular import (
     PromptTemplate,
     TabularInstance,
     build_prompt,
+    build_prompts,
     load_dataset,
     load_schema,
     load_template,
@@ -80,13 +81,6 @@ from .tabular import (
     normalize_value,
     serialize_features,
 )
-from .verbalizer import (
-    NormalizedDistribution,
-    VerbalizerMap,
-    aggregate_raw,
-    canonicalize_token,
-    class_distribution,
-    normalize_classes,
-)
+from .verbalizer import VerbalizerMap, canonicalize_token, class_distributions
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -5,12 +5,17 @@ coalition i holds feature j). The estimator always uses the M leave-one-out
 ("essential") rows and adds random distinct non-empty rows up to
 ``floor(((2^M - 1) - M) * r)``, capped at ``C_max - M``.
 
-:func:`evaluate` queries one prompt per row and keeps each row's class
-distribution. :func:`score` then applies a metric: each row's bounded
-similarity to the full-input distribution, and per feature the mean
-similarity of the rows that include it minus that of the rows that exclude
-it, shifted by the minimum and normalized to sum to one. The metric acts
-only after the backend has answered, so it is a scoring choice, not a
+Repeated draws are recognized by each row's packed bytes, for any M.
+
+:func:`evaluate` works per instance, one pass per layer: one
+:func:`~tabattr.tabular.build_prompts` call builds every row's prompt, each
+distinct prompt is queried once, and one
+:func:`~tabattr.verbalizer.class_distributions` call turns the answers into
+each row's class distribution. :func:`score` then applies a metric: each
+row's bounded similarity to the full-input distribution, and per feature
+the mean similarity of the rows that include it minus that of the rows that
+exclude it, shifted by the minimum and normalized to sum to one. The metric
+acts only after the backend has answered, so it is a scoring choice, not a
 sampling setting: one :class:`Evaluation`, stored once per output directory
 (:mod:`tabattr.cache`), serves every metric.
 
@@ -29,8 +34,8 @@ import numpy as np
 from .backends import Backend, evaluate_prompts
 from .divergence import METRICS, similarity_rows
 from .errors import AttributionError, BackendError, ConfigError
-from .tabular import PromptTemplate, TabularInstance, build_prompt
-from .verbalizer import VerbalizerMap, class_distribution
+from .tabular import PromptTemplate, TabularInstance, build_prompts
+from .verbalizer import VerbalizerMap, class_distributions
 
 
 @dataclass(frozen=True)
@@ -124,12 +129,24 @@ def n_extra(m: int, ratio: float, max_coalitions: int) -> int:
     return min(proposed, max(0, max_coalitions - m))
 
 
-def _new_rows(rows: np.ndarray) -> np.ndarray:
-    """First occurrence of each row, in order, minus empty and leave-one-out rows."""
+def _new_rows(rows: np.ndarray, seen: set[bytes] | None = None) -> np.ndarray:
+    """First occurrence of each row, in order, minus empty and leave-one-out rows.
+
+    ``seen`` holds the packed bytes of rows already taken; their repeats are
+    dropped too, and the new rows' bytes are added to it.
+    """
+    seen = set() if seen is None else seen
     sizes = rows.sum(axis=1)
     rows = rows[(sizes > 0) & (sizes != rows.shape[1] - 1)]
-    _, first = np.unique(rows, axis=0, return_index=True)
-    return rows[np.sort(first)]
+    packed = np.packbits(rows, axis=1)
+    flat, width = packed.tobytes(), packed.shape[1]
+    first = []
+    for i in range(len(rows)):
+        key = flat[i * width : (i + 1) * width]
+        if key not in seen:
+            seen.add(key)
+            first.append(i)
+    return rows[first]
 
 
 def sample_extra(m: int, ratio: float, max_coalitions: int, seed: int) -> np.ndarray:
@@ -152,12 +169,11 @@ def sample_extra(m: int, ratio: float, max_coalitions: int, seed: int) -> np.nda
 
     # Coin-flips come off the generator as one stream, so drawing them in
     # blocks picks the same coalitions as drawing one coalition at a time.
-    drawn = np.zeros((0, m), dtype=bool)
-    while True:
-        drawn = np.vstack([drawn, rng.integers(0, 2, size=(target, m)).astype(bool)])
-        chosen = _new_rows(drawn)
-        if len(chosen) >= target:
-            return chosen[:target]
+    seen: set[bytes] = set()
+    chosen = [np.zeros((0, m), dtype=bool)]
+    while len(seen) < target:
+        chosen.append(_new_rows(rng.integers(0, 2, size=(target, m)).astype(bool), seen))
+    return np.vstack(chosen)[:target]
 
 
 def normalize_phi(raw: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -204,27 +220,25 @@ def evaluate(
 
     extra = sample_extra(m, config.ratio, config.max_coalitions, config.seed)
     membership = np.vstack([essential_coalitions(m), extra])
-    prompts = [
-        build_prompt(template, instance.fields_at(np.flatnonzero(row))) for row in membership
-    ]
-    full_prompt = build_prompt(template, instance.fields)
+    # The full prompt goes first, then one prompt per coalition row.
+    full = np.ones((1, m), dtype=bool)
+    prompts = build_prompts(template, instance, np.vstack([full, membership]))
 
     try:
-        responses = evaluate_prompts(backend, [full_prompt, *prompts], config.top_k, workers)
+        responses = evaluate_prompts(backend, prompts, config.top_k, workers)
     except BackendError as exc:
         raise AttributionError(f"instance {instance.index}: backend failed: {exc}") from exc
 
-    full_dist, full_degenerate = class_distribution(responses[full_prompt], vmap)
-    dists = [class_distribution(responses[prompt], vmap) for prompt in prompts]
+    dists, degenerate = class_distributions([responses[prompt] for prompt in prompts], vmap)
     return Evaluation(
         instance_index=instance.index,
         feature_keys=instance.keys,
         config=config,
         membership=membership,
-        class_dists=np.array([d.probs for d in dists]),
-        degenerate=np.array([d.degenerate for d in dists]),
-        full_dist=full_dist,
-        full_degenerate=full_degenerate,
+        class_dists=dists[1:],
+        degenerate=degenerate[1:],
+        full_dist=dists[0],
+        full_degenerate=bool(degenerate[0]),
     )
 
 

@@ -210,10 +210,16 @@ class RunSpec:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         spec = cls(**{key: _typed(key, hints[key], value) for key, value in values.items()})
-        if spec.instances < 1:
-            raise ConfigError("--instances must be >= 1")
+        for count in ("instances", "n_instances", "workers", "max_removals"):
+            if getattr(spec, count) < 1:
+                raise ConfigError(f"--{count.replace('_', '-')} must be >= 1")
         if spec.metric not in METRICS:
             raise ConfigError(f"unknown metric {spec.metric!r}; expected one of {METRICS}")
+        if not spec.sources:
+            raise ConfigError(f"--sources must name at least one of {RANKING_SOURCES}")
+        for source in spec.sources:
+            if source not in RANKING_SOURCES:
+                raise ConfigError(f"unknown source {source!r}; expected one of {RANKING_SOURCES}")
         for field in dataclasses.fields(cls):
             value = getattr(spec, field.name)
             if field.metadata.get("input_file") and value and not Path(value).is_file():
@@ -355,8 +361,6 @@ def deletion_step(run: Run, instances: list[TabularInstance], backend: Backend) 
     rankings: dict[str, dict[int, RankingOrder]] = {}
     evaluations: list[Evaluation] = []
     for source in spec.sources:
-        if source not in RANKING_SOURCES:
-            raise ConfigError(f"unknown source {source!r}; expected one of {RANKING_SOURCES}")
         if source in METRICS:
             evaluations = evaluations or stored_evaluations(run, instances)
             rankings[source] = {

@@ -1,7 +1,9 @@
-"""Distribution distances and the bounded similarity maps built on them.
+"""Bounded similarities of class distributions to the full-input one.
 
-All divergences use the natural logarithm (nats). Similarities map a
-distance onto [0, 1] with identity at 1:
+:func:`similarity_rows` scores every coalition row of an instance against
+the full-input distribution in one vectorized pass. All divergences use the
+natural logarithm (nats). Similarities map a distance onto [0, 1] with
+identity at 1:
 
 * ``jsd``: 1 - min(JSD / ln 2, 1)
 * ``kl`` : 1 - min(KL / ln 2, 1), KL taken against an epsilon-smoothed q
@@ -25,75 +27,24 @@ METRICS = ("jsd", "kl", "l1")
 _SUM_TOLERANCE = 1e-6
 
 
-def _checked_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
+def _checked_distribution(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ValueError(f"distributions must be 1-D and same length, got {p.shape} vs {q.shape}")
-    if p.size == 0:
-        raise ValueError("distributions must be non-empty")
-    for name, vec in (("p", p), ("q", q)):
-        if np.any(vec < 0):
-            raise ValueError(f"{name} has negative entries")
-        if abs(vec.sum() - 1.0) > _SUM_TOLERANCE:
-            raise ValueError(f"{name} sums to {vec.sum()}, not 1")
-    return p, q
-
-
-def _kl_terms(p: np.ndarray, q: np.ndarray) -> float:
-    # 0 * ln(0/x) = 0 by convention. Callers guarantee q > 0 wherever p > 0
-    # up to float underflow (a subnormal p can underflow the JSD mixture to
-    # exactly 0); such terms are bounded by p * ln 2 < 1e-300 and are dropped.
-    mask = (p > 0) & (q > 0)
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-
-
-def jsd_nat(p, q) -> float:
-    """Jensen-Shannon divergence in nats, via the mixture m = (p + q) / 2.
-
-    Symmetric, and bounded by ln 2 for any pair of distributions.
-    """
-    p, q = _checked_pair(p, q)
-    m = 0.5 * (p + q)
-    return max(0.0, 0.5 * _kl_terms(p, m) + 0.5 * _kl_terms(q, m))
-
-
-def kl_nat(p, q, eps: float = KL_EPSILON) -> float:
-    """KL(p || q) in nats after adding ``eps`` to every entry of q and renormalizing.
-
-    Identical inputs short-circuit to exactly 0 so the similarity identity
-    holds bit-exactly even when the shared support contains zeros.
-    """
-    p, q = _checked_pair(p, q)
-    if np.array_equal(p, q):
-        return 0.0
-    q_smooth = (q + eps) / (1.0 + eps * q.size)
-    return max(0.0, _kl_terms(p, q_smooth))
-
-
-def l1(p, q) -> float:
-    """Total variation style L1 distance, in [0, 2]."""
-    p, q = _checked_pair(p, q)
-    return float(np.abs(p - q).sum())
-
-
-def similarity(metric: str, p_full, p_s) -> float:
-    """Bounded similarity of a coalition distribution to the full-input one.
-
-    Identity maps to 1 for every metric; the result is clamped into [0, 1].
-    """
-    if metric == "jsd":
-        return 1.0 - min(jsd_nat(p_full, p_s) / LN2, 1.0)
-    if metric == "kl":
-        return 1.0 - min(kl_nat(p_full, p_s) / LN2, 1.0)
-    if metric == "l1":
-        return 1.0 - min(l1(p_full, p_s) / 2.0, 1.0)
-    raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError(f"a distribution must be a non-empty 1-D vector, got shape {p.shape}")
+    if np.any(p < 0):
+        raise ValueError("distribution has negative entries")
+    if abs(p.sum() - 1.0) > _SUM_TOLERANCE:
+        raise ValueError(f"distribution sums to {p.sum()}, not 1")
+    return p
 
 
 def _kl_term_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # _kl_terms per row. Each row's kept terms are summed as a contiguous row
-    # of their own length, the same additions in the same order as the 1-D sum.
+    # sum(p * ln(p / q)) per row, with 0 * ln(0/x) = 0 by convention. Callers
+    # guarantee q > 0 wherever p > 0 up to float underflow (a subnormal p can
+    # underflow the JSD mixture to exactly 0); such terms are bounded by
+    # p * ln 2 < 1e-300 and are dropped. Each row's kept terms are summed as a
+    # contiguous row of their own length, the same additions in the same
+    # order as a 1-D sum of that row.
     keep = (p > 0) & (q > 0)
     terms = p[keep] * np.log(p[keep] / q[keep])
     counts = keep.sum(axis=1)
@@ -106,13 +57,16 @@ def _kl_term_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def similarity_rows(metric: str, p_full, rows) -> np.ndarray:
-    """:func:`similarity` of every row of ``rows`` to ``p_full``, bit for bit.
+    """Bounded similarity of every row of ``rows`` to ``p_full``.
 
-    The matrix is validated once; a row that is not a distribution raises ``ValueError``.
+    Identity maps to 1 for every metric; each result is clamped into [0, 1].
+    The matrix is validated once; a row that is not a distribution raises
+    ``ValueError``. KL short-circuits identical rows to exactly 0, so the
+    identity holds bit-exactly even when the shared support has zeros.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    p, _ = _checked_pair(p_full, p_full)
+    p = _checked_distribution(p_full)
     q = np.asarray(rows, dtype=float)
     if q.ndim != 2 or q.shape[1] != p.size:
         raise ValueError(f"rows must be a matrix of length-{p.size} rows, got {q.shape}")

@@ -14,7 +14,6 @@ feature count over evaluated instances.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,8 +24,8 @@ import numpy as np
 from ._json_io import dump_canonical
 from .backends import Backend, evaluate_prompts
 from .errors import BackendError, RankingError
-from .tabular import PromptTemplate, TabularInstance, build_prompt
-from .verbalizer import VerbalizerMap, class_distribution
+from .tabular import PromptTemplate, TabularInstance, build_prompts
+from .verbalizer import VerbalizerMap, class_distributions
 
 RANKING_SOURCES = ("jsd", "kl", "l1", "external", "random")
 
@@ -186,7 +185,10 @@ def run_deletion(
     Per instance: the full prompt fixes the predicted class; then for
     t = 1..min(max_removals, M - 1) the top-t ranked features are omitted
     and the new distribution's mass on that original class is recorded.
-    The final feature is never deleted (prompts never go empty).
+    The final feature is never deleted (prompts never go empty). An
+    instance's prompts, for every source, are built in one
+    :func:`~tabattr.tabular.build_prompts` pass and verbalized in one
+    :func:`~tabattr.verbalizer.class_distributions` pass.
 
     An instance whose backend calls fail is dropped from ALL sources
     symmetrically and counted in the run metadata.
@@ -211,39 +213,39 @@ def run_deletion(
     tie_count = 0
 
     for instance in instances:
-        # removals[source][t - 1] is the prompt without the source's top-t keys.
-        removals: dict[str, list[str]] = {}
+        m = instance.num_features
+        column = {key: j for j, key in enumerate(instance.keys)}
+        # One membership row per prompt: the full row first, then per source
+        # row t - 1 drops the source's top-t keys.
+        blocks = [np.ones((1, m), dtype=bool)]
         for source, per_instance in rankings.items():
             order_keys = per_instance[instance.index].keys
-            unknown = [k for k in order_keys if k not in instance.keys]
+            unknown = [k for k in order_keys if k not in column]
             if unknown:
                 raise RankingError(
                     f"source {source!r} ranking names keys absent from instance "
                     f"{instance.index}: {unknown}"
                 )
-            t_max = min(max_removals, instance.num_features - 1, len(order_keys))
-            removals[source] = [
-                build_prompt(template, instance.fields_without_keys(order_keys[:t]))
-                for t in range(1, t_max + 1)
-            ]
+            t_max = min(max_removals, m - 1, len(order_keys))
+            block = np.ones((t_max, m), dtype=bool)
+            block[:, [column[k] for k in order_keys[:t_max]]] = ~np.tri(t_max, dtype=bool)
+            blocks.append(block)
 
-        full_prompt = build_prompt(template, instance.fields)
-        prompts = [full_prompt, *itertools.chain.from_iterable(removals.values())]
+        prompts = build_prompts(template, instance, np.vstack(blocks))
         try:
             responses = evaluate_prompts(backend, prompts, top_k, workers=workers)
         except BackendError:
             dropped.append(instance.index)
             continue
 
-        full_dist, _ = class_distribution(responses[full_prompt], vmap)
-        target = predicted_class(full_dist)
+        dists, _ = class_distributions([responses[prompt] for prompt in prompts], vmap)
+        target = predicted_class(dists[0])
         tie_count += int(target.tie)
-        for source, source_prompts in removals.items():
-            trace = [float(full_dist[target.index])]
-            for prompt in source_prompts:
-                dist, _ = class_distribution(responses[prompt], vmap)
-                trace.append(float(dist[target.index]))
-            traces[source][instance.index] = tuple(trace)
+        mass = dists[:, target.index].tolist()
+        start = 1
+        for source, block in zip(rankings, blocks[1:]):
+            traces[source][instance.index] = (mass[0], *mass[start : start + len(block)])
+            start += len(block)
 
     kept = [i for i in instances if i.index not in set(dropped)]
     if not kept:

@@ -5,6 +5,10 @@ into a fixed instruction template. Serialization is pure and byte-stable:
 the same instance always yields the same prompt, and any subset (coalition)
 of its fields yields a prompt that differs from the full one only inside the
 input block.
+
+:func:`build_prompt` serializes one field list; :func:`build_prompts` takes
+an instance and a bool membership matrix and builds every row's prompt in
+one pass, framing the template and rendering each ``key:value`` once.
 """
 
 from __future__ import annotations
@@ -13,8 +17,11 @@ import csv
 import json
 import re
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DatasetError, NormalizationError, SerializationError
 
@@ -183,17 +190,45 @@ def serialize_features(coalition_fields: Sequence[FeatureField]) -> str:
     return " ".join(f.serialized for f in coalition_fields)
 
 
+def _frame(template: PromptTemplate) -> tuple[str, str]:
+    """The template text before and after the serialized features."""
+    return (
+        f"{template.instruction}\n\n{template.input_marker}\n",
+        f"\n\n{template.response_marker}{template.suffix}",
+    )
+
+
 def build_prompt(template: PromptTemplate, coalition_fields: Sequence[FeatureField]) -> str:
     """Embed the serialized coalition into the fixed template.
 
     Absent features leave no residue: no double spaces, no dangling
     separators. Propagates :class:`SerializationError` for empty coalitions.
     """
-    features = serialize_features(coalition_fields)
-    return (
-        f"{template.instruction}\n\n{template.input_marker}\n"
-        f"{features}\n\n{template.response_marker}{template.suffix}"
-    )
+    head, tail = _frame(template)
+    return head + serialize_features(coalition_fields) + tail
+
+
+def build_prompts(
+    template: PromptTemplate, instance: TabularInstance, membership: np.ndarray
+) -> list[str]:
+    """:func:`build_prompt` of each row's fields, for an N x M bool ``membership``.
+
+    Row i keeps the fields whose entry is true, in instance order.
+
+    Raises:
+        SerializationError: a row keeps no field.
+        ValueError: ``membership`` is not M columns wide.
+    """
+    serialized = [f.serialized for f in instance.fields]
+    if membership.ndim != 2 or membership.shape[1] != len(serialized):
+        raise ValueError(f"membership of shape {membership.shape} does not fit M={len(serialized)}")
+    head, tail = _frame(template)
+    prompts = []
+    for row in membership.tolist():
+        if not any(row):
+            raise SerializationError("cannot serialize an empty coalition")
+        prompts.append(head + " ".join(compress(serialized, row)) + tail)
+    return prompts
 
 
 def load_schema(path: str | Path) -> dict[str, str]:

@@ -3,7 +3,13 @@
 A verbalizer maps each class label to the set of token surface forms that
 count as that class. Raw class masses are sums of ``exp(logprob)`` over
 matching top-K entries; normalizing over the class subspace yields the
-distribution compared by the attribution divergences.
+distribution compared by the attribution divergences. Zero total mass is
+not fatal: the row falls back to the uniform distribution, flagged
+degenerate.
+
+:func:`class_distributions` verbalizes all the answers of an instance in
+one pass: one lookup per distinct token, one ``exp`` over the matched
+logprobs and one division.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -83,42 +89,32 @@ class VerbalizerMap:
         return {label: sorted(self.surface_sets[label]) for label in self.classes}
 
 
-class NormalizedDistribution(NamedTuple):
-    """A class distribution plus the zero-mass degeneracy flag."""
+def class_distributions(
+    topks: Sequence[TopKDistribution], vmap: VerbalizerMap
+) -> tuple[np.ndarray, np.ndarray]:
+    """Class distributions (N x C) and zero-mass flags (N) of N top-K answers.
 
-    probs: np.ndarray
-    degenerate: bool
-
-
-def aggregate_raw(topk: TopKDistribution, vmap: VerbalizerMap) -> np.ndarray:
-    """Raw class masses: sum exp(logprob) over entries whose canonical token
-    belongs to the class; entries matching no class are ignored."""
-    index = {label: i for i, label in enumerate(vmap.classes)}
-    raw = np.zeros(len(vmap.classes))
-    for entry in topk.entries:
-        label = vmap.class_of(entry.token)
-        if label is not None:
-            raw[index[label]] += np.exp(entry.logprob)
-    return raw
-
-
-def normalize_classes(raw: np.ndarray) -> NormalizedDistribution:
-    """Normalize raw masses over the class subspace.
-
-    Zero total mass is not fatal: the result falls back to the uniform
-    distribution with ``degenerate=True`` so callers can audit the event.
+    Each distinct token is canonicalized and looked up once. A row's raw
+    class masses are exp(logprob) of its matching entries, added in entry
+    order; a row with zero total mass becomes uniform and is flagged.
     """
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 1 or raw.size == 0:
-        raise ValueError("raw masses must be a non-empty 1-D vector")
-    if np.any(raw < 0):
-        raise ValueError("raw masses must be non-negative")
-    total = raw.sum()
-    if total > 0:
-        return NormalizedDistribution(raw / total, False)
-    return NormalizedDistribution(np.full(raw.size, 1.0 / raw.size), True)
-
-
-def class_distribution(topk: TopKDistribution, vmap: VerbalizerMap) -> NormalizedDistribution:
-    """Aggregate then normalize: the full top-K -> class-distribution pipeline."""
-    return normalize_classes(aggregate_raw(topk, vmap))
+    column = {label: i for i, label in enumerate(vmap.classes)}
+    lookup: dict[str, int] = {}
+    rows, cols, logprobs = [], [], []
+    for row, topk in enumerate(topks):
+        for entry in topk.entries:
+            col = lookup.get(entry.token)
+            if col is None:
+                col = lookup[entry.token] = column.get(vmap.class_of(entry.token), -1)
+            if col >= 0:
+                rows.append(row)
+                cols.append(col)
+                logprobs.append(entry.logprob)
+    raw = np.zeros((len(topks), len(vmap.classes)))
+    masses = np.exp(np.array(logprobs, dtype=float))
+    np.add.at(raw, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)), masses)
+    totals = raw.sum(axis=1)
+    degenerate = ~(totals > 0)
+    probs = np.full(raw.shape, 1.0 / raw.shape[1])
+    probs[~degenerate] = raw[~degenerate] / totals[~degenerate, None]
+    return probs, degenerate

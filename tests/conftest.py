@@ -17,12 +17,11 @@ from tabattr import (
     TopKDistribution,
     VerbalizerMap,
     build_prompt,
-    class_distribution,
     evaluate,
     score,
 )
-from tabattr.divergence import similarity
 from tabattr.errors import BackendError
+from reference import class_distribution, similarity
 
 ADULT_KEYS = (
     "age",

