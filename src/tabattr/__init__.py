@@ -22,7 +22,6 @@ from .attribution import (
 )
 from .backends import (
     Backend,
-    BackendDescriptor,
     HttpBackend,
     RecordingBackend,
     ReplayBackend,
@@ -30,8 +29,9 @@ from .backends import (
     SyntheticOracleSpec,
     TokenLogprob,
     TopKDistribution,
-    build_backend,
     evaluate_prompts,
+    open_backend,
+    parse_backend,
     prompt_digest,
 )
 from .cache import CacheManifest, config_fingerprint, ensure_manifest, load_or_evaluate
@@ -72,14 +72,12 @@ from .tabular import (
     FeatureField,
     PromptTemplate,
     TabularInstance,
-    build_prompt,
     build_prompts,
     load_dataset,
     load_schema,
     load_template,
     normalize_key,
     normalize_value,
-    serialize_features,
 )
 from .verbalizer import VerbalizerMap, canonicalize_token, class_distributions
 

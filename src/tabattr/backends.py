@@ -354,10 +354,11 @@ class RecordingBackend(Backend):
 
 
 class HttpBackend(Backend):
-    """POST client for the logprob service, with bounded in-flight requests.
+    """POST client for the logprob service.
 
-    At most ``max_in_flight`` requests run at once, each on a kept-alive
-    connection from a pool of that size. Retries transport failures, 5xx
+    Each request runs on a kept-alive connection from an idle pool that grows
+    to the number of threads querying at once; the caller bounds those, as
+    :func:`evaluate_prompts` does with ``workers``. Retries transport failures, 5xx
     and 429 responses with exponential backoff; a 429 whose ``Retry-After``
     gives delta-seconds waits that long instead, at most ``timeout``. Other
     non-200 responses and malformed bodies raise :class:`ProtocolError`
@@ -370,20 +371,18 @@ class HttpBackend(Backend):
         endpoint: str,
         timeout: float = 30.0,
         retries: int = 2,
-        max_in_flight: int = 8,
         backoff: float = 0.25,
     ):
         super().__init__()
-        if retries < 0 or not timeout > 0 or max_in_flight < 1:
+        if retries < 0 or not timeout > 0:
             raise ConfigError(
-                "http backend needs retries >= 0, timeout > 0 and max_in_flight >= 1, got "
-                f"retries={retries}, timeout={timeout}, max_in_flight={max_in_flight}"
+                "http backend needs retries >= 0 and timeout > 0, got "
+                f"retries={retries}, timeout={timeout}"
             )
         self.endpoint = endpoint
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self._slots = threading.BoundedSemaphore(max_in_flight)
         url = urlsplit(endpoint)
         if url.scheme not in ("http", "https") or not url.hostname or url.username is not None:
             raise ConfigError(
@@ -414,25 +413,24 @@ class HttpBackend(Backend):
         A kept-alive connection that the server closed while it sat idle fails
         on first use; it is reopened at once, not counted as a failed attempt.
         """
-        with self._slots:
+        try:
+            conn = self._idle.pop()
+        except IndexError:
+            conn = self._connection()
+        try:
+            reused = conn.sock is not None
             try:
-                conn = self._idle.pop()
-            except IndexError:
-                conn = self._connection()
-            try:
-                reused = conn.sock is not None
-                try:
-                    return self._exchange(conn, body)
-                except (BrokenPipeError, ConnectionResetError):
-                    if not reused:
-                        raise
-                    conn.close()
-                    return self._exchange(conn, body)
-            except BaseException:
+                return self._exchange(conn, body)
+            except (BrokenPipeError, ConnectionResetError):
+                if not reused:
+                    raise
                 conn.close()
-                raise
-            finally:
-                self._idle.append(conn)
+                return self._exchange(conn, body)
+        except BaseException:
+            conn.close()
+            raise
+        finally:
+            self._idle.append(conn)
 
     def _fetch(self, prompt: str, k: int) -> TopKDistribution:
         body = json.dumps({"prompt": prompt, "top_k": k}).encode("utf-8")
@@ -470,52 +468,41 @@ class HttpBackend(Backend):
             conn.close()
 
 
-@dataclass(frozen=True)
-class BackendDescriptor:
-    """Declarative backend selection: exactly one kind is active."""
-
-    kind: str
-    target: str
-    timeout: float = 30.0
-    retries: int = 2
-    max_in_flight: int = 8
-    record_path: str | None = None
-
-    KINDS = ("http", "replay", "synthetic")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ConfigError(f"unknown backend kind {self.kind!r}; expected one of {self.KINDS}")
-        if not self.target:
-            raise ConfigError("backend target must be non-empty")
-        if self.record_path and self.kind != "http":
-            raise ConfigError("recording applies to the http backend only")
-
-    @classmethod
-    def parse(cls, text: str, **kwargs) -> "BackendDescriptor":
-        """Parse ``kind:target`` strings; bare http(s) URLs imply the http kind."""
-        if text.startswith(("http://", "https://")):
-            return cls(kind="http", target=text, **kwargs)
-        kind, sep, target = text.partition(":")
-        if not sep:
-            raise ConfigError(f"backend spec {text!r} must look like kind:target")
-        return cls(kind=kind, target=target, **kwargs)
+BACKEND_KINDS = ("http", "replay", "synthetic")
 
 
-def build_backend(descriptor: BackendDescriptor) -> Backend:
-    """Materialize a backend from its descriptor."""
-    if descriptor.kind == "synthetic":
-        return SyntheticBackend(SyntheticOracleSpec.from_json(descriptor.target))
-    if descriptor.kind == "replay":
-        return ReplayBackend(descriptor.target)
-    backend: Backend = HttpBackend(
-        descriptor.target,
-        timeout=descriptor.timeout,
-        retries=descriptor.retries,
-        max_in_flight=descriptor.max_in_flight,
-    )
-    if descriptor.record_path:
-        backend = RecordingBackend(backend, descriptor.record_path)
+def parse_backend(text: str) -> tuple[str, str]:
+    """Split a ``kind:target`` backend spec; a bare http(s) URL is the http kind.
+
+    Raises:
+        ConfigError: no ``:`` separator, an unknown kind or an empty target.
+    """
+    if text.startswith(("http://", "https://")):
+        return "http", text
+    kind, sep, target = text.partition(":")
+    if not sep:
+        raise ConfigError(f"backend spec {text!r} must look like kind:target")
+    if kind not in BACKEND_KINDS:
+        raise ConfigError(f"unknown backend kind {kind!r}; expected one of {BACKEND_KINDS}")
+    if not target:
+        raise ConfigError("backend target must be non-empty")
+    return kind, target
+
+
+def open_backend(
+    kind: str, target: str, timeout: float = 30.0, retries: int = 2, record: str | None = None
+) -> Backend:
+    """The backend a parsed spec names; ``record`` wraps an http backend in a
+    :class:`RecordingBackend` writing to that file."""
+    if record and kind != "http":
+        raise ConfigError("recording applies to the http backend only")
+    if kind == "synthetic":
+        return SyntheticBackend(SyntheticOracleSpec.from_json(target))
+    if kind == "replay":
+        return ReplayBackend(target)
+    backend: Backend = HttpBackend(target, timeout=timeout, retries=retries)
+    if record:
+        backend = RecordingBackend(backend, record)
     return backend
 
 

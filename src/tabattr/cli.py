@@ -12,8 +12,16 @@ Flag values override config-file values, which override defaults. Config
 keys are the :class:`RunSpec` field names, i.e. the flags' ``dest`` names
 (``max_coalitions``); an unknown key or a wrongly typed value is an error
 (exit 2). The effective spec is echoed into ``run_manifest.json`` in the
-output directory so every run is reproducible from its artifacts. The
-environment variable ``TABATTR_ENDPOINT`` overrides the http endpoint.
+output directory so every run is reproducible from its artifacts.
+
+``--backend`` takes ``http:URL`` or a bare ``http(s)://`` URL, ``replay:FILE``
+(a recording, read-only) or ``synthetic:FILE`` (an oracle spec, whose classes
+also serve as the verbalizer when ``--verbalizer`` is not given). A malformed
+spec, or ``--record`` with a backend other than http, exits 2 before the
+output directory is made. The environment variable ``TABATTR_ENDPOINT``
+replaces the URL of an http backend and leaves other kinds alone.
+``--workers`` is the number of backend requests in flight at once, and the
+only bound on it.
 
 All commands in one output directory use the instances recorded in
 ``index_manifest.json``: explicit ``--indices`` must match that record (or
@@ -45,7 +53,7 @@ import numpy as np
 
 from . import __version__
 from .attribution import AttributionResult, Evaluation, SamplingConfig, evaluate, score
-from .backends import Backend, BackendDescriptor, SyntheticOracleSpec, build_backend
+from .backends import Backend, SyntheticOracleSpec, open_backend, parse_backend
 from ._json_io import dump_canonical
 from .cache import (
     MANIFEST_NAME,
@@ -73,7 +81,7 @@ from .tabular import (
     FeatureField,
     PromptTemplate,
     TabularInstance,
-    build_prompt,
+    build_prompts,
     load_dataset,
     load_schema,
     load_template,
@@ -97,7 +105,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--instances", type=int, help="number of instances to sample")
     parser.add_argument("--indices", help="explicit comma-separated instance indices")
-    parser.add_argument("--workers", type=int, help="bounded worker pool size")
+    parser.add_argument("--workers", type=int, help="backend requests in flight at once")
     parser.add_argument("--max-removals", type=int, dest="max_removals")
     parser.add_argument("--record", help="record live http responses to this replay file")
     parser.add_argument("--timeout", type=float, help="http timeout in seconds")
@@ -248,17 +256,20 @@ class Run:
 
     @classmethod
     def open(cls, command: str, spec: RunSpec, *required: str) -> "Run":
-        """Check the ``required`` options, create the output directory and load
-        the template and verbalizer."""
+        """Check the ``required`` options and the backend spec, create the output
+        directory and load the template and verbalizer."""
         spec.require(*required)
         spec.require("out")
+        kind, target = parse_backend(spec.backend) if spec.backend else (None, None)
+        if spec.record and kind not in (None, "http"):
+            raise ConfigError("recording applies to the http backend only")
         out = Path(spec.out)
         out.mkdir(parents=True, exist_ok=True)
         template = load_template(spec.template) if spec.template else PromptTemplate()
         if spec.verbalizer:
             vmap = VerbalizerMap.from_json(spec.verbalizer)
-        elif (spec.backend or "").startswith("synthetic:"):
-            oracle = SyntheticOracleSpec.from_json(spec.backend.partition(":")[2])
+        elif kind == "synthetic":
+            oracle = SyntheticOracleSpec.from_json(target)
             vmap = VerbalizerMap.from_mapping({c: [c] for c in oracle.classes})
         else:
             raise ConfigError("missing required options: --verbalizer")
@@ -266,13 +277,11 @@ class Run:
 
     def backend(self) -> Backend:
         spec = self.spec
-        descriptor = BackendDescriptor.parse(
-            spec.backend, timeout=spec.timeout, retries=spec.retries, record_path=spec.record
-        )
+        kind, target = parse_backend(spec.backend)
         endpoint = os.environ.get(ENDPOINT_ENV)
-        if endpoint and descriptor.kind == "http":
-            descriptor = dataclasses.replace(descriptor, target=endpoint)
-        return build_backend(descriptor)
+        if endpoint and kind == "http":
+            target = endpoint
+        return open_backend(kind, target, spec.timeout, spec.retries, spec.record)
 
     def finish(self, summary: str) -> None:
         """Write ``run_manifest.json`` and ``summary.txt``; print the summary."""
@@ -527,9 +536,12 @@ def cmd_serialize(spec: RunSpec) -> int:
     if not 0 <= spec.index < len(dataset):
         raise ConfigError(f"--index {spec.index} not in dataset of {len(dataset)} rows")
     instance = dataset[spec.index]
-    fields = instance.fields_without_keys(spec.omit) if spec.omit else instance.fields
+    unknown = set(spec.omit) - set(instance.keys)
+    if unknown:
+        raise ConfigError(f"keys not in instance {instance.index}: {sorted(unknown)}")
+    row = np.array([[key not in spec.omit for key in instance.keys]])
     template = load_template(spec.template) if spec.template else PromptTemplate()
-    sys.stdout.write(build_prompt(template, fields))
+    sys.stdout.write(build_prompts(template, instance, row)[0])
     return 0
 
 

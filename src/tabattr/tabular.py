@@ -6,9 +6,9 @@ the same instance always yields the same prompt, and any subset (coalition)
 of its fields yields a prompt that differs from the full one only inside the
 input block.
 
-:func:`build_prompt` serializes one field list; :func:`build_prompts` takes
-an instance and a bool membership matrix and builds every row's prompt in
-one pass, framing the template and rendering each ``key:value`` once.
+:func:`build_prompts` takes an instance and a bool membership matrix, one
+row per coalition, and builds every row's prompt in one pass, framing the
+template and rendering each ``key:value`` once.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -133,21 +133,6 @@ class TabularInstance:
     def keys(self) -> tuple[str, ...]:
         return tuple(f.key for f in self.fields)
 
-    def fields_at(self, members: Iterable[int]) -> tuple[FeatureField, ...]:
-        """Fields for the given index set, in instance order."""
-        picked = sorted(set(members))
-        if picked and (picked[0] < 0 or picked[-1] >= len(self.fields)):
-            raise ValueError(f"feature indices {picked} out of range for M={len(self.fields)}")
-        return tuple(self.fields[i] for i in picked)
-
-    def fields_without_keys(self, removed: Iterable[str]) -> tuple[FeatureField, ...]:
-        """Fields remaining after removing the given keys, in instance order."""
-        gone = set(removed)
-        unknown = gone - set(self.keys)
-        if unknown:
-            raise ValueError(f"keys not in instance {self.index}: {sorted(unknown)}")
-        return tuple(f for f in self.fields if f.key not in gone)
-
 
 @dataclass(frozen=True)
 class PromptTemplate:
@@ -178,42 +163,15 @@ class PromptTemplate:
                 raise ValueError(f"{name} must not contain a marker")
 
 
-def serialize_features(coalition_fields: Sequence[FeatureField]) -> str:
-    """Concatenate fields into the space-delimited ``k1:v1 k2:v2 ...`` string.
-
-    Raises:
-        SerializationError: on an empty field list; empty coalitions are
-            never serialized.
-    """
-    if not coalition_fields:
-        raise SerializationError("cannot serialize an empty coalition")
-    return " ".join(f.serialized for f in coalition_fields)
-
-
-def _frame(template: PromptTemplate) -> tuple[str, str]:
-    """The template text before and after the serialized features."""
-    return (
-        f"{template.instruction}\n\n{template.input_marker}\n",
-        f"\n\n{template.response_marker}{template.suffix}",
-    )
-
-
-def build_prompt(template: PromptTemplate, coalition_fields: Sequence[FeatureField]) -> str:
-    """Embed the serialized coalition into the fixed template.
-
-    Absent features leave no residue: no double spaces, no dangling
-    separators. Propagates :class:`SerializationError` for empty coalitions.
-    """
-    head, tail = _frame(template)
-    return head + serialize_features(coalition_fields) + tail
-
-
 def build_prompts(
     template: PromptTemplate, instance: TabularInstance, membership: np.ndarray
 ) -> list[str]:
-    """:func:`build_prompt` of each row's fields, for an N x M bool ``membership``.
+    """The prompt of each row of an N x M bool ``membership``.
 
-    Row i keeps the fields whose entry is true, in instance order.
+    Row i keeps the fields whose entry is true, in instance order, joined as
+    the space-delimited ``k1:v1 k2:v2 ...`` string inside the template.
+    Absent features leave no residue: no double spaces, no dangling
+    separators.
 
     Raises:
         SerializationError: a row keeps no field.
@@ -222,7 +180,8 @@ def build_prompts(
     serialized = [f.serialized for f in instance.fields]
     if membership.ndim != 2 or membership.shape[1] != len(serialized):
         raise ValueError(f"membership of shape {membership.shape} does not fit M={len(serialized)}")
-    head, tail = _frame(template)
+    head = f"{template.instruction}\n\n{template.input_marker}\n"
+    tail = f"\n\n{template.response_marker}{template.suffix}"
     prompts = []
     for row in membership.tolist():
         if not any(row):

@@ -16,12 +16,11 @@ from tabattr import (
     TokenLogprob,
     TopKDistribution,
     VerbalizerMap,
-    build_prompt,
     evaluate,
     score,
 )
 from tabattr.errors import BackendError
-from reference import class_distribution, similarity
+from reference import build_prompt, class_distribution, fields_at, similarity
 
 ADULT_KEYS = (
     "age",
@@ -112,7 +111,7 @@ def brute_force_raw_phi(instance, backend, template, vmap, metric="jsd"):
     sims = {}
     for r in range(1, m + 1):
         for subset in itertools.combinations(range(m), r):
-            prompt = build_prompt(template, instance.fields_at(subset))
+            prompt = build_prompt(template, fields_at(instance, subset))
             dist, _ = class_distribution(backend.query(prompt, 10), vmap)
             sims[frozenset(subset)] = similarity(metric, full_dist, dist)
     raw = []

@@ -1,20 +1,56 @@
 """Per-item reference implementations of the batched layers.
 
-``tabattr`` verbalizes every answer of an instance in one
-``class_distributions`` call and scores every coalition in one
-``similarity_rows`` call. The plain one-answer and one-pair versions below
-are what those calls must reproduce bit for bit; tests compare against them
-and check the metric properties through them.
+``tabattr`` builds every prompt of an instance in one ``build_prompts``
+call, verbalizes every answer in one ``class_distributions`` call and scores
+every coalition in one ``similarity_rows`` call. The plain one-prompt,
+one-answer and one-pair versions below are what those calls must reproduce
+bit for bit; tests compare against them and check the metric properties
+through them.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from tabattr import TopKDistribution, VerbalizerMap
+from tabattr import FeatureField, PromptTemplate, TabularInstance, TopKDistribution, VerbalizerMap
 from tabattr.divergence import _SUM_TOLERANCE, KL_EPSILON, LN2, METRICS
+from tabattr.errors import SerializationError
+
+
+def fields_at(instance: TabularInstance, members: Iterable[int]) -> tuple[FeatureField, ...]:
+    """The instance's fields at the given index set, in instance order."""
+    picked = sorted(set(members))
+    if picked and (picked[0] < 0 or picked[-1] >= instance.num_features):
+        raise ValueError(f"feature indices {picked} out of range for M={instance.num_features}")
+    return tuple(instance.fields[i] for i in picked)
+
+
+def fields_without_keys(instance: TabularInstance, removed: Iterable[str]) -> tuple[FeatureField, ...]:
+    """The instance's fields left after removing the given keys, in instance order."""
+    gone = set(removed)
+    unknown = gone - set(instance.keys)
+    if unknown:
+        raise ValueError(f"keys not in instance {instance.index}: {sorted(unknown)}")
+    return tuple(f for f in instance.fields if f.key not in gone)
+
+
+def serialize_features(coalition_fields: Sequence[FeatureField]) -> str:
+    """Concatenate fields into the space-delimited ``k1:v1 k2:v2 ...`` string;
+    an empty field list raises :class:`SerializationError`."""
+    if not coalition_fields:
+        raise SerializationError("cannot serialize an empty coalition")
+    return " ".join(f.serialized for f in coalition_fields)
+
+
+def build_prompt(template: PromptTemplate, coalition_fields: Sequence[FeatureField]) -> str:
+    """Embed one serialized coalition into the fixed template."""
+    return (
+        f"{template.instruction}\n\n{template.input_marker}\n"
+        + serialize_features(coalition_fields)
+        + f"\n\n{template.response_marker}{template.suffix}"
+    )
 
 
 class NormalizedDistribution(NamedTuple):

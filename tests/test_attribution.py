@@ -11,7 +11,6 @@ from tabattr import (
     Backend,
     PromptTemplate,
     SamplingConfig,
-    build_prompt,
     essential_coalitions,
     evaluate,
     n_extra,
@@ -22,6 +21,7 @@ from tabattr import (
 from tabattr.cache import load_or_evaluate
 from tabattr.errors import AttributionError, ConfigError
 from conftest import FlakyBackend, attribute, brute_force_raw_phi, make_instance, oracle_backend
+from reference import build_prompt
 
 
 def _row_sets(rows) -> list[frozenset[int]]:

@@ -17,7 +17,6 @@ import pytest
 import tabattr
 
 from tabattr import (
-    BackendDescriptor,
     HttpBackend,
     RecordingBackend,
     ReplayBackend,
@@ -25,8 +24,10 @@ from tabattr import (
     SyntheticOracleSpec,
     TokenLogprob,
     TopKDistribution,
-    build_backend,
+    cli,
     evaluate_prompts,
+    open_backend,
+    parse_backend,
     prompt_digest,
 )
 from tabattr.errors import (
@@ -476,9 +477,7 @@ class TestHttpBackend:
             (200, _ok_body([{"token": "x", "logprob": -1.0}])),
         ]
         record = tmp_path / "rec.json"
-        backend = build_backend(
-            BackendDescriptor.parse(endpoint, record_path=str(record))
-        )
+        backend = open_backend(*parse_backend(endpoint), record=str(record))
         live = backend.query("p", 1)
         assert ReplayBackend(record).query("p", 1) == live
         # second call replays without touching the network
@@ -507,21 +506,36 @@ class TestPooledConnections:
         assert keep_alive_handler.answered == 20
         assert keep_alive_handler.connections == 20
 
-    def test_concurrent_queries_open_at_most_max_in_flight_connections(
-        self, keep_alive_handler
-    ):
+    def test_workers_open_at_most_as_many_connections(self, keep_alive_handler):
         prompts = [f"a:{i}" for i in range(200)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with _serving(keep_alive_handler) as endpoint, \
-                    HttpBackend(endpoint, retries=0, max_in_flight=3) as backend:
-                answers = evaluate_prompts(backend, prompts, 2, workers=8)
+                    HttpBackend(endpoint, retries=0) as backend:
+                answers = evaluate_prompts(backend, prompts, 2, workers=3)
         finally:
             sys.setswitchinterval(interval)
         assert keep_alive_handler.answered == 200
         assert keep_alive_handler.connections <= 3
         assert answers["a:7"] == keep_alive_handler.oracle.query("a:7", 2)
+
+    def test_every_worker_has_a_request_in_flight(self, keep_alive_handler):
+        # Each request is answered only once all twelve are in flight at once.
+        arrived = threading.Barrier(12, timeout=10.0)
+        answer = keep_alive_handler.do_POST
+
+        def do_post_when_all_arrived(self):
+            arrived.wait()
+            answer(self)
+
+        keep_alive_handler.do_POST = do_post_when_all_arrived
+        prompts = [f"a:{i}" for i in range(12)]
+        with _serving(keep_alive_handler) as endpoint, \
+                HttpBackend(endpoint, retries=0, timeout=20.0) as backend:
+            answers = evaluate_prompts(backend, prompts, 2, workers=12)
+        assert keep_alive_handler.connections == 12
+        assert answers["a:11"] == keep_alive_handler.oracle.query("a:11", 2)
 
     @pytest.mark.parametrize(
         "endpoint", ["http:localhost:80", "ftp://host/x", "http://h:x/", "https://u:p@host/"]
@@ -533,32 +547,80 @@ class TestPooledConnections:
     @pytest.mark.parametrize(
         "setting, named",
         [({"retries": -1}, "retries=-1"), ({"timeout": 0.0}, "timeout=0.0"),
-         ({"timeout": -1.0}, "timeout=-1.0"), ({"max_in_flight": 0}, "max_in_flight=0")],
+         ({"timeout": -1.0}, "timeout=-1.0")],
     )
     def test_invalid_setting_is_a_config_error(self, setting, named):
-        # max_in_flight=0 would make a semaphore that blocks every query forever.
         with pytest.raises(ConfigError, match=named):
             HttpBackend("http://127.0.0.1:9/logprobs", **setting)
 
 
 class TestBackendDescriptor:
+    """``kind:target`` specs, split by ``parse_backend`` and opened by ``open_backend``."""
+
     def test_parse_kinds(self, tmp_path):
         oracle = tmp_path / "o.json"
         oracle.write_text(json.dumps({"classes": ["yes", "no"], "weights": {"a": 1.0}}))
-        descriptor = BackendDescriptor.parse(f"synthetic:{oracle}")
-        assert descriptor.kind == "synthetic"
-        assert isinstance(build_backend(descriptor), SyntheticBackend)
-        assert BackendDescriptor.parse("http://host:1234/x").kind == "http"
-        assert BackendDescriptor.parse("replay:some.json").kind == "replay"
+        assert parse_backend(f"synthetic:{oracle}") == ("synthetic", str(oracle))
+        assert isinstance(open_backend(*parse_backend(f"synthetic:{oracle}")), SyntheticBackend)
+        assert parse_backend("http://host:1234/x") == ("http", "http://host:1234/x")
+        assert parse_backend("https://host/x") == ("http", "https://host/x")
+        assert parse_backend("http:https://host/x") == ("http", "https://host/x")
+        assert parse_backend("replay:some.json") == ("replay", "some.json")
+        assert parse_backend("replay:c:/runs/a.json") == ("replay", "c:/runs/a.json")
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            BackendDescriptor.parse("grpc:somewhere")
+        with pytest.raises(ConfigError, match="unknown backend kind 'grpc'"):
+            parse_backend("grpc:somewhere")
 
     def test_missing_separator_rejected(self):
-        with pytest.raises(ConfigError):
-            BackendDescriptor.parse("justaword")
+        with pytest.raises(ConfigError, match="'justaword' must look like kind:target"):
+            parse_backend("justaword")
 
-    def test_record_only_for_http(self):
-        with pytest.raises(ConfigError):
-            BackendDescriptor(kind="replay", target="x.json", record_path="y.json")
+    def test_empty_target_rejected(self):
+        with pytest.raises(ConfigError, match="backend target must be non-empty"):
+            parse_backend("synthetic:")
+
+    def test_record_only_for_http(self, tmp_path):
+        for kind in ("replay", "synthetic"):
+            with pytest.raises(ConfigError, match="recording applies to the http backend only"):
+                open_backend(kind, "x.json", record=str(tmp_path / "y.json"))
+        assert not (tmp_path / "y.json").exists()
+
+
+class TestEndpointOverride:
+    """``TABATTR_ENDPOINT`` replaces the target of an http backend and of no other kind."""
+
+    @staticmethod
+    def _argv(tmp_path, backend, out):
+        dataset = tmp_path / "data.csv"
+        dataset.write_text("a,b\n1,2\n3,4\n")
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"a": "numeric", "b": "numeric"}))
+        vmap = tmp_path / "vmap.json"
+        vmap.write_text(json.dumps({"yes": ["yes"], "no": ["no"]}))
+        return ["attribute", "--dataset", str(dataset), "--schema", str(schema), "--verbalizer",
+                str(vmap), "--backend", backend, "--retries", "0", "--indices", "0,1",
+                "--out", str(tmp_path / out)]
+
+    def test_replaces_the_target_of_an_http_backend(
+        self, keep_alive_handler, tmp_path, monkeypatch, capsys
+    ):
+        # Nothing listens on the discard port: the spec's own target fails.
+        dead = "http://127.0.0.1:9/logprobs"
+        monkeypatch.delenv(cli.ENDPOINT_ENV, raising=False)
+        assert cli.main(self._argv(tmp_path, dead, "unset")) == 1
+        assert "unreachable" in capsys.readouterr().err
+        with _serving(keep_alive_handler) as endpoint:
+            monkeypatch.setenv(cli.ENDPOINT_ENV, endpoint)
+            assert cli.main(self._argv(tmp_path, dead, "set")) == 0
+        # Two rows of M=2: the full prompt and two single-field coalitions each.
+        assert keep_alive_handler.answered == 6
+        manifest = json.loads((tmp_path / "set" / "run_manifest.json").read_text())
+        assert manifest["config"]["backend"] == dead
+
+    def test_leaves_a_synthetic_backend_alone(self, tmp_path, monkeypatch, capsys):
+        oracle = tmp_path / "oracle.json"
+        oracle.write_text(json.dumps({"classes": ["yes", "no"], "weights": {"a": 1.0}}))
+        monkeypatch.setenv(cli.ENDPOINT_ENV, "http://127.0.0.1:9/logprobs")
+        assert cli.main(self._argv(tmp_path, f"synthetic:{oracle}", "out")) == 0
+        assert (tmp_path / "out" / "results_jsd.json").exists()

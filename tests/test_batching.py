@@ -21,7 +21,6 @@ from tabattr import (
     TokenLogprob,
     TopKDistribution,
     VerbalizerMap,
-    build_prompt,
     build_prompts,
     class_distributions,
     evaluate,
@@ -32,7 +31,7 @@ from tabattr import attribution, faithfulness
 from tabattr.attribution import _new_rows
 from tabattr.errors import SerializationError
 from conftest import ADULT_KEYS, adult_like_instance, make_instance, oracle_backend
-from reference import class_distribution
+from reference import build_prompt, class_distribution, fields_at, fields_without_keys
 
 _text = st.text(alphabet="abcXY #:\n\t.", max_size=12)
 
@@ -63,7 +62,7 @@ class TestBuildPrompts:
     @given(_template(), _instance_and_rows())
     def test_equals_build_prompt_of_each_row(self, template, case):
         instance, rows = case
-        expected = [build_prompt(template, instance.fields_at(np.flatnonzero(r))) for r in rows]
+        expected = [build_prompt(template, fields_at(instance, np.flatnonzero(r))) for r in rows]
         assert build_prompts(template, instance, rows) == expected
 
     def test_empty_row_raises(self, template):
@@ -230,7 +229,7 @@ class TestOnePassPerInstance:
                 order = per_instance[instance.index].keys
                 expected = [float(full[target])]
                 for t in range(1, 4):
-                    prompt = build_prompt(template, instance.fields_without_keys(order[:t]))
+                    prompt = build_prompt(template, fields_without_keys(instance, order[:t]))
                     dist, _ = class_distribution(backend.query(prompt, 10), yes_no_vmap)
                     expected.append(float(dist[target]))
                 assert run.curves[source].traces[instance.index] == tuple(expected)

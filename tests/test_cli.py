@@ -18,7 +18,6 @@ from tabattr import (
     SyntheticBackend,
     SyntheticOracleSpec,
     VerbalizerMap,
-    build_prompt,
     cli,
     config_fingerprint,
     curve_auc,
@@ -28,6 +27,7 @@ from tabattr import (
 from tabattr.errors import BackendError
 from tabattr.faithfulness import DeletionCurve
 from conftest import brute_force_raw_phi
+from reference import build_prompt, fields_at
 
 WEIGHTS = {"f0": 0.9, "f1": 2.0, "f2": 0.3, "f3": 1.4, "f4": 0.6, "f5": 0.15}
 
@@ -87,7 +87,7 @@ class TestSynthDemoGolden:
         # 2^6 - 1 coalitions per instance; the full coalition is the full prompt.
         assert len(attribution_prompts) == 3 * 63
         assert set(attribution_prompts) == {
-            build_prompt(template, instance.fields_at(subset))
+            build_prompt(template, fields_at(instance, subset))
             for instance in instances
             for size in range(1, 7)
             for subset in itertools.combinations(range(6), size)
@@ -398,7 +398,7 @@ class TestRunSpec:
 
 
 class TestRefusedBeforeWriting:
-    """Bad counts and sources exit 2 before the output directory is made."""
+    """Bad counts, sources and backend specs exit 2 before the output directory is made."""
 
     @staticmethod
     def _refused(argv, named, out, capsys):
@@ -433,6 +433,83 @@ class TestRefusedBeforeWriting:
         argv = ["deletion-curve", *_tabular_inputs(tmp_path), "--backend",
                 f"synthetic:{oracle_path}", "--out", str(out), *extra]
         self._refused(argv, named, out, capsys)
+
+    @pytest.mark.parametrize(
+        "backend, named",
+        [("grpc:x", "unknown backend kind"), ("justaword", "kind:target"),
+         ("synthetic:", "non-empty")],
+    )
+    @pytest.mark.parametrize("command", ["attribute", "deletion-curve"])
+    def test_bad_backend_spec(self, command, backend, named, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [command, *_tabular_inputs(tmp_path), "--backend", backend, "--out", str(out)]
+        self._refused(argv, named, out, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["attribute", "synth-demo"])
+    def test_record_with_a_synthetic_backend(self, command, oracle, tmp_path, capsys):
+        _, oracle_path = oracle
+        out, recording = tmp_path / "out", tmp_path / "recording.json"
+        argv = [command, "--record", str(recording), "--out", str(out)]
+        if command == "attribute":
+            argv += [*_tabular_inputs(tmp_path), "--backend", f"synthetic:{oracle_path}"]
+        else:
+            argv += ["--oracle", str(oracle_path)]
+        self._refused(argv, "recording applies to the http backend only", out, capsys)
+        assert not out.exists() and not recording.exists()
+
+
+class TestSerialize:
+    """``serialize`` prints the prompt of one dataset row, byte for byte."""
+
+    HEAD = ("Classify the record given below. Answer with a single word naming the class.\n\n"
+            "### Input:\n")
+    TAIL = "\n\n### Response:\n"
+
+    def _serialize(self, tmp_path, capsys, *extra):
+        code = cli.main(["serialize", *_tabular_inputs(tmp_path), *extra])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_default_template(self, tmp_path, capsys):
+        assert self._serialize(tmp_path, capsys) == (0, f"{self.HEAD}f0:1 f1:2 f2:3{self.TAIL}", "")
+        assert self._serialize(tmp_path, capsys, "--index", "2") == (
+            0, f"{self.HEAD}f0:7 f1:8 f2:9{self.TAIL}", ""
+        )
+
+    def test_json_template_with_custom_markers_and_suffix(self, tmp_path, capsys):
+        template = tmp_path / "template.json"
+        template.write_text(json.dumps(
+            {"instruction": "Decide.", "input_marker": "<row>", "response_marker": "<label>",
+             "suffix": " =>"}
+        ))
+        assert self._serialize(tmp_path, capsys, "--template", str(template), "--index", "1") == (
+            0, "Decide.\n\n<row>\nf0:4 f1:5 f2:6\n\n<label> =>", ""
+        )
+
+    @pytest.mark.parametrize(
+        "omit, features", [("f1", "f0:1 f2:3"), ("f2,f0", "f1:2"), ("f0,f0", "f1:2 f2:3")]
+    )
+    def test_omit_leaves_the_other_fields_in_order(self, omit, features, tmp_path, capsys):
+        assert self._serialize(tmp_path, capsys, "--omit", omit) == (
+            0, f"{self.HEAD}{features}{self.TAIL}", ""
+        )
+
+    def test_unknown_omit_key_exits_2(self, tmp_path, capsys):
+        code, out, err = self._serialize(tmp_path, capsys, "--index", "1", "--omit", "f1,g7")
+        assert (code, out) == (2, "")
+        assert err == "error: keys not in instance 1: ['g7']\n"
+
+    def test_omitting_every_key_exits_1(self, tmp_path, capsys):
+        assert self._serialize(tmp_path, capsys, "--omit", "f2,f1,f0") == (
+            1, "", "error: cannot serialize an empty coalition\n"
+        )
+
+    @pytest.mark.parametrize("index", ["3", "-1"])
+    def test_index_out_of_range_exits_2(self, index, tmp_path, capsys):
+        assert self._serialize(tmp_path, capsys, "--index", index) == (
+            2, "", f"error: --index {index} not in dataset of 3 rows\n"
+        )
 
 
 class TestRunErrors:

@@ -1,8 +1,17 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from tabattr import RankingOrder, random_order, run_deletion
+from tabattr import (
+    RankingOrder,
+    load_external_ranking,
+    predicted_class,
+    random_order,
+    run_deletion,
+)
+from tabattr.errors import BackendError, RankingError
 from conftest import FlakyBackend, make_instance, oracle_backend
 
 KEYS = ("a", "b", "c", "d")
@@ -40,3 +49,89 @@ class TestRunDeletion:
             assert set(curve.traces) == {0, 2}
             assert curve.n_instances == 2
             assert curve.counts[0] == 2
+
+    def test_every_instance_failing_is_a_backend_error(self, instances, template, yes_no_vmap):
+        backend = FlakyBackend(oracle_backend({"a": 1.5}), poison="a:")
+        with pytest.raises(BackendError, match="all 3 instances failed"):
+            run_deletion(instances, _rankings(instances), backend, template, yes_no_vmap)
+
+    def test_source_missing_an_instance_is_refused(self, instances, template, yes_no_vmap):
+        rankings = _rankings(instances)
+        del rankings["external"][2]
+        with pytest.raises(RankingError, match="'external' has no ranking for instance 2"):
+            run_deletion(instances, rankings, oracle_backend({"a": 1.0}), template, yes_no_vmap)
+
+    @pytest.mark.parametrize("max_removals", [0, -1])
+    def test_max_removals_below_one_is_refused(
+        self, max_removals, instances, template, yes_no_vmap
+    ):
+        with pytest.raises(ValueError, match="max_removals"):
+            run_deletion(instances, _rankings(instances), oracle_backend({"a": 1.0}), template,
+                         yes_no_vmap, max_removals=max_removals)
+
+    def test_no_instances_is_refused(self, template, yes_no_vmap):
+        with pytest.raises(ValueError, match="no instances"):
+            run_deletion([], {}, oracle_backend({"a": 1.0}), template, yes_no_vmap)
+
+
+class TestRankingOrder:
+    def test_duplicate_keys_are_refused(self):
+        with pytest.raises(RankingError, match="duplicate keys in ranking for instance 4"):
+            RankingOrder(4, "external", ("a", "b", "a"))
+
+    def test_empty_ranking_is_refused(self):
+        with pytest.raises(RankingError, match="empty ranking for instance 4"):
+            RankingOrder(4, "external", ())
+
+
+class TestPredictedClass:
+    @pytest.mark.parametrize(
+        "dist, expected",
+        [([0.2, 0.8], (1, False)), ([0.5, 0.5], (0, True)), ([0.2, 0.4, 0.4], (1, True)),
+         ([0.45, 0.1, 0.45], (0, True)), ([1.0], (0, False))],
+    )
+    def test_argmax_and_tie_flag(self, dist, expected):
+        assert tuple(predicted_class(dist)) == expected
+
+
+class TestExternalRanking:
+    @staticmethod
+    def _write(tmp_path, payload) -> str:
+        path = tmp_path / "ranking.json"
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        return str(path)
+
+    def test_unreadable_file_is_refused(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        with pytest.raises(RankingError, match="cannot load external ranking"):
+            load_external_ranking(missing, KEYS)
+        with pytest.raises(RankingError, match="cannot load external ranking"):
+            load_external_ranking(self._write(tmp_path, "{not json"), KEYS)
+
+    @pytest.mark.parametrize(
+        "payload, named",
+        [({"global": []}, "empty ranking for global"),
+         ({"per_instance": {"3": []}}, "empty ranking for instance 3"),
+         ({"global": ["a", "z"]}, "unknown feature keys for global: ['z']"),
+         ({"per_instance": {"0": ["a"], "1": ["y"]}}, "unknown feature keys for instance 1"),
+         ({"per_instance": {}}, "per_instance ranking is empty"),
+         ({"order": ["a"]}, "expected a 'global' or 'per_instance'"),
+         (["a", "b"], "expected a 'global' or 'per_instance'")],
+    )
+    def test_malformed_ranking_is_refused(self, payload, named, tmp_path):
+        path = self._write(tmp_path, payload)
+        with pytest.raises(RankingError) as caught:
+            load_external_ranking(path, KEYS)
+        assert str(caught.value).startswith(f"{path}: ") and named in str(caught.value)
+
+    def test_per_instance_ranking_without_the_instance_is_refused(self, tmp_path, instances):
+        ranking = load_external_ranking(self._write(tmp_path, {"per_instance": {"0": ["b"]}}), KEYS)
+        assert ranking.order_for(instances[0]).keys == ("b",)
+        with pytest.raises(RankingError, match="no entry for instance 1"):
+            ranking.order_for(instances[1])
+
+    def test_key_absent_from_the_instance_is_refused(self, tmp_path):
+        ranking = load_external_ranking(self._write(tmp_path, {"global": ["d", "a"]}), KEYS)
+        narrow = make_instance(5, ("a", "b", "c"))
+        with pytest.raises(RankingError, match=r"absent from instance 5: \['d'\]"):
+            ranking.order_for(narrow)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,26 +10,36 @@ from tabattr import (
     FeatureField,
     PromptTemplate,
     TabularInstance,
-    build_prompt,
+    build_prompts,
     load_dataset,
     load_schema,
     load_template,
     normalize_key,
     normalize_value,
-    serialize_features,
 )
 from tabattr.errors import DatasetError, NormalizationError, SerializationError
 from conftest import ADULT_KEYS, make_instance
 
 
 def parse_features(serialized: str) -> list[tuple[str, str]]:
-    """Invert ``serialize_features``: split on spaces, then at the first colon."""
+    """Invert the feature string: split on spaces, then at the first colon."""
     return [tuple(token.split(":", 1)) for token in serialized.split(" ")]
 
 
 def input_block(prompt: str) -> str:
     """The feature string between the default template's markers."""
     return prompt.partition("### Input:")[2].partition("### Response:")[0].strip("\n")
+
+
+def one_prompt(instance, keep=None, template=PromptTemplate()) -> str:
+    """``build_prompts`` of one membership row holding the keys in ``keep``, or all."""
+    row = [[keep is None or key in keep for key in instance.keys]]
+    return build_prompts(template, instance, np.array(row, dtype=bool))[0]
+
+
+def serialize(fields) -> str:
+    """The feature string ``build_prompts`` writes for exactly ``fields``."""
+    return input_block(one_prompt(TabularInstance(0, tuple(fields))))
 
 
 class TestNormalizeValue:
@@ -62,22 +73,22 @@ class TestNormalizeValue:
 class TestSerializeFeatures:
     def test_two_fields(self):
         fields = (FeatureField("age", "50"), FeatureField("workclass", "private"))
-        assert serialize_features(fields) == "age:50 workclass:private"
+        assert serialize(fields) == "age:50 workclass:private"
 
     def test_singleton(self):
-        assert serialize_features((FeatureField("age", "50"),)) == "age:50"
+        assert serialize((FeatureField("age", "50"),)) == "age:50"
 
     def test_adult_width_has_thirteen_spaces(self):
         instance = make_instance(0, ADULT_KEYS)
-        assert serialize_features(instance.fields).count(" ") == len(ADULT_KEYS) - 1
+        assert serialize(instance.fields).count(" ") == len(ADULT_KEYS) - 1
 
     def test_empty_coalition_rejected(self):
         with pytest.raises(SerializationError):
-            serialize_features(())
+            one_prompt(make_instance(0, ["age", "sex"]), keep=())
 
     def test_round_trip_with_colon_in_value(self):
         fields = (FeatureField("ratio", "50:50"), FeatureField("b", "x_y"))
-        parsed = parse_features(serialize_features(fields))
+        parsed = parse_features(serialize(fields))
         assert parsed == [("ratio", "50:50"), ("b", "x_y")]
 
 
@@ -90,7 +101,7 @@ _value_st = st.text(
 @given(st.dictionaries(_key_st, _value_st, min_size=1, max_size=10))
 def test_serialize_round_trip_property(mapping):
     fields = tuple(FeatureField(k, v) for k, v in mapping.items())
-    assert parse_features(serialize_features(fields)) == [(f.key, f.value) for f in fields]
+    assert parse_features(serialize(fields)) == [(f.key, f.value) for f in fields]
 
 
 class TestFeatureFieldInvariants:
@@ -117,15 +128,14 @@ class TestFeatureFieldInvariants:
 
 class TestBuildPrompt:
     def test_markers_appear_exactly_once(self, template):
-        prompt = build_prompt(template, make_instance(0, ADULT_KEYS).fields)
+        prompt = one_prompt(make_instance(0, ADULT_KEYS), template=template)
         assert prompt.count("### Input:") == 1
         assert prompt.count("### Response:") == 1
         assert prompt.index("### Input:") < prompt.index("### Response:")
 
     def test_absent_feature_leaves_no_residue(self, template):
         instance = make_instance(0, ADULT_KEYS)
-        coalition = tuple(f for f in instance.fields if f.key != "education")
-        prompt = build_prompt(template, coalition)
+        prompt = one_prompt(instance, set(ADULT_KEYS) - {"education"}, template)
         assert "education:" not in prompt
         assert "education_num:" in prompt
         assert "  " not in prompt
@@ -133,8 +143,8 @@ class TestBuildPrompt:
     def test_coalitions_differ_only_inside_input_block(self, template):
         # oracle: byte diff restricted to the region between the markers
         instance = make_instance(0, ADULT_KEYS)
-        full = build_prompt(template, instance.fields)
-        partial = build_prompt(template, instance.fields[:5])
+        full = one_prompt(instance, template=template)
+        partial = one_prompt(instance, ADULT_KEYS[:5], template)
         for prompt in (full, partial):
             head, _, rest = prompt.partition("### Input:")
             assert head == full.partition("### Input:")[0]
@@ -143,7 +153,7 @@ class TestBuildPrompt:
 
     def test_deterministic(self, template):
         instance = make_instance(0, ADULT_KEYS)
-        assert build_prompt(template, instance.fields) == build_prompt(template, instance.fields)
+        assert one_prompt(instance, template=template) == one_prompt(instance, template=template)
 
     def test_template_fixity_validation(self):
         with pytest.raises(ValueError):
@@ -261,5 +271,5 @@ class TestSchemaAndTemplateFiles:
         template = load_template(path)
         assert template.instruction == "Go."
         assert template.suffix == ""
-        prompt = build_prompt(template, (FeatureField("a", "1"),))
+        prompt = one_prompt(make_instance(0, ["a"]), template=template)
         assert prompt.endswith("### Response:")

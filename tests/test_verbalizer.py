@@ -9,8 +9,7 @@ from hypothesis import given, strategies as st
 from tabattr import VerbalizerMap, canonicalize_token
 from tabattr.errors import ConfigError
 from conftest import logistic, make_instance, oracle_backend, topk_from
-from reference import aggregate_raw, class_distribution, normalize_classes
-from tabattr import PromptTemplate, build_prompt
+from reference import aggregate_raw, build_prompt, class_distribution, normalize_classes
 
 
 class TestCanonicalizeToken:
