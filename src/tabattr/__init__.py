@@ -57,8 +57,6 @@ from .errors import (
 from .faithfulness import (
     DeletionCurve,
     DeletionRun,
-    ExternalRanking,
-    RankingOrder,
     curve_auc,
     load_external_ranking,
     predicted_class,

@@ -244,26 +244,43 @@ class SyntheticBackend(Backend):
         return TopKDistribution(entries=entries, k=k)
 
 
-def _read_store(path: Path) -> dict[str, dict]:
-    """Load a digest -> response JSON file; every failure names the file."""
+def _parse_recording(path: Path) -> tuple[dict[str, dict], str, int]:
+    """Read a recording: its digest -> response store, its text, and the
+    length of its body, the text before the closing brace.
+
+    A last line cut short by a process killed mid-append is left out of the
+    store and the body; any other damage is a :class:`BackendError` naming the
+    file. The file is only read."""
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise BackendError(f"cannot read replay cache {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BackendError(f"replay cache {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise BackendError(f"replay cache {path} must be a JSON object")
-    return raw
+        with open(path, encoding="utf-8", newline="") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BackendError(f"cannot read recording {path}: {exc}") from exc
+    try:
+        store = json.loads(text)
+    except ValueError as exc:
+        body = text.rfind("\n") + 1
+        try:
+            store = json.loads(text[:body] + "}\n")
+        except ValueError:
+            raise BackendError(f"recording {path} is not valid JSON: {exc}") from exc
+    else:
+        body = text.rfind("}")
+    if not isinstance(store, dict):
+        raise BackendError(f"recording {path} must be a JSON object")
+    return store, text, body
 
 
 class ReplayBackend(Backend):
-    """Read-only backend serving a recorded digest -> response JSON file."""
+    """Read-only backend serving a recording, a digest -> response JSON file.
+
+    A recording whose last line was torn by a killed record run serves every
+    complete response; the file is left as it is."""
 
     def __init__(self, path: str | Path):
         super().__init__()
         self.path = Path(path)
-        self._store = _read_store(self.path)
+        self._store, _, _ = _parse_recording(self.path)
 
     def _fetch(self, prompt: str, k: int) -> TopKDistribution:
         digest = prompt_digest(prompt, k)
@@ -275,36 +292,19 @@ class ReplayBackend(Backend):
 
 def _open_recording(path: Path) -> tuple[dict[str, dict], int | None]:
     """Load a recording for appending: its store and the offset of its closing
-    brace, or ``None`` when the file does not exist yet.
-
-    A last line cut short by a process killed mid-append is dropped and the
-    brace closed again; any other damage is a :class:`BackendError` naming
-    the file."""
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
+    brace, or ``None`` when the file does not exist yet. A torn last line is
+    cut off and the brace closed again."""
+    if not path.exists():
         return {}, None
-    except OSError as exc:
-        raise BackendError(f"cannot read recording {path}: {exc}") from exc
-    try:
-        store = json.loads(data)
-    except ValueError as exc:
-        kept = data[: data.rfind(b"\n") + 1]
-        try:
-            store = json.loads(kept + b"}\n")
-        except ValueError:
-            raise BackendError(f"recording {path} is not valid JSON: {exc}") from exc
-    else:
-        kept = data[: data.rstrip().rfind(b"}")]
-    if not isinstance(store, dict):
-        raise BackendError(f"recording {path} must be a JSON object")
-    tail = b"}\n" if kept.endswith(b"\n") else b"\n}\n"
-    if data[len(kept):] != tail:
+    store, text, body = _parse_recording(path)
+    tail = "}\n" if text.endswith("\n", 0, body) else "\n}\n"
+    offset = len(text[:body].encode("utf-8"))  # the body's length in bytes
+    if text[body:] != tail:
         with open(path, "r+b") as handle:
-            handle.seek(len(kept))
-            handle.write(tail)
+            handle.seek(offset)
+            handle.write(tail.encode("ascii"))
             handle.truncate()
-    return store, len(kept) + len(tail) - 2
+    return store, offset + len(tail) - 2
 
 
 class RecordingBackend(Backend):

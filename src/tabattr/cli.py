@@ -23,6 +23,10 @@ replaces the URL of an http backend and leaves other kinds alone.
 ``--workers`` is the number of backend requests in flight at once, and the
 only bound on it.
 
+``--external`` names a ranking file: ``{"global": [keys]}``, or, for
+``deletion-curve`` only, ``{"per_instance": {"<index>": [keys]}}``.
+``run_deletion`` checks every source's order for every instance first.
+
 All commands in one output directory use the instances recorded in
 ``index_manifest.json``: explicit ``--indices`` must match that record (or
 become it). Without them, ``attribute`` samples ``--instances`` rows with
@@ -30,8 +34,8 @@ become it). Without them, ``attribute`` samples ``--instances`` rows with
 samples one, and ``compare`` reuses the record and fails without one.
 
 Every command reads and fills the same evaluation store,
-``evaluations.jsonl``, and scores its metric from it: after any
-``attribute``, another metric costs no backend call. The store holds each
+``evaluations.jsonl``, once, and scores each metric it needs from it once:
+after any ``attribute``, another metric costs no backend call. The store holds each
 instance's coalitions and their class distributions; a stored instance over
 other feature keys than the dataset's is refused. ``results_{metric}.json``
 holds only the scores (phi, raw_phi, the full-input distribution and the
@@ -68,7 +72,6 @@ from .errors import CacheError, ConfigError, StaleCacheError, TabAttrError
 from .faithfulness import (
     RANKING_SOURCES,
     DeletionRun,
-    RankingOrder,
     curve_auc,
     load_external_ranking,
     random_order,
@@ -363,25 +366,28 @@ def attribute_step(run: Run, evaluations: list[Evaluation], metric: str) -> list
     return results
 
 
-def deletion_step(run: Run, instances: list[TabularInstance], backend: Backend) -> DeletionRun:
+def deletion_step(
+    run: Run,
+    instances: list[TabularInstance],
+    backend: Backend,
+    results: dict[str, list[AttributionResult]],
+) -> DeletionRun:
     """A removal order per ``--sources`` entry, the deletion protocol over
-    ``instances``, then ``curves.csv`` and ``curves.json``."""
+    ``instances``, then ``curves.csv`` and ``curves.json``. A metric source
+    orders each instance by its scores in ``results[metric]``."""
     spec = run.spec
-    rankings: dict[str, dict[int, RankingOrder]] = {}
-    evaluations: list[Evaluation] = []
+    rankings: dict[str, dict[int, tuple[str, ...]]] = {}
     for source in spec.sources:
         if source in METRICS:
-            evaluations = evaluations or stored_evaluations(run, instances)
-            rankings[source] = {
-                e.instance_index: RankingOrder(e.instance_index, source, score(e, source).ranking())
-                for e in evaluations
-            }
+            rankings[source] = {r.instance_index: r.ranking() for r in results[source]}
         elif source == "random":
             rankings[source] = {i.index: random_order(i, spec.seed + i.index) for i in instances}
         else:
             spec.require("external")
             external = load_external_ranking(spec.external, instances[0].keys)
-            rankings[source] = {i.index: external.order_for(i) for i in instances}
+            if isinstance(external, tuple):
+                external = {i.index: external for i in instances}
+            rankings[source] = external
     deletion = run_deletion(
         instances, rankings, backend, run.template, run.vmap,
         max_removals=spec.max_removals, top_k=spec.top_k, workers=spec.workers,
@@ -398,12 +404,11 @@ def rank_against(
     global-form ranking file ``external_path``, which must cover the same keys."""
     ranking = global_ranking(results)
     external = load_external_ranking(external_path, ranking.keys)
-    if external.global_keys is None:
+    if not isinstance(external, tuple):
         raise ConfigError("compare needs a ranking file in the global form")
-    if set(external.global_keys) != set(ranking.keys):
+    if set(external) != set(ranking.keys):
         raise ConfigError("external ranking must cover exactly the dataset's feature keys")
-    external_keys = list(external.global_keys)
-    return ranking, spearman_rho(ranking, external_keys), external_keys
+    return ranking, spearman_rho(ranking.scores, external), list(external)
 
 
 def _write_rank_report(out: Path, ranking: GlobalRanking, rho: float, external: list[str]) -> None:
@@ -446,7 +451,10 @@ def cmd_deletion_curve(spec: RunSpec) -> int:
     dataset = load_dataset(spec.dataset, load_schema(spec.schema))
     with run.backend() as backend:
         instances = [dataset[i] for i in select_indices(run, len(dataset), reuse_recorded=True)]
-        deletion = deletion_step(run, instances, backend)
+        metrics = [source for source in spec.sources if source in METRICS]
+        evaluations = stored_evaluations(run, instances) if metrics else []
+        results = {m: [score(e, m) for e in evaluations] for m in metrics}
+        deletion = deletion_step(run, instances, backend, results)
     rows = [
         (source, f"{curve_auc(curve):.6f}", f"{curve.mean_probs[0]:.6f}")
         for source, curve in deletion.curves.items()
@@ -516,7 +524,7 @@ def cmd_synth_demo(spec: RunSpec) -> int:
     ensure_manifest(run.out / MANIFEST_NAME, [i.index for i in instances], spec.seed)
     evaluations = stored_evaluations(run, instances, backend)
     results = {metric: attribute_step(run, evaluations, metric) for metric in METRICS}
-    deletion = deletion_step(run, instances, backend)
+    deletion = deletion_step(run, instances, backend, results)
     ranked = {metric: rank_against(results[metric], spec.external) for metric in METRICS}
     _write_rank_report(run.out, *ranked["jsd"])
 

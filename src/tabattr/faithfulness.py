@@ -9,6 +9,10 @@ Step t removes the top-t ranked fields; step 0 is the unperturbed prompt, so
 every ranking source shares identical step-0 values per instance. The step
 axis is reported both as an absolute count and as a fraction of the mean
 feature count over evaluated instances.
+
+A removal order is a tuple of feature keys, most important first; an
+external ranking file holds one for all instances, ``{"global": [keys]}``,
+or one per instance, ``{"per_instance": {"<index>": [keys]}}``.
 """
 
 from __future__ import annotations
@@ -30,22 +34,6 @@ from .verbalizer import VerbalizerMap, class_distributions
 RANKING_SOURCES = ("jsd", "kl", "l1", "external", "random")
 
 
-@dataclass(frozen=True)
-class RankingOrder:
-    """A removal order for one instance: feature keys, most important first."""
-
-    instance_index: int
-    source: str
-    keys: tuple[str, ...]
-    seed: int | None = None
-
-    def __post_init__(self):
-        if len(set(self.keys)) != len(self.keys):
-            raise RankingError(f"duplicate keys in ranking for instance {self.instance_index}")
-        if not self.keys:
-            raise RankingError(f"empty ranking for instance {self.instance_index}")
-
-
 class PredictedClass(NamedTuple):
     index: int
     tie: bool
@@ -61,41 +49,22 @@ def predicted_class(full_dist) -> PredictedClass:
     return PredictedClass(top, tie)
 
 
-def random_order(instance: TabularInstance, seed: int) -> RankingOrder:
+def random_order(instance: TabularInstance, seed: int) -> tuple[str, ...]:
     """Uniform random permutation of the instance's keys, seed-reproducible."""
     rng = np.random.default_rng(seed)
-    keys = tuple(instance.keys[i] for i in rng.permutation(instance.num_features))
-    return RankingOrder(instance.index, "random", keys, seed=seed)
+    return tuple(instance.keys[i] for i in rng.permutation(instance.num_features))
 
 
-@dataclass(frozen=True)
-class ExternalRanking:
-    """A ranking file: one global order broadcast to all instances, or one per instance."""
-
-    global_keys: tuple[str, ...] | None = None
-    per_instance: Mapping[int, tuple[str, ...]] | None = None
-
-    def order_for(self, instance: TabularInstance) -> RankingOrder:
-        if self.global_keys is not None:
-            keys = self.global_keys
-        else:
-            assert self.per_instance is not None
-            if instance.index not in self.per_instance:
-                raise RankingError(f"external ranking has no entry for instance {instance.index}")
-            keys = self.per_instance[instance.index]
-        unknown = [k for k in keys if k not in instance.keys]
-        if unknown:
-            raise RankingError(
-                f"external ranking names keys absent from instance {instance.index}: {unknown}"
-            )
-        return RankingOrder(instance.index, "external", keys)
-
-
-def load_external_ranking(path: str | Path, valid_keys: Sequence[str]) -> ExternalRanking:
-    """Load ``{"global": [keys]}`` or ``{"per_instance": {index: [keys]}}``.
+def load_external_ranking(
+    path: str | Path, valid_keys: Sequence[str]
+) -> tuple[str, ...] | dict[int, tuple[str, ...]]:
+    """Load a ranking file: ``{"global": [keys]}``, one order for every
+    instance, returned as a tuple; or ``{"per_instance": {index: [keys]}}``,
+    returned as a dict from instance index to tuple.
 
     Raises:
-        RankingError: unreadable/empty file or any key not in ``valid_keys``.
+        RankingError: the file is unreadable or of another shape, or a ranking
+            is empty, repeats a key or names one not in ``valid_keys``.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -104,24 +73,31 @@ def load_external_ranking(path: str | Path, valid_keys: Sequence[str]) -> Extern
     known = set(valid_keys)
 
     def _check(keys, where: str) -> tuple[str, ...]:
+        if not isinstance(keys, list):
+            raise RankingError(f"{path}: ranking for {where} must be a list of keys, got {keys!r}")
         keys = tuple(str(k) for k in keys)
         if not keys:
             raise RankingError(f"{path}: empty ranking for {where}")
+        repeated = sorted({k for k in keys if keys.count(k) > 1})
+        if repeated:
+            raise RankingError(f"{path}: repeated keys in ranking for {where}: {repeated}")
         unknown = [k for k in keys if k not in known]
         if unknown:
             raise RankingError(f"{path}: unknown feature keys for {where}: {unknown}")
         return keys
 
     if isinstance(data, dict) and "global" in data:
-        return ExternalRanking(global_keys=_check(data["global"], "global"))
+        return _check(data["global"], "global")
     if isinstance(data, dict) and "per_instance" in data:
-        per = {
-            int(idx): _check(keys, f"instance {idx}")
-            for idx, keys in data["per_instance"].items()
-        }
-        if not per:
+        per_instance = data["per_instance"]
+        if not isinstance(per_instance, dict):
+            raise RankingError(f"{path}: per_instance must map instance indices to rankings")
+        if not per_instance:
             raise RankingError(f"{path}: per_instance ranking is empty")
-        return ExternalRanking(per_instance=per)
+        bad = [index for index in per_instance if not index.isdecimal()]
+        if bad:
+            raise RankingError(f"{path}: per_instance keys are not instance indices: {bad}")
+        return {int(i): _check(keys, f"instance {i}") for i, keys in per_instance.items()}
     raise RankingError(f"{path}: expected a 'global' or 'per_instance' ranking object")
 
 
@@ -172,7 +148,7 @@ def curve_auc(curve: DeletionCurve) -> float:
 
 def run_deletion(
     instances: Sequence[TabularInstance],
-    rankings: Mapping[str, Mapping[int, RankingOrder]],
+    rankings: Mapping[str, Mapping[int, Sequence[str]]],
     backend: Backend,
     template: PromptTemplate,
     vmap: VerbalizerMap,
@@ -181,6 +157,9 @@ def run_deletion(
     workers: int = 1,
 ) -> DeletionRun:
     """Run the deletion protocol for every source over the same instances.
+
+    ``rankings[source][index]`` is the removal order of instance ``index``;
+    every order is checked before any prompt is sent.
 
     Per instance: the full prompt fixes the predicted class; then for
     t = 1..min(max_removals, M - 1) the top-t ranked features are omitted
@@ -194,7 +173,8 @@ def run_deletion(
     symmetrically and counted in the run metadata.
 
     Raises:
-        RankingError: a source misses an instance or names unknown keys.
+        RankingError: an order is missing or empty, repeats a key or names
+            a key its instance lacks.
         ValueError: ``max_removals`` < 1 or no instances.
     """
     if max_removals < 1:
@@ -203,8 +183,16 @@ def run_deletion(
         raise ValueError("no instances to evaluate")
     for source, per_instance in rankings.items():
         for instance in instances:
-            if instance.index not in per_instance:
-                raise RankingError(f"source {source!r} has no ranking for instance {instance.index}")
+            order, named = per_instance.get(instance.index), f"source {source!r}"
+            if not order:
+                raise RankingError(f"{named} has no ranking for instance {instance.index}")
+            if len(set(order)) != len(order):
+                raise RankingError(f"{named} repeats keys for instance {instance.index}: "
+                                   f"{list(order)}")
+            unknown = [k for k in order if k not in instance.keys]
+            if unknown:
+                raise RankingError(f"{named} names keys absent from instance {instance.index}: "
+                                   f"{unknown}")
 
     # traces[source][index] -> [p0, p1, ...]; built per instance so a failure
     # can drop the instance everywhere before anything is recorded.
@@ -219,13 +207,7 @@ def run_deletion(
         # row t - 1 drops the source's top-t keys.
         blocks = [np.ones((1, m), dtype=bool)]
         for source, per_instance in rankings.items():
-            order_keys = per_instance[instance.index].keys
-            unknown = [k for k in order_keys if k not in column]
-            if unknown:
-                raise RankingError(
-                    f"source {source!r} ranking names keys absent from instance "
-                    f"{instance.index}: {unknown}"
-                )
+            order_keys = per_instance[instance.index]
             t_max = min(max_removals, m - 1, len(order_keys))
             block = np.ones((t_max, m), dtype=bool)
             block[:, [column[k] for k in order_keys[:t_max]]] = ~np.tri(t_max, dtype=bool)
@@ -284,12 +266,9 @@ def write_curves_csv(run: DeletionRun, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["source", "step", "fraction_removed", "mean_prob", "n_instances"])
-        for source in run.curves:
-            curve = run.curves[source]
-            for t, frac, prob, count in zip(
-                curve.steps, curve.fractions, curve.mean_probs, curve.counts
-            ):
-                writer.writerow([source, t, repr(frac), repr(prob), count])
+        for source, curve in run.curves.items():
+            rows = zip(curve.steps, curve.fractions, curve.mean_probs, curve.counts)
+            writer.writerows([source, t, repr(frac), repr(prob), n] for t, frac, prob, n in rows)
 
 
 def write_curves_json(run: DeletionRun, path: str | Path) -> None:

@@ -1,9 +1,9 @@
-"""Global feature rankings and Spearman rank correlation between them."""
+"""Global feature rankings, and Spearman rank correlation of scores against an order."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -67,52 +67,26 @@ def global_ranking(results: Sequence[AttributionResult]) -> GlobalRanking:
     )
 
 
-Ranking = Union[Sequence[str], Mapping[str, float], GlobalRanking]
+def spearman_rho(scores: Mapping[str, float], order: Sequence[str]) -> float:
+    """Spearman rank correlation between key scores and an order of the same keys.
 
-
-def _rank_vector(ranking: Ranking, keys: Sequence[str]) -> np.ndarray:
-    """Ranks aligned to ``keys``; rank 1 = most important, ties share the average."""
-    if isinstance(ranking, GlobalRanking):
-        ranking = ranking.scores
-    if isinstance(ranking, Mapping):
-        scores = np.array([float(ranking[k]) for k in keys])
-        higher = (scores[None, :] > scores[:, None]).sum(axis=1)
-        tied = (scores[None, :] == scores[:, None]).sum(axis=1)
-        return higher + (tied + 1) / 2.0
-    positions = {k: i + 1 for i, k in enumerate(ranking)}
-    return np.array([positions[k] for k in keys], dtype=float)
-
-
-def _ranking_keys(ranking: Ranking) -> set[str]:
-    if isinstance(ranking, GlobalRanking):
-        return set(ranking.keys)
-    if isinstance(ranking, Mapping):
-        return set(ranking)
-    keys = list(ranking)
-    if len(set(keys)) != len(keys):
-        raise ValueError("ranking contains duplicate keys")
-    return set(keys)
-
-
-def spearman_rho(r1: Ranking, r2: Ranking) -> float:
-    """Spearman rank correlation between two rankings of the same key set.
-
-    Accepts ordered key sequences, key -> score mappings, or
-    :class:`GlobalRanking` objects; score inputs get average-rank tie
-    handling. A ranking whose keys all tie gives ``nan``.
+    ``order`` lists the keys most important first; the highest score ranks
+    first, and tied scores share their average rank. Scores that all tie give
+    ``nan``.
     """
-    keys1, keys2 = _ranking_keys(r1), _ranking_keys(r2)
-    if keys1 != keys2:
-        raise ValueError(
-            f"rankings cover different keys: only-left={sorted(keys1 - keys2)} "
-            f"only-right={sorted(keys2 - keys1)}"
-        )
-    if len(keys1) < 2:
+    if sorted(order) != sorted(scores):
+        raise ValueError(f"order {list(order)} must list each scored key once: {sorted(scores)}")
+    if len(order) < 2:
         raise ValueError("need at least 2 keys for a rank correlation")
-    keys = sorted(keys1)
-    ranks1, ranks2 = _rank_vector(r1, keys), _rank_vector(r2, keys)
-    if (ranks1 == ranks1[0]).all() or (ranks2 == ranks2[0]).all():
+    keys = sorted(scores)
+    values = np.array([float(scores[k]) for k in keys])
+    higher = (values[None, :] > values[:, None]).sum(axis=1)
+    tied = (values[None, :] == values[:, None]).sum(axis=1)
+    score_ranks = higher + (tied + 1) / 2.0
+    positions = {k: i + 1 for i, k in enumerate(order)}
+    order_ranks = np.array([positions[k] for k in keys], dtype=float)
+    if (score_ranks == score_ranks[0]).all():
         return float("nan")  # a constant ranking has no rank correlation
     # Pearson correlation of the ranks, in the column layout (and so with the
     # summation order) of scipy.stats.spearmanr.
-    return float(np.corrcoef(np.column_stack((ranks1, ranks2)), rowvar=False)[1, 0])
+    return float(np.corrcoef(np.column_stack((score_ranks, order_ranks)), rowvar=False)[1, 0])

@@ -185,6 +185,9 @@ class TestReplayAndRecording:
             ReplayBackend(store)
         with pytest.raises(BackendError):
             ReplayBackend(tmp_path / "missing.json")
+        store.write_bytes(b'{"a":\xff}\n')
+        with pytest.raises(BackendError, match="cache.json"):
+            ReplayBackend(store)
 
     def test_recording_requires_readable_json(self, tmp_path):
         store = tmp_path / "recording.json"
@@ -270,6 +273,20 @@ class TestAppendOnlyRecording:
         replay = ReplayBackend(store)
         assert all(replay.query(p, 3) == recorded[p] for p in self.PROMPTS)
 
+    def test_torn_recording_replays_without_a_write(self, tmp_path):
+        store = tmp_path / "recording.json"
+        recorded = _record(store, self.PROMPTS)
+        body = store.read_bytes()[: -len(b"}\n")]
+        last_line_start = body.rindex(b"\n", 0, len(body) - 1) + 1
+        torn = body[: last_line_start + 40]
+        store.write_bytes(torn)
+        replay = ReplayBackend(store)
+        for prompt in self.PROMPTS[:-1]:
+            assert replay.query(prompt, 3) == recorded[prompt]
+        with pytest.raises(CacheMissError):
+            replay.query(self.PROMPTS[-1], 3)
+        assert store.read_bytes() == torn
+
     def test_damage_before_the_last_line_is_still_an_error(self, tmp_path):
         store = tmp_path / "recording.json"
         _record(store, self.PROMPTS)
@@ -277,6 +294,8 @@ class TestAppendOnlyRecording:
         store.write_bytes(data.replace(b'":{', b'"#{', 1))
         with pytest.raises(BackendError, match="recording.json"):
             RecordingBackend(oracle_backend({"a": 1.0}), store)
+        with pytest.raises(BackendError, match="recording.json"):
+            ReplayBackend(store)
 
     def test_appends_to_a_pretty_printed_recording(self, tmp_path):
         store = tmp_path / "recording.json"

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from tabattr import (
     PromptTemplate,
-    RankingOrder,
     SamplingConfig,
     TokenLogprob,
     TopKDistribution,
@@ -192,7 +191,7 @@ def _deletion_case():
     instances = [make_instance(i, keys, [f"v{i}{j}" for j in range(5)]) for i in range(3)]
     rankings = {
         "random": {i.index: random_order(i, 7 + i.index) for i in instances},
-        "external": {i.index: RankingOrder(i.index, "external", keys[::-1]) for i in instances},
+        "external": {i.index: keys[::-1] for i in instances},
     }
     return instances, rankings
 
@@ -226,7 +225,7 @@ class TestOnePassPerInstance:
                                          yes_no_vmap)
             target = int(np.argmax(full))
             for source, per_instance in rankings.items():
-                order = per_instance[instance.index].keys
+                order = per_instance[instance.index]
                 expected = [float(full[target])]
                 for t in range(1, 4):
                     prompt = build_prompt(template, fields_without_keys(instance, order[:t]))

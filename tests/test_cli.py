@@ -18,6 +18,7 @@ from tabattr import (
     SyntheticBackend,
     SyntheticOracleSpec,
     VerbalizerMap,
+    cache,
     cli,
     config_fingerprint,
     curve_auc,
@@ -253,6 +254,32 @@ class TestEvaluationStore:
         assert json.loads((out / "rank_report_l1.json").read_text())["metric"] == "l1"
         assert cli.main(self._argv("deletion-curve", oracle_path, tmp_path, out,
                                    "--sources", "kl,random")) == 0
+
+    def test_each_command_decodes_the_store_once(self, oracle, tmp_path, monkeypatch, capsys):
+        _, oracle_path = oracle
+        decoded = []
+        read_store = cache._read_store
+
+        def counting_read_store(path, *args):
+            decoded.append(Path(path).name)
+            return read_store(path, *args)
+
+        monkeypatch.setattr(cache, "_read_store", counting_read_store)
+        assert cli.main(["synth-demo", "--oracle", str(oracle_path), "--max-coalitions", "10",
+                         "--n-instances", "2", "--out", str(tmp_path / "demo")]) == 0
+        assert decoded == ["evaluations.jsonl"]
+
+        out = tmp_path / "out"
+        assert cli.main(self._argv("attribute", oracle_path, tmp_path, out)) == 0
+        per_instance = tmp_path / "per_instance.json"
+        per_instance.write_text(json.dumps({"per_instance": {"0": ["f2", "f0"], "1": ["f1"]}}))
+        decoded.clear()
+        assert cli.main(self._argv("deletion-curve", oracle_path, tmp_path, out, "--sources",
+                                   "jsd,kl,l1,random,external", "--external",
+                                   str(per_instance))) == 0
+        assert decoded == ["evaluations.jsonl"]
+        traces = json.loads((out / "curves.json").read_text())["curves"]["external"]["traces"]
+        assert {index: len(trace) for index, trace in traces.items()} == {"0": 3, "1": 2}
 
     def test_killed_run_keeps_finished_instances(self, oracle, tmp_path, monkeypatch, capsys):
         _, oracle_path = oracle

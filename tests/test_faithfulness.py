@@ -5,7 +5,6 @@ import json
 import pytest
 
 from tabattr import (
-    RankingOrder,
     load_external_ranking,
     predicted_class,
     random_order,
@@ -25,7 +24,7 @@ def instances():
 def _rankings(instances):
     return {
         "random": {i.index: random_order(i, 7 + i.index) for i in instances},
-        "external": {i.index: RankingOrder(i.index, "external", KEYS[::-1]) for i in instances},
+        "external": {i.index: KEYS[::-1] for i in instances},
     }
 
 
@@ -61,6 +60,24 @@ class TestRunDeletion:
         with pytest.raises(RankingError, match="'external' has no ranking for instance 2"):
             run_deletion(instances, rankings, oracle_backend({"a": 1.0}), template, yes_no_vmap)
 
+    @pytest.mark.parametrize(
+        "order, named",
+        [((), "'external' has no ranking for instance 2"),
+         (("a", "b", "a"), "'external' repeats keys for instance 2: ['a', 'b', 'a']"),
+         (["d", "z"], "'external' names keys absent from instance 2: ['z']")],
+        ids=["empty", "repeated_key", "absent_key"],
+    )
+    def test_malformed_order_is_refused_before_any_query(
+        self, order, named, instances, template, yes_no_vmap
+    ):
+        rankings = _rankings(instances)
+        rankings["external"][2] = order
+        backend = oracle_backend({"a": 1.0})
+        with pytest.raises(RankingError) as caught:
+            run_deletion(instances, rankings, backend, template, yes_no_vmap)
+        assert named in str(caught.value)
+        assert backend.calls == 0
+
     @pytest.mark.parametrize("max_removals", [0, -1])
     def test_max_removals_below_one_is_refused(
         self, max_removals, instances, template, yes_no_vmap
@@ -72,16 +89,6 @@ class TestRunDeletion:
     def test_no_instances_is_refused(self, template, yes_no_vmap):
         with pytest.raises(ValueError, match="no instances"):
             run_deletion([], {}, oracle_backend({"a": 1.0}), template, yes_no_vmap)
-
-
-class TestRankingOrder:
-    def test_duplicate_keys_are_refused(self):
-        with pytest.raises(RankingError, match="duplicate keys in ranking for instance 4"):
-            RankingOrder(4, "external", ("a", "b", "a"))
-
-    def test_empty_ranking_is_refused(self):
-        with pytest.raises(RankingError, match="empty ranking for instance 4"):
-            RankingOrder(4, "external", ())
 
 
 class TestPredictedClass:
@@ -116,7 +123,12 @@ class TestExternalRanking:
          ({"per_instance": {"0": ["a"], "1": ["y"]}}, "unknown feature keys for instance 1"),
          ({"per_instance": {}}, "per_instance ranking is empty"),
          ({"order": ["a"]}, "expected a 'global' or 'per_instance'"),
-         (["a", "b"], "expected a 'global' or 'per_instance'")],
+         (["a", "b"], "expected a 'global' or 'per_instance'"),
+         ({"per_instance": ["a"]}, "per_instance must map instance indices to rankings"),
+         ({"global": 5}, "ranking for global must be a list of keys, got 5"),
+         ({"per_instance": {"first": ["a"]}}, "keys are not instance indices: ['first']"),
+         ({"global": "ab"}, "ranking for global must be a list of keys, got 'ab'"),
+         ({"global": ["a", "a"]}, "repeated keys in ranking for global: ['a']")],
     )
     def test_malformed_ranking_is_refused(self, payload, named, tmp_path):
         path = self._write(tmp_path, payload)
@@ -124,14 +136,26 @@ class TestExternalRanking:
             load_external_ranking(path, KEYS)
         assert str(caught.value).startswith(f"{path}: ") and named in str(caught.value)
 
-    def test_per_instance_ranking_without_the_instance_is_refused(self, tmp_path, instances):
-        ranking = load_external_ranking(self._write(tmp_path, {"per_instance": {"0": ["b"]}}), KEYS)
-        assert ranking.order_for(instances[0]).keys == ("b",)
-        with pytest.raises(RankingError, match="no entry for instance 1"):
-            ranking.order_for(instances[1])
+    def test_the_two_forms_load_as_a_tuple_and_a_dict(self, tmp_path):
+        assert load_external_ranking(self._write(tmp_path, {"global": ["d", "a"]}), KEYS) == (
+            "d", "a"
+        )
+        per_instance = {"per_instance": {"0": ["b"], "2": ["c", "a"]}}
+        assert load_external_ranking(self._write(tmp_path, per_instance), KEYS) == {
+            0: ("b",), 2: ("c", "a")
+        }
 
-    def test_key_absent_from_the_instance_is_refused(self, tmp_path):
+    def test_per_instance_ranking_without_the_instance_is_refused(
+        self, tmp_path, instances, template, yes_no_vmap
+    ):
+        ranking = load_external_ranking(self._write(tmp_path, {"per_instance": {"0": ["b"]}}), KEYS)
+        with pytest.raises(RankingError, match="'external' has no ranking for instance 1"):
+            run_deletion(instances, {"external": ranking}, oracle_backend({"a": 1.0}), template,
+                         yes_no_vmap)
+
+    def test_key_absent_from_the_instance_is_refused(self, tmp_path, template, yes_no_vmap):
         ranking = load_external_ranking(self._write(tmp_path, {"global": ["d", "a"]}), KEYS)
         narrow = make_instance(5, ("a", "b", "c"))
         with pytest.raises(RankingError, match=r"absent from instance 5: \['d'\]"):
-            ranking.order_for(narrow)
+            run_deletion([narrow], {"external": {5: ranking}}, oracle_backend({"a": 1.0}),
+                         template, yes_no_vmap)
