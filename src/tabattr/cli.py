@@ -32,6 +32,8 @@ All commands in one output directory use the instances recorded in
 become it). Without them, ``attribute`` samples ``--instances`` rows with
 ``--seed`` and enforces that sample, ``deletion-curve`` reuses the record or
 samples one, and ``compare`` reuses the record and fails without one.
+Each command checks every row of ``--dataset`` before it starts, and builds
+the instances of the selected rows only.
 
 Every command reads and fills the same evaluation store,
 ``evaluations.jsonl``, once, and scores each metric it needs from it once:
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -116,7 +119,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="tabattr",
         description="Coalition-sampling feature attribution for prompt-served tabular classifiers",
@@ -216,11 +221,10 @@ class RunSpec:
             if not isinstance(values, dict):
                 raise ConfigError(f"config file {config_path} must hold a JSON object")
         values.update((k, v) for k, v in vars(args).items() if k != "command" and v is not None)
-        hints = typing.get_type_hints(cls)
-        unknown = sorted(set(values) - set(hints))
+        unknown = sorted(set(values) - set(_FIELD_TYPES))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        spec = cls(**{key: _typed(key, hints[key], value) for key, value in values.items()})
+        spec = cls(**{key: _typed(key, _FIELD_TYPES[key], value) for key, value in values.items()})
         for count in ("instances", "n_instances", "workers", "max_removals"):
             if getattr(spec, count) < 1:
                 raise ConfigError(f"--{count.replace('_', '-')} must be >= 1")
@@ -244,6 +248,9 @@ class RunSpec:
 
     def sampling(self) -> SamplingConfig:
         return SamplingConfig(self.ratio, self.max_coalitions, self.seed, self.top_k)
+
+
+_FIELD_TYPES = typing.get_type_hints(RunSpec)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -371,10 +378,12 @@ def deletion_step(
     instances: list[TabularInstance],
     backend: Backend,
     results: dict[str, list[AttributionResult]],
+    external: tuple[str, ...] | dict[int, tuple[str, ...]] | None,
 ) -> DeletionRun:
     """A removal order per ``--sources`` entry, the deletion protocol over
     ``instances``, then ``curves.csv`` and ``curves.json``. A metric source
-    orders each instance by its scores in ``results[metric]``."""
+    orders each instance by its scores in ``results[metric]``; the external
+    source takes ``external``, one order for every instance or one per index."""
     spec = run.spec
     rankings: dict[str, dict[int, tuple[str, ...]]] = {}
     for source in spec.sources:
@@ -382,11 +391,9 @@ def deletion_step(
             rankings[source] = {r.instance_index: r.ranking() for r in results[source]}
         elif source == "random":
             rankings[source] = {i.index: random_order(i, spec.seed + i.index) for i in instances}
+        elif isinstance(external, tuple):
+            rankings[source] = {i.index: external for i in instances}
         else:
-            spec.require("external")
-            external = load_external_ranking(spec.external, instances[0].keys)
-            if isinstance(external, tuple):
-                external = {i.index: external for i in instances}
             rankings[source] = external
     deletion = run_deletion(
         instances, rankings, backend, run.template, run.vmap,
@@ -398,14 +405,11 @@ def deletion_step(
 
 
 def rank_against(
-    results: list[AttributionResult], external_path: str
+    results: list[AttributionResult], external: tuple[str, ...]
 ) -> tuple[GlobalRanking, float, list[str]]:
     """The global ranking of ``results`` and its Spearman rho against the
-    global-form ranking file ``external_path``, which must cover the same keys."""
+    ``external`` order, which must cover the same keys."""
     ranking = global_ranking(results)
-    external = load_external_ranking(external_path, ranking.keys)
-    if not isinstance(external, tuple):
-        raise ConfigError("compare needs a ranking file in the global form")
     if set(external) != set(ranking.keys):
         raise ConfigError("external ranking must cover exactly the dataset's feature keys")
     return ranking, spearman_rho(ranking.scores, external), list(external)
@@ -454,7 +458,11 @@ def cmd_deletion_curve(spec: RunSpec) -> int:
         metrics = [source for source in spec.sources if source in METRICS]
         evaluations = stored_evaluations(run, instances) if metrics else []
         results = {m: [score(e, m) for e in evaluations] for m in metrics}
-        deletion = deletion_step(run, instances, backend, results)
+        external = None
+        if "external" in spec.sources:
+            spec.require("external")
+            external = load_external_ranking(spec.external, instances[0].keys)
+        deletion = deletion_step(run, instances, backend, results, external)
     rows = [
         (source, f"{curve_auc(curve):.6f}", f"{curve.mean_probs[0]:.6f}")
         for source, curve in deletion.curves.items()
@@ -475,7 +483,10 @@ def cmd_compare(spec: RunSpec) -> int:
         raise CacheError(f"no index manifest at {manifest_path}; run `tabattr attribute` first")
     instances = [dataset[i] for i in select_indices(run, len(dataset), reuse_recorded=True)]
     results = [score(e, spec.metric) for e in stored_evaluations(run, instances)]
-    ranking, rho, external = rank_against(results, spec.external)
+    external = load_external_ranking(spec.external, instances[0].keys)
+    if not isinstance(external, tuple):
+        raise ConfigError("compare needs a ranking file in the global form")
+    ranking, rho, external = rank_against(results, external)
     _write_rank_report(run.out, ranking, rho, external)
     rows = [(i + 1, k, e) for i, (k, e) in enumerate(zip(ranking.keys, external))]
     run.finish(
@@ -518,14 +529,14 @@ def cmd_synth_demo(spec: RunSpec) -> int:
         raise ConfigError("oracle spec needs at least 2 weighted features")
     instances = synthetic_instances(oracle, spec.n_instances, spec.seed)
     backend = run.backend()
-    true_order = sorted(oracle.weights, key=lambda k: (-abs(oracle.weights[k]), k))
+    true_order = tuple(sorted(oracle.weights, key=lambda k: (-abs(oracle.weights[k]), k)))
     Path(spec.external).write_text(dump_canonical({"global": true_order}), encoding="utf-8")
 
     ensure_manifest(run.out / MANIFEST_NAME, [i.index for i in instances], spec.seed)
     evaluations = stored_evaluations(run, instances, backend)
     results = {metric: attribute_step(run, evaluations, metric) for metric in METRICS}
-    deletion = deletion_step(run, instances, backend, results)
-    ranked = {metric: rank_against(results[metric], spec.external) for metric in METRICS}
+    deletion = deletion_step(run, instances, backend, results, true_order)
+    ranked = {metric: rank_against(results[metric], true_order) for metric in METRICS}
     _write_rank_report(run.out, *ranked["jsd"])
 
     auc_rows = [(s, f"{curve_auc(c):.6f}") for s, c in deletion.curves.items()]

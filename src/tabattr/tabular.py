@@ -6,6 +6,12 @@ the same instance always yields the same prompt, and any subset (coalition)
 of its fields yields a prompt that differs from the full one only inside the
 input block.
 
+:func:`load_dataset` validates the whole file when it is loaded (header,
+schema, duplicate keys, row arity and every numeric cell) and returns a
+:class:`TabularDataset` that builds a row's :class:`TabularInstance` only
+when that row is read, so a command that reads one row of a large file
+builds one instance.
+
 :func:`build_prompts` takes an instance and a bool membership matrix, one
 row per coalition, and builds every row's prompt in one pass, framing the
 template and rendering each ``key:value`` once.
@@ -16,10 +22,10 @@ from __future__ import annotations
 import csv
 import json
 import re
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -64,21 +70,24 @@ def normalize_value(raw: str, kind: str, column: str | None = None) -> str:
         NormalizationError: if ``raw`` is empty after trimming or a numeric
             cell does not parse, naming ``column`` when given.
     """
-    where = f" in column {column!r}" if column else ""
     trimmed = raw.strip()
     if not trimmed:
-        raise NormalizationError(f"empty value{where}")
+        raise NormalizationError(f"empty value{_in_column(column)}")
     if kind == NUMERIC:
         try:
             number = float(trimmed)
             return str(int(number))
         except (ValueError, OverflowError) as exc:
             raise NormalizationError(
-                f"cannot parse numeric value {raw!r}{where}"
+                f"cannot parse numeric value {raw!r}{_in_column(column)}"
             ) from exc
     if kind == CATEGORICAL:
         return _WS_RUN.sub("_", trimmed.lower())
     raise ValueError(f"unknown column kind {kind!r}")
+
+
+def _in_column(column: str | None) -> str:
+    return f" in column {column!r}" if column else ""
 
 
 @dataclass(frozen=True)
@@ -211,15 +220,56 @@ def load_schema(path: str | Path) -> dict[str, str]:
     return dict(schema)
 
 
-def load_dataset(path: str | Path, schema: Mapping[str, str]) -> list[TabularInstance]:
-    """Load a header-rowed CSV into normalized instances.
+class TabularDataset(Sequence[TabularInstance]):
+    """The data rows of a CSV that :func:`load_dataset` has validated.
 
+    Indexing row ``i`` (negative indices count from the end) builds its
+    :class:`TabularInstance`, with its :class:`FeatureField` checks, each
+    time it is read; out-of-range indices raise :class:`IndexError`.
+    """
+
+    def __init__(
+        self,
+        rows: list[list[str]],
+        features: list[tuple[str, str, str, int]],
+        label_position: int | None,
+    ):
+        self._rows = rows
+        self._features = features  # (column, key, kind, position) in CSV order
+        self._label_position = label_position
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index: int) -> TabularInstance:
+        index = range(len(self))[index]
+        row = self._rows[index]
+        fields = []
+        for column, key, kind, position in self._features:
+            raw = row[position]
+            value = normalize_value(raw, kind, column=column) if raw.strip() else MISSING_VALUE
+            fields.append(FeatureField(key=key, value=value, raw_value=raw))
+        label = None
+        if self._label_position is not None:
+            raw_label = row[self._label_position]
+            if raw_label.strip():
+                label = normalize_value(raw_label, CATEGORICAL)
+        return TabularInstance(index=index, fields=tuple(fields), label=label)
+
+
+def load_dataset(path: str | Path, schema: Mapping[str, str]) -> TabularDataset:
+    """Load and validate a header-rowed CSV in one pass.
+
+    Every check runs on the whole file here, whichever rows are read later;
+    a row's instance is built when it is read (see :class:`TabularDataset`).
     Field order is the CSV column order (never sorted); instance index equals
     data-row position. Cells empty after trimming become ``unknown``.
 
     Raises:
         DatasetError: unreadable file, header/schema mismatch, duplicate
-            normalized keys, or row arity mismatch (reported with row number).
+            normalized keys, row arity mismatch or an unparseable numeric
+            cell (reported with row number), in file order.
+        ValueError: the schema has no feature column and the file has a row.
     """
     try:
         handle = open(path, newline="", encoding="utf-8")
@@ -245,32 +295,31 @@ def load_dataset(path: str | Path, schema: Mapping[str, str]) -> list[TabularIns
         if len(set(keys)) != len(keys):
             dupes = sorted({k for k in keys if keys.count(k) > 1})
             raise DatasetError(f"{path}: columns normalize to duplicate keys: {dupes}")
-        positions = {c: header.index(c) for c in header}
+        features = [
+            (column, key, schema[column], header.index(column))
+            for column, key in zip(feature_columns, keys)
+        ]
+        # Only a numeric cell can fail once it is non-empty.
+        numeric = [(column, position) for column, _, kind, position in features if kind == NUMERIC]
 
-        instances: list[TabularInstance] = []
-        for row_number, row in enumerate(reader):
+        rows = []
+        for row_number, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise DatasetError(
-                    f"{path}: row {row_number + 2} has {len(row)} cells, expected {len(header)}"
+                    f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}"
                 )
-            fields = []
-            for column, key in zip(feature_columns, keys):
-                raw = row[positions[column]]
-                if not raw.strip():
-                    value = MISSING_VALUE
-                else:
+            if not features:  # TabularInstance refuses a row with no field
+                raise ValueError("an instance needs at least one field")
+            for column, position in numeric:
+                raw = row[position]
+                if raw.strip():
                     try:
-                        value = normalize_value(raw, schema[column], column=column)
+                        normalize_value(raw, NUMERIC, column=column)
                     except NormalizationError as exc:
-                        raise DatasetError(f"{path}: row {row_number + 2}: {exc}") from exc
-                fields.append(FeatureField(key=key, value=value, raw_value=raw))
-            label = None
-            if label_column is not None:
-                raw_label = row[positions[label_column]]
-                if raw_label.strip():
-                    label = normalize_value(raw_label, CATEGORICAL)
-            instances.append(TabularInstance(index=row_number, fields=tuple(fields), label=label))
-    return instances
+                        raise DatasetError(f"{path}: row {row_number}: {exc}") from exc
+            rows.append(row)
+    label_position = None if label_column is None else header.index(label_column)
+    return TabularDataset(rows, features, label_position)
 
 
 def load_template(path: str | Path) -> PromptTemplate:

@@ -71,6 +71,20 @@ def yes_no_vmap() -> VerbalizerMap:
     return VerbalizerMap.from_mapping({"yes": ["yes"], "no": ["no"]})
 
 
+@pytest.fixture
+def built_rows(monkeypatch) -> list[int]:
+    """The index of every ``TabularInstance`` built while the test runs, in order."""
+    built: list[int] = []
+    check = TabularInstance.__post_init__
+
+    def counting(self):
+        built.append(self.index)
+        check(self)
+
+    monkeypatch.setattr(TabularInstance, "__post_init__", counting)
+    return built
+
+
 def topk_from(probs: dict[str, float], k: int) -> TopKDistribution:
     """Top-k candidates from token -> probability, most probable first."""
     ranked = sorted(probs.items(), key=lambda item: -item[1])

@@ -6,17 +6,25 @@ every coalition in one ``similarity_rows`` call. The plain one-prompt,
 one-answer and one-pair versions below are what those calls must reproduce
 bit for bit; tests compare against them and check the metric properties
 through them.
+
+``tabattr.load_dataset`` validates a CSV in one pass and builds each row's
+instance when it is read; :func:`load_dataset_eagerly` builds every instance
+at load, and is what the lazy loader must match row for row and error for
+error.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+import csv
+from pathlib import Path
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from tabattr import FeatureField, PromptTemplate, TabularInstance, TopKDistribution, VerbalizerMap
 from tabattr.divergence import _SUM_TOLERANCE, KL_EPSILON, LN2, METRICS
-from tabattr.errors import SerializationError
+from tabattr.errors import DatasetError, NormalizationError, SerializationError
+from tabattr.tabular import CATEGORICAL, LABEL, MISSING_VALUE, normalize_key, normalize_value
 
 
 def fields_at(instance: TabularInstance, members: Iterable[int]) -> tuple[FeatureField, ...]:
@@ -144,3 +152,57 @@ def similarity(metric: str, p_full, p_s) -> float:
     if metric == "l1":
         return 1.0 - min(l1(p_full, p_s) / 2.0, 1.0)
     raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+
+
+def load_dataset_eagerly(path: str | Path, schema: Mapping[str, str]) -> list[TabularInstance]:
+    """Load a header-rowed CSV, building every row's instance at load."""
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DatasetError(f"{path}: empty file, expected a header row") from None
+        header = [column.strip() for column in header]
+        missing = [column for column in schema if column not in header]
+        if missing:
+            raise DatasetError(f"{path}: schema columns missing from header: {missing}")
+        unknown = [column for column in header if column not in schema]
+        if unknown:
+            raise DatasetError(f"{path}: header columns not in schema: {unknown}")
+
+        feature_columns = [c for c in header if schema[c] != LABEL]
+        label_column = next((c for c in header if schema[c] == LABEL), None)
+        keys = [normalize_key(c) for c in feature_columns]
+        if len(set(keys)) != len(keys):
+            dupes = sorted({k for k in keys if keys.count(k) > 1})
+            raise DatasetError(f"{path}: columns normalize to duplicate keys: {dupes}")
+        positions = {c: header.index(c) for c in header}
+
+        instances: list[TabularInstance] = []
+        for row_number, row in enumerate(reader):
+            if len(row) != len(header):
+                raise DatasetError(
+                    f"{path}: row {row_number + 2} has {len(row)} cells, expected {len(header)}"
+                )
+            fields = []
+            for column, key in zip(feature_columns, keys):
+                raw = row[positions[column]]
+                if not raw.strip():
+                    value = MISSING_VALUE
+                else:
+                    try:
+                        value = normalize_value(raw, schema[column], column=column)
+                    except NormalizationError as exc:
+                        raise DatasetError(f"{path}: row {row_number + 2}: {exc}") from exc
+                fields.append(FeatureField(key=key, value=value, raw_value=raw))
+            label = None
+            if label_column is not None:
+                raw_label = row[positions[label_column]]
+                if raw_label.strip():
+                    label = normalize_value(raw_label, CATEGORICAL)
+            instances.append(TabularInstance(index=row_number, fields=tuple(fields), label=label))
+    return instances

@@ -131,6 +131,27 @@ class TestSynthDemoGolden:
                 assert [payload["phi"][k] for k in payload["feature_keys"]] == rescored.phi.tolist()
                 assert payload == json.loads(json.dumps(rescored.to_payload()))
 
+    def test_true_order_is_used_without_reading_it_back(
+        self, oracle, tmp_path, monkeypatch, capsys
+    ):
+        _, path = oracle
+        loaded = []
+        load = cli.load_external_ranking
+        monkeypatch.setattr(
+            cli, "load_external_ranking", lambda *args: loaded.append(args) or load(*args)
+        )
+        out = tmp_path / "out"
+        assert cli.main(["synth-demo", "--oracle", str(path), "--out", str(out),
+                         "--n-instances", "2", "--max-coalitions", "20"]) == 0
+        assert loaded == []
+        true_order = json.loads((out / "external_ranking.json").read_text())["global"]
+        assert true_order == sorted(WEIGHTS, key=lambda k: -WEIGHTS[k])
+        assert json.loads((out / "rank_report_jsd.json").read_text())["external_ranking"] == (
+            true_order
+        )
+        traces = json.loads((out / "curves.json").read_text())["curves"]["external"]["traces"]
+        assert set(traces) == {"0", "1"}
+
 
 def _tabular_inputs(tmp_path):
     dataset = tmp_path / "data.csv"
@@ -209,6 +230,56 @@ class TestIndexSelection:
         assert cli.main(argv) == 2
         assert "--indices" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestLargeDataset:
+    """Every row is checked at load; only the selected rows become instances."""
+
+    @staticmethod
+    def _inputs(tmp_path, bad_row=None):
+        rows = [f"{i},{i % 7},{i % 3}" for i in range(400)]
+        if bad_row is not None:
+            rows[bad_row] = "oops,1,2"
+        dataset = tmp_path / "big.csv"
+        dataset.write_text("f0,f1,f2\n" + "\n".join(rows) + "\n")
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"f0": "numeric", "f1": "numeric", "f2": "numeric"}))
+        return ["--dataset", str(dataset), "--schema", str(schema)]
+
+    def test_attribute_builds_only_the_selected_row(self, oracle, tmp_path, built_rows, capsys):
+        _, oracle_path = oracle
+        argv = ["attribute", *self._inputs(tmp_path), "--backend", f"synthetic:{oracle_path}",
+                "--indices", "3", "--max-coalitions", "10", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        assert built_rows == [3]
+
+    def test_bad_cell_in_an_unselected_row_exits_1(self, oracle, tmp_path, capsys):
+        _, oracle_path = oracle
+        out = tmp_path / "out"
+        argv = ["attribute", *self._inputs(tmp_path, bad_row=300), "--backend",
+                f"synthetic:{oracle_path}", "--indices", "3", "--out", str(out)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "row 302: cannot parse numeric value 'oops' in column 'f0'" in err
+        assert not (out / "index_manifest.json").exists()
+
+    def test_label_only_schema_exits_2_before_the_backend_opens(
+        self, oracle, tmp_path, monkeypatch, capsys
+    ):
+        _, oracle_path = oracle
+        dataset = tmp_path / "labels.csv"
+        dataset.write_text("y\nyes\nno\n")
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"y": "label"}))
+
+        def no_backend(run):
+            raise AssertionError("backend opened")
+
+        monkeypatch.setattr(cli.Run, "backend", no_backend)
+        argv = ["attribute", "--dataset", str(dataset), "--schema", str(schema), "--backend",
+                f"synthetic:{oracle_path}", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: an instance needs at least one field\n"
 
 
 class TestEvaluationStore:
@@ -407,6 +478,23 @@ class TestRunSpec:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_one_parser_serves_every_call_without_carrying_values(
+        self, oracle, tmp_path, capsys
+    ):
+        _, oracle_path = oracle
+        assert cli.build_parser() is cli.build_parser()
+        common = [*_tabular_inputs(tmp_path), "--backend", f"synthetic:{oracle_path}",
+                  "--max-coalitions", "10", "--indices", "0"]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli.main(["attribute", *common, "--metric", "kl", "--out", str(first)]) == 0
+        assert cli.main(["attribute", *common, "--out", str(second)]) == 0
+        assert json.loads((second / "run_manifest.json").read_text())["config"]["metric"] == "jsd"
+        assert [p.name for p in second.glob("results_*.json")] == ["results_jsd.json"]
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["attribute", "--metric", "bogus"])
+        assert usage.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_synth_demo_manifest_records_what_ran(self, oracle, tmp_path):
         _, path = oracle

@@ -24,6 +24,7 @@ GONE = {
 }
 
 LIVE = {
+    "tabattr.cli.load_dataset",
     "tabattr.cli.run_deletion",
     "tabattr.cli.global_ranking",
     "tabattr.cli.spearman_rho",

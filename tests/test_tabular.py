@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tabattr import (
     FeatureField,
@@ -19,6 +20,7 @@ from tabattr import (
 )
 from tabattr.errors import DatasetError, NormalizationError, SerializationError
 from conftest import ADULT_KEYS, make_instance
+from reference import load_dataset_eagerly
 
 
 def parse_features(serialized: str) -> list[tuple[str, str]]:
@@ -245,6 +247,89 @@ class TestLoadDataset:
         _write_csv(path, [["a"], ["oops"]])
         with pytest.raises(DatasetError, match="row 2"):
             load_dataset(path, {"a": "numeric"})
+
+
+COLUMN_NAMES = st.sampled_from(["a", "A", "b b", "b_b", "c:d", "c_d", "Age", " ", "x"])
+COLUMN_KINDS = st.sampled_from(["numeric", "categorical", "label"])
+CELLS = st.sampled_from(
+    ["", "  ", "12", " 3.7 ", "-0.5", "1e3", "1e400", "inf", "nan", "abc", "Never  Worked",
+     "x:y", "1,5", "Tab\tHere"]
+)
+
+
+@st.composite
+def csv_files(draw):
+    """A header, a schema that mostly matches it, and rows of mostly the right width."""
+    header = draw(st.lists(COLUMN_NAMES, min_size=1, max_size=5, unique=True))
+    schema = {name.strip(): draw(COLUMN_KINDS) for name in header}
+    change = draw(st.sampled_from(["none"] * 6 + ["drop", "add"]))
+    if change == "drop":
+        schema.pop(next(iter(schema)))
+    elif change == "add":
+        schema["extra"] = "numeric"
+    widths = st.sampled_from([len(header)] * 8 + [len(header) - 1, len(header) + 1])
+    rows = draw(st.lists(widths.flatmap(lambda n: st.lists(CELLS, min_size=n, max_size=n)),
+                         max_size=6))
+    empty_file = draw(st.sampled_from([False] * 19 + [True]))
+    return ([] if empty_file else [header] + rows), schema
+
+
+def _loaded(load, path, schema):
+    """Every row's instance as a list, or the type and message of the load error."""
+    try:
+        dataset = load(path, schema)
+    except Exception as exc:  # the comparison covers every error the loaders raise
+        return type(exc), str(exc)
+    return [dataset[i] for i in range(len(dataset))]
+
+
+class TestLazyDataset:
+    """``load_dataset`` validates every row at load and builds a row's instance when read."""
+
+    @settings(max_examples=300)
+    @given(case=csv_files())
+    def test_matches_the_eager_reference(self, case, tmp_path_factory):
+        lines, schema = case
+        path = tmp_path_factory.getbasetemp() / "generated.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(lines)
+        expected = _loaded(load_dataset_eagerly, path, schema)
+        assert _loaded(load_dataset, path, schema) == expected
+        if isinstance(expected, list):
+            dataset = load_dataset(path, schema)
+            assert list(dataset) == expected
+            assert [dataset[i - len(expected)] for i in range(len(expected))] == expected
+
+    def test_rows_are_built_when_read(self, toy_csv, built_rows):
+        csv_path, schema_path = toy_csv
+        dataset = load_dataset(csv_path, load_schema(schema_path))
+        assert (len(dataset), built_rows) == (3, [])
+        assert dataset[1].keys == ("age", "work_class")
+        assert built_rows == [1]
+
+    def test_negative_indices_count_from_the_end(self, toy_csv):
+        csv_path, schema_path = toy_csv
+        dataset = load_dataset(csv_path, load_schema(schema_path))
+        assert dataset[-1] == dataset[2] and dataset[-1].index == 2
+        assert dataset[-3] == dataset[0]
+
+    @pytest.mark.parametrize("index", [3, 30, -4])
+    def test_out_of_range_index_raises_index_error(self, toy_csv, index):
+        csv_path, schema_path = toy_csv
+        with pytest.raises(IndexError):
+            load_dataset(csv_path, load_schema(schema_path))[index]
+
+    def test_bad_cell_in_any_row_fails_at_load(self, tmp_path):
+        path = tmp_path / "d.csv"
+        _write_csv(path, [["a", "b"]] + [["1", "x"]] * 50 + [["oops", "x"]])
+        with pytest.raises(DatasetError, match=r"row 52: cannot parse numeric value 'oops'"):
+            load_dataset(path, {"a": "numeric", "b": "categorical"})
+
+    def test_label_only_schema_fails_at_load(self, tmp_path):
+        path = tmp_path / "d.csv"
+        _write_csv(path, [["y"], ["yes"], ["no"]])
+        with pytest.raises(ValueError, match="an instance needs at least one field"):
+            load_dataset(path, {"y": "label"})
 
 
 class TestSchemaAndTemplateFiles:
