@@ -20,10 +20,12 @@ with a new ``}\n``; the file is never rewritten, so N responses cost O(N)
 bytes. Recordings in any other JSON layout, such as pretty-printed ones,
 are read and appended to the same way.
 
-:class:`HttpBackend` speaks HTTP/1.1 through the standard library's
-``http.client`` over a pool of kept-alive connections. Unlike a full HTTP
-client it ignores ``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY`` and
-``.netrc``, and it follows no redirects: a 3xx answer is a
+:class:`HttpBackend` speaks a minimal HTTP/1.1 over a pool of kept-alive
+sockets, TLS-wrapped for ``https``: one write per request, sent with
+``Accept-Encoding: identity``, and a response body framed by
+``Content-Length``, by chunked transfer coding or by the server closing.
+Unlike a full HTTP client it ignores ``HTTP_PROXY``, ``HTTPS_PROXY``,
+``NO_PROXY`` and ``.netrc``, and it follows no redirects: a 3xx answer is a
 :class:`ProtocolError`.
 """
 
@@ -31,10 +33,9 @@ from __future__ import annotations
 
 import abc
 import hashlib
-import http.client
 import json
 import math
-import ssl
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -313,7 +314,8 @@ class RecordingBackend(Backend):
     Appends are serialized through a lock. Each is one write of one line over
     the closing brace, at an offset tracked here, so earlier bytes are never
     touched and a crash can tear at most the last line, which the next open
-    drops.
+    drops. The file stays open, unbuffered, from the first append until
+    :meth:`close`.
     """
 
     def __init__(self, inner: Backend, path: str | Path):
@@ -322,6 +324,7 @@ class RecordingBackend(Backend):
         self.path = Path(path)
         self._write_lock = threading.Lock()
         self._store, self._brace = _open_recording(self.path)
+        self._file = None
 
     def _fetch(self, prompt: str, k: int) -> TopKDistribution:
         digest = prompt_digest(prompt, k)
@@ -342,28 +345,140 @@ class RecordingBackend(Backend):
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self.path.write_bytes(b"{\n}\n")
             self._brace = 2
+        if self._file is None:
+            self._file = open(self.path, "r+b", buffering=0)
         line = json.dumps({digest: payload}, separators=(",", ":"))[1:-1].encode("ascii")
         data = (b"," if self._store else b"") + line + b"\n}\n"
-        with open(self.path, "r+b") as handle:
-            handle.seek(self._brace)
-            handle.write(data)
+        self._file.seek(self._brace)
+        if self._file.write(data) != len(data):
+            raise BackendError(f"short write to recording {self.path}")
         self._brace += len(data) - 2
 
     def close(self) -> None:
+        if self._file is not None:
+            self._file.close()
+            self._file = None
         self.inner.close()
 
 
-class HttpBackend(Backend):
-    """POST client for the logprob service.
+#: Longest status, header or chunk-size line read, and most header lines per
+#: response; the limits ``http.client`` applies.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
 
-    Each request runs on a kept-alive connection from an idle pool that grows
-    to the number of threads querying at once; the caller bounds those, as
-    :func:`evaluate_prompts` does with ``workers``. Retries transport failures, 5xx
-    and 429 responses with exponential backoff; a 429 whose ``Retry-After``
-    gives delta-seconds waits that long instead, at most ``timeout``. Other
-    non-200 responses and malformed bodies raise :class:`ProtocolError`
-    immediately. A query that fails after all retries raises
-    :class:`BackendUnavailableError`.
+
+class _MalformedResponse(Exception):
+    """A response whose framing cannot be read; retried like a dropped connection."""
+
+
+def _read_line(reader) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise _MalformedResponse("response line longer than 64 KiB")
+    return line
+
+
+def _read_chunked(reader) -> bytes:
+    chunks = []
+    while True:
+        line = _read_line(reader)
+        try:
+            size = int(line.partition(b";")[0], 16)
+        except ValueError:
+            size = -1
+        if size < 0:
+            raise _MalformedResponse(f"bad chunk size line {line[:40]!r}")
+        if not size:
+            break
+        chunk = reader.read(size + 2)  # the data and its CRLF
+        if len(chunk) < size + 2:
+            raise _MalformedResponse("chunked body ended early")
+        chunks.append(chunk[:size])
+    while _read_line(reader) not in (b"\r\n", b"\n", b""):  # trailer fields
+        pass
+    return b"".join(chunks)
+
+
+def _read_response(reader) -> tuple[int, str, bytes, bool]:
+    """One response from ``reader``: its status, ``Retry-After``, body, and
+    whether the connection can carry another request.
+
+    Interim 1xx responses are skipped. Only the headers that frame the body or
+    that the retry policy reads are looked at."""
+    while True:
+        line = _read_line(reader)
+        if not line:
+            raise ConnectionResetError("server closed the connection without a response")
+        version, _, rest = line.partition(b" ")
+        code = rest[:3]
+        if not (version.startswith(b"HTTP/1.") and code.isdigit() and rest[3:4].isspace()):
+            raise _MalformedResponse(f"bad status line {line[:40]!r}")
+        length = encoding = None
+        connection, retry_after, count = b"", b"", 0
+        while (line := _read_line(reader)) not in (b"\r\n", b"\n", b""):
+            count += 1
+            if count > _MAX_HEADERS:
+                raise _MalformedResponse(f"more than {_MAX_HEADERS} headers")
+            name, _, value = line.partition(b":")
+            name = name.lower()
+            if name == b"content-length":
+                length = value.strip()
+            elif name == b"transfer-encoding":
+                encoding = value.strip().lower()
+            elif name == b"connection":
+                connection = value.lower()
+            elif name == b"retry-after":
+                retry_after = value.strip()
+        status = int(code)
+        if status >= 200:
+            break
+    tokens = {token.strip() for token in connection.split(b",")}
+    keep_alive = b"close" not in tokens and (version != b"HTTP/1.0" or b"keep-alive" in tokens)
+    if status in (204, 304):
+        content = b""
+    elif encoding is not None and encoding.rpartition(b",")[2].strip() == b"chunked":
+        content = _read_chunked(reader)
+    elif length is not None and encoding is None:
+        if not length.isdigit():
+            raise _MalformedResponse(f"bad Content-Length {length[:40]!r}")
+        size = int(length)
+        content = reader.read(size)
+        if len(content) < size:
+            raise _MalformedResponse(f"body ended after {len(content)} of {size} bytes")
+    else:
+        content, keep_alive = reader.read(), False
+    return status, retry_after.decode("latin-1"), content, keep_alive
+
+
+class _Connection:
+    """One socket to the endpoint and the buffered reader over it."""
+
+    __slots__ = ("sock", "reader")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+
+class HttpBackend(Backend):
+    """POST client for the logprob service, speaking HTTP/1.1 over sockets.
+
+    Each request is one write of a head built once plus the JSON body, sent
+    with ``Accept-Encoding: identity`` on a kept-alive connection from an idle
+    pool that grows to the number of threads querying at once; the caller
+    bounds those, as :func:`evaluate_prompts` does with ``workers``. A response
+    body is read by ``Content-Length``, by ``Transfer-Encoding: chunked``, or
+    until the server closes; ``Connection: close``, and an HTTP/1.0 answer
+    without ``keep-alive``, end the connection. Retries transport failures,
+    malformed framing, 5xx and 429 responses with exponential backoff; a 429
+    whose ``Retry-After`` gives delta-seconds waits that long instead, at most
+    ``timeout``. Other non-200 responses, 3xx included, and malformed bodies
+    raise :class:`ProtocolError` immediately. A query that fails after all
+    retries raises :class:`BackendUnavailableError`.
     """
 
     def __init__(
@@ -388,24 +503,56 @@ class HttpBackend(Backend):
             raise ConfigError(
                 f"http backend needs an http(s) URL without credentials, got {endpoint!r}"
             )
-        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        self._host = url.netloc
-        self._context = ssl.create_default_context() if url.scheme == "https" else None
+        default_port = 443 if url.scheme == "https" else 80
+        path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         try:
-            self._idle = [self._connection()]
-        except http.client.InvalidURL as exc:
+            port = default_port if url.port is None else url.port
+            if not (path.isascii() and path.isprintable()) or " " in path:
+                raise ValueError("the path must be printable ASCII without spaces")
+            host = url.hostname.encode("idna").decode("ascii")
+        except ValueError as exc:
             raise ConfigError(f"malformed http endpoint {endpoint!r}: {exc}") from exc
+        self._address = (url.hostname, port)
+        if ":" in host:
+            host = f"[{host}]"
+        if port != default_port:
+            host = f"{host}:{port}"
+        self._head = (
+            f"POST {path} HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\n"
+            "Content-Type: application/json\r\nContent-Length: "
+        ).encode("ascii")
+        self._tls = None
+        if url.scheme == "https":
+            import ssl  # only https endpoints pay for importing it
 
-    def _connection(self) -> http.client.HTTPConnection:
-        """A new, not yet connected, connection to the endpoint's host."""
-        if self._context is None:
-            return http.client.HTTPConnection(self._host, timeout=self.timeout)
-        return http.client.HTTPSConnection(self._host, timeout=self.timeout, context=self._context)
+            self._tls = ssl.create_default_context()
+        self._idle: list[_Connection] = []
 
-    def _exchange(self, conn: http.client.HTTPConnection, body: bytes) -> tuple[int, str, bytes]:
-        conn.request("POST", self._path, body, {"Content-Type": "application/json"})
-        response = conn.getresponse()
-        return response.status, response.getheader("Retry-After", "").strip(), response.read()
+    def _connect(self) -> _Connection:
+        sock = socket.create_connection(self._address, self.timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+        except BaseException:
+            sock.close()
+            raise
+        return _Connection(sock)
+
+    def _exchange(self, conn: _Connection, request: bytes) -> tuple[int, str, bytes]:
+        """Send ``request`` and read the answer; ``conn`` goes back to the idle
+        pool if it can carry another request and is closed otherwise."""
+        try:
+            conn.sock.sendall(request)
+            status, retry_after, content, keep_alive = _read_response(conn.reader)
+        except BaseException:
+            conn.close()
+            raise
+        if keep_alive:
+            self._idle.append(conn)
+        else:
+            conn.close()
+        return status, retry_after, content
 
     def _post(self, body: bytes) -> tuple[int, str, bytes]:
         """One POST on a pooled connection: status, ``Retry-After`` and body.
@@ -413,24 +560,17 @@ class HttpBackend(Backend):
         A kept-alive connection that the server closed while it sat idle fails
         on first use; it is reopened at once, not counted as a failed attempt.
         """
+        request = b"%s%d\r\n\r\n%s" % (self._head, len(body), body)
         try:
             conn = self._idle.pop()
         except IndexError:
-            conn = self._connection()
-        try:
-            reused = conn.sock is not None
+            pass
+        else:
             try:
-                return self._exchange(conn, body)
+                return self._exchange(conn, request)
             except (BrokenPipeError, ConnectionResetError):
-                if not reused:
-                    raise
-                conn.close()
-                return self._exchange(conn, body)
-        except BaseException:
-            conn.close()
-            raise
-        finally:
-            self._idle.append(conn)
+                pass
+        return self._exchange(self._connect(), request)
 
     def _fetch(self, prompt: str, k: int) -> TopKDistribution:
         body = json.dumps({"prompt": prompt, "top_k": k}).encode("utf-8")
@@ -443,7 +583,7 @@ class HttpBackend(Backend):
                 retry_after = None
             try:
                 status, delay, content = self._post(body)
-            except (OSError, http.client.HTTPException) as exc:
+            except (OSError, _MalformedResponse) as exc:
                 last_error = exc
                 continue
             if status == 429 or 500 <= status < 600:
@@ -464,8 +604,8 @@ class HttpBackend(Backend):
         )
 
     def close(self) -> None:
-        for conn in self._idle:
-            conn.close()
+        while self._idle:
+            self._idle.pop().close()
 
 
 BACKEND_KINDS = ("http", "replay", "synthetic")

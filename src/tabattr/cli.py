@@ -451,7 +451,8 @@ def cmd_attribute(spec: RunSpec) -> int:
 
 
 def cmd_deletion_curve(spec: RunSpec) -> int:
-    run = Run.open("deletion-curve", spec, "dataset", "schema", "backend")
+    external_source = ("external",) if "external" in spec.sources else ()
+    run = Run.open("deletion-curve", spec, "dataset", "schema", "backend", *external_source)
     dataset = load_dataset(spec.dataset, load_schema(spec.schema))
     with run.backend() as backend:
         instances = [dataset[i] for i in select_indices(run, len(dataset), reuse_recorded=True)]
@@ -459,8 +460,7 @@ def cmd_deletion_curve(spec: RunSpec) -> int:
         evaluations = stored_evaluations(run, instances) if metrics else []
         results = {m: [score(e, m) for e in evaluations] for m in metrics}
         external = None
-        if "external" in spec.sources:
-            spec.require("external")
+        if external_source:
             external = load_external_ranking(spec.external, instances[0].keys)
         deletion = deletion_step(run, instances, backend, results, external)
     rows = [

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
+import shutil
 import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -162,9 +165,9 @@ class TestReplayAndRecording:
     def test_record_then_replay_bit_exact(self, tmp_path):
         store = tmp_path / "cache.json"
         live = oracle_backend({"a": 1.0})
-        recorder = RecordingBackend(live, store)
-        first = recorder.query("a:1 b:2", 7)
-        second = recorder.query("a:1 b:2", 7)
+        with RecordingBackend(live, store) as recorder:
+            first = recorder.query("a:1 b:2", 7)
+            second = recorder.query("a:1 b:2", 7)
         assert live.calls == 1  # second hit served from the store
         replay = ReplayBackend(store)
         assert replay.query("a:1 b:2", 7) == first == second
@@ -213,8 +216,8 @@ class _CountingBackend(tabattr.Backend):
 
 
 def _record(path, prompts):
-    recorder = RecordingBackend(oracle_backend({"a": 1.0, "b": -0.5}), path)
-    return {p: recorder.query(p, 3) for p in prompts}
+    with RecordingBackend(oracle_backend({"a": 1.0, "b": -0.5}), path) as recorder:
+        return {p: recorder.query(p, 3) for p in prompts}
 
 
 class TestAppendOnlyRecording:
@@ -230,26 +233,26 @@ class TestAppendOnlyRecording:
             return int(fields["wchar"])
 
         store = tmp_path / "recording.json"
-        recorder = RecordingBackend(oracle_backend({"a": 1.0}), store)
-        recorder.query("a:0", 3)
-        inode = store.stat().st_ino
-        before = written()
-        previous = store.read_bytes()
-        for i in range(1, 2000):
-            recorder.query(f"a:{i}", 3)
-            current = store.read_bytes()
-            brace = previous.rindex(b"}")
-            assert current[:brace] == previous[:brace]
-            assert current.endswith(b"\n}\n")
-            previous = current
-        total = written() - before
-        assert store.stat().st_ino == inode
-        # Rewriting the store on every response would write about 1000 times
-        # the final file size; appending writes it once.
-        assert total < 2 * len(previous)
-        assert len(json.loads(previous)) == 2000
-        replay = ReplayBackend(store)
-        assert replay.query("a:1999", 3) == recorder.query("a:1999", 3)
+        with RecordingBackend(oracle_backend({"a": 1.0}), store) as recorder:
+            recorder.query("a:0", 3)
+            inode = store.stat().st_ino
+            before = written()
+            previous = store.read_bytes()
+            for i in range(1, 2000):
+                recorder.query(f"a:{i}", 3)
+                current = store.read_bytes()
+                brace = previous.rindex(b"}")
+                assert current[:brace] == previous[:brace]
+                assert current.endswith(b"\n}\n")
+                previous = current
+            total = written() - before
+            assert store.stat().st_ino == inode
+            # Rewriting the store on every response would write about 1000
+            # times the final file size; appending writes it once.
+            assert total < 2 * len(previous)
+            assert len(json.loads(previous)) == 2000
+            replay = ReplayBackend(store)
+            assert replay.query("a:1999", 3) == recorder.query("a:1999", 3)
 
     @pytest.mark.parametrize("damage", ["cut_in_last_line", "closing_brace_missing"])
     def test_torn_last_append_is_repaired_on_open(self, damage, tmp_path):
@@ -265,9 +268,9 @@ class TestAppendOnlyRecording:
             store.write_bytes(body)
             requeried = []
         live = _CountingBackend(oracle_backend({"a": 1.0, "b": -0.5}))
-        recorder = RecordingBackend(live, store)
-        for prompt in self.PROMPTS:
-            assert recorder.query(prompt, 3) == recorded[prompt]
+        with RecordingBackend(live, store) as recorder:
+            for prompt in self.PROMPTS:
+                assert recorder.query(prompt, 3) == recorded[prompt]
         assert live.prompts == requeried
         assert len(json.loads(store.read_bytes())) == len(self.PROMPTS)
         replay = ReplayBackend(store)
@@ -303,8 +306,8 @@ class TestAppendOnlyRecording:
         pretty = {prompt_digest(p, 3): old.query(p, 3).to_payload() for p in self.PROMPTS[:3]}
         store.write_text(dump_canonical(pretty), encoding="utf-8")
         live = _CountingBackend(oracle_backend({"a": 1.0, "b": -0.5}))
-        recorder = RecordingBackend(live, store)
-        answers = {p: recorder.query(p, 3) for p in self.PROMPTS}
+        with RecordingBackend(live, store) as recorder:
+            answers = {p: recorder.query(p, 3) for p in self.PROMPTS}
         assert live.prompts == self.PROMPTS[3:]
         replay = ReplayBackend(store)
         assert {p: replay.query(p, 3) for p in self.PROMPTS} == answers
@@ -315,8 +318,8 @@ class TestAppendOnlyRecording:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            recorder = RecordingBackend(oracle_backend({"a": 1.0, "b": -0.5}), store)
-            answers = evaluate_prompts(recorder, prompts, 3, workers=16)
+            with RecordingBackend(oracle_backend({"a": 1.0, "b": -0.5}), store) as recorder:
+                answers = evaluate_prompts(recorder, prompts, 3, workers=16)
         finally:
             sys.setswitchinterval(interval)
         replay = ReplayBackend(store)
@@ -340,10 +343,11 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         type(self).requests_seen.append(json.loads(self.rfile.read(length)))
         status, body, *headers = self.script.pop(0) if self.script else (200, b"{}")
         self.send_response(status)
-        for name, value in (headers[0] if headers else {}).items():
-            self.send_header(name, value)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        # Scripted headers replace the defaults; a None value leaves one out.
+        sent = {"Content-Type": "application/json", "Content-Length": str(len(body))}
+        for name, value in {**sent, **(headers[0] if headers else {})}.items():
+            if value is not None:
+                self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
@@ -387,12 +391,18 @@ class _KeepAliveHandler(BaseHTTPRequestHandler):
 
 
 @contextmanager
-def _serving(handler):
+def _serving(handler, tls=None):
+    """Serve ``handler`` on a localhost port; ``tls`` is a server-side
+    ``ssl.SSLContext`` that makes it an https endpoint."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    scheme = "http"
+    if tls is not None:
+        server.socket = tls.wrap_socket(server.socket, server_side=True)
+        scheme = "https"
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        yield f"http://127.0.0.1:{server.server_address[1]}/logprobs"
+        yield f"{scheme}://127.0.0.1:{server.server_address[1]}/logprobs"
     finally:
         server.shutdown()
         server.server_close()
@@ -496,11 +506,11 @@ class TestHttpBackend:
             (200, _ok_body([{"token": "x", "logprob": -1.0}])),
         ]
         record = tmp_path / "rec.json"
-        backend = open_backend(*parse_backend(endpoint), record=str(record))
-        live = backend.query("p", 1)
-        assert ReplayBackend(record).query("p", 1) == live
-        # second call replays without touching the network
-        assert backend.query("p", 1) == live
+        with open_backend(*parse_backend(endpoint), record=str(record)) as backend:
+            live = backend.query("p", 1)
+            assert ReplayBackend(record).query("p", 1) == live
+            # second call replays without touching the network
+            assert backend.query("p", 1) == live
         assert len(handler.requests_seen) == 1
 
 
@@ -557,7 +567,9 @@ class TestPooledConnections:
         assert answers["a:11"] == keep_alive_handler.oracle.query("a:11", 2)
 
     @pytest.mark.parametrize(
-        "endpoint", ["http:localhost:80", "ftp://host/x", "http://h:x/", "https://u:p@host/"]
+        "endpoint",
+        ["http:localhost:80", "ftp://host/x", "http://h:x/", "https://u:p@host/",
+         "http://h:99999/", "http://h/a b", "http://h/\x7f", f"http://{'a' * 70}.com/"],
     )
     def test_malformed_endpoint_is_a_config_error(self, endpoint):
         with pytest.raises(ConfigError):
@@ -571,6 +583,234 @@ class TestPooledConnections:
     def test_invalid_setting_is_a_config_error(self, setting, named):
         with pytest.raises(ConfigError, match=named):
             HttpBackend("http://127.0.0.1:9/logprobs", **setting)
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Every socket the client under test opens, in order."""
+    sockets = []
+    create = socket.create_connection
+
+    def recording(*args, **kwargs):
+        sockets.append(create(*args, **kwargs))
+        return sockets[-1]
+
+    monkeypatch.setattr(socket, "create_connection", recording)
+    return sockets
+
+
+class _FakeSocket:
+    """A connected socket's stand-in: keeps what is sent and answers with
+    canned bytes."""
+
+    def __init__(self, response: bytes):
+        self.response = response
+        self.sent: list[bytes] = []
+        self.closed = False
+
+    def setsockopt(self, *args):
+        pass
+
+    def sendall(self, data):
+        self.sent.append(bytes(data))
+
+    def makefile(self, mode, *args, **kwargs):
+        return io.BytesIO(self.response)
+
+    def close(self):
+        self.closed = True
+
+
+@pytest.fixture
+def fake_sockets(monkeypatch):
+    """Make each connection the client opens a :class:`_FakeSocket` answering
+    with the next of the given responses; returns those sockets."""
+
+    def install(*responses):
+        sockets = [_FakeSocket(r) for r in responses]
+        pending = iter(sockets)
+        monkeypatch.setattr(socket, "create_connection", lambda *args, **kwargs: next(pending))
+        return sockets
+
+    return install
+
+
+def _chunked(body: bytes, size: int = 7) -> bytes:
+    """``body`` in chunked transfer coding, with chunk extensions and a trailer."""
+    chunks = (body[i:i + size] for i in range(0, len(body), size))
+    return b"".join(b"%x;n=1\r\n%s\r\n" % (len(c), c) for c in chunks) + b"0\r\nX-Sum: 1\r\n\r\n"
+
+
+_ANSWER = [{"token": " yes", "logprob": -0.1}, {"token": " no", "logprob": -2.4}]
+
+
+class TestResponseFraming:
+    """Bodies framed by length, by chunks and by the server closing; broken framing."""
+
+    def test_chunked_bodies_on_one_kept_alive_connection(self, http_server, opened):
+        _, handler = http_server
+
+        class Http11(handler):
+            protocol_version = "HTTP/1.1"
+
+        handler.script = [
+            (200, _chunked(_ok_body(_ANSWER)), {"Transfer-Encoding": "chunked",
+                                                "Content-Length": None}),
+        ] * 2
+        with _serving(Http11) as endpoint, HttpBackend(endpoint, retries=0) as backend:
+            answers = [backend.query(f"p{i}", 2) for i in range(2)]
+        assert [e.token for e in answers[1].entries] == [" yes", " no"]
+        assert answers[0] == answers[1]
+        assert len(opened) == 1
+
+    def test_close_delimited_http_1_0_body(self, http_server, opened):
+        endpoint, handler = http_server
+        handler.script = [(200, _ok_body(_ANSWER), {"Content-Length": None})] * 2
+        with HttpBackend(endpoint, retries=0) as backend:
+            assert [e.token for e in backend.query("p", 2).entries] == [" yes", " no"]
+            assert opened[0].fileno() == -1
+            backend.query("q", 2)
+        assert len(opened) == 2
+
+    def test_connection_close_opens_a_new_connection_without_a_retry(
+        self, http_server, opened
+    ):
+        _, handler = http_server
+
+        class Http11(handler):
+            protocol_version = "HTTP/1.1"
+
+        handler.script = [(200, _ok_body(_ANSWER), {"Connection": "close"})] * 3
+        # With no retry budget a spent attempt fails the query; a backoff sleep
+        # would outlast the time limit.
+        with _serving(Http11) as endpoint, \
+                HttpBackend(endpoint, retries=0, backoff=60.0) as backend:
+            started = time.monotonic()
+            for i in range(3):
+                backend.query(f"p{i}", 2)
+                # Closed on reading the header, not kept idle until it fails.
+                assert [s.fileno() for s in opened] == [-1] * (i + 1)
+            assert time.monotonic() - started < 30.0
+        assert len(handler.requests_seen) == 3
+
+    @pytest.mark.parametrize(
+        "headers",
+        [{"Content-Length": "4096"}, {"X-Long": "a" * 70_000},
+         {f"X-Field-{i}": "1" for i in range(101)}],
+        ids=["short_body", "line_over_64_KiB", "over_100_headers"],
+    )
+    def test_broken_framing_is_retried_then_unavailable(self, headers, http_server, opened):
+        endpoint, handler = http_server
+        handler.script = [(200, _ok_body(_ANSWER), headers)] * 2
+        started = time.monotonic()
+        with HttpBackend(endpoint, retries=1, backoff=0.01, timeout=20.0) as backend:
+            with pytest.raises(BackendUnavailableError):
+                backend.query("p", 2)
+        assert time.monotonic() - started < 15.0
+        assert len(handler.requests_seen) == 2
+        assert len(opened) == 2
+
+    @pytest.mark.parametrize(
+        "response",
+        [b"HTTP/1.1 OK\r\n\r\n", b"ICY 200 OK\r\n\r\n", b"HTTP/1.1 2000 OK\r\n\r\n",
+         b"HTTP/1.1 200 OK\r\nContent-Length: ten\r\n\r\n",
+         b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
+         b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-5\r\nabc",
+         b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n10\r\nabc"],
+    )
+    def test_malformed_response_is_retried(self, response, fake_sockets):
+        sockets = fake_sockets(response, response)
+        with HttpBackend("http://tabattr.invalid/x", retries=1, backoff=0.0) as backend:
+            with pytest.raises(BackendUnavailableError):
+                backend.query("p", 2)
+        assert all(s.sent and s.closed for s in sockets)
+
+    def test_interim_response_is_skipped(self, fake_sockets):
+        body = _ok_body(_ANSWER)
+        response = b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s"
+        fake_sockets(response % (len(body), body))
+        with HttpBackend("http://tabattr.invalid/x", retries=0) as backend:
+            assert backend.query("p", 2).entries[0].token == " yes"
+
+    def test_each_request_is_one_write(self, fake_sockets):
+        body = _ok_body(_ANSWER)
+        response = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+        (sock,) = fake_sockets(response * 3)
+        with HttpBackend("http://tabattr.invalid:8080/v1/x?a=1", retries=0) as backend:
+            for i in range(3):
+                backend.query(f"prompt {i}", 2)
+        assert len(sock.sent) == 3
+        for i, request in enumerate(sock.sent):
+            head, _, sent_body = request.partition(b"\r\n\r\n")
+            lines = head.split(b"\r\n")
+            assert lines[0] == b"POST /v1/x?a=1 HTTP/1.1"
+            assert b"Host: tabattr.invalid:8080" in lines
+            assert b"Accept-Encoding: identity" in lines
+            assert b"Content-Length: %d" % len(sent_body) in lines
+            assert json.loads(sent_body) == {"prompt": f"prompt {i}", "top_k": 2}
+
+
+@pytest.fixture(scope="module")
+def tls_server(tmp_path_factory):
+    """A throwaway self-signed certificate for 127.0.0.1 and a server-side
+    context that presents it."""
+    openssl = shutil.which("openssl")
+    if openssl is None:
+        pytest.skip("needs the openssl command to make a certificate")
+    folder = tmp_path_factory.mktemp("tls")
+    cert, key = folder / "cert.pem", folder / "key.pem"
+    subprocess.run(
+        [openssl, "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1",
+         "-nodes", "-keyout", str(key), "-out", str(cert), "-days", "1",
+         "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1"],
+        check=True, capture_output=True, timeout=60,
+    )
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    return cert, context
+
+
+class TestHttps:
+    def test_round_trip_to_a_trusted_local_server(
+        self, keep_alive_handler, tls_server, monkeypatch
+    ):
+        cert, context = tls_server
+        monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+        with _serving(keep_alive_handler, tls=context) as endpoint, \
+                HttpBackend(endpoint, retries=0) as backend:
+            answers = [backend.query(f"a:{i}", 2) for i in range(3)]
+        assert answers[2] == keep_alive_handler.oracle.query("a:2", 2)
+        assert keep_alive_handler.connections == 1
+
+    def test_untrusted_certificate_is_unavailable(
+        self, keep_alive_handler, tls_server, monkeypatch
+    ):
+        _, context = tls_server
+        monkeypatch.setenv("SSL_CERT_FILE", os.devnull)
+        monkeypatch.setenv("SSL_CERT_DIR", os.devnull)
+        with _serving(keep_alive_handler, tls=context) as endpoint, \
+                HttpBackend(endpoint, retries=0) as backend:
+            with pytest.raises(BackendUnavailableError, match="CERTIFICATE_VERIFY_FAILED"):
+                backend.query("a:1", 2)
+        assert keep_alive_handler.answered == 0
+
+
+def test_import_loads_no_http_library_and_ssl_only_for_https():
+    script = (
+        "import sys, tabattr.cli\n"
+        "loaded = lambda: sorted({'http.client', 'email', 'ssl'} & set(sys.modules))\n"
+        "print(loaded())\n"
+        "tabattr.HttpBackend('http://127.0.0.1:9/x')\n"
+        "print(loaded())\n"
+        "tabattr.HttpBackend('https://127.0.0.1:9/x')\n"
+        "print(loaded())\n"
+    )
+    src = str(Path(tabattr.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout.split("\n") == ["[]", "[]", "['ssl']", ""]
 
 
 class TestBackendDescriptor:

@@ -540,14 +540,23 @@ class TestRefusedBeforeWriting:
     @pytest.mark.parametrize(
         "extra, named",
         [(["--sources", ""], "--sources"), (["--sources", "jsd,shap"], "'shap'"),
-         (["--max-removals", "0"], "--max-removals")],
+         (["--max-removals", "0"], "--max-removals"),
+         # An external source needs the ranking file it names.
+         (["--sources", "external"], "--external"),
+         (["--sources", "jsd,external"], "--external"),
+         (["--sources", "random,external"], "--external")],
     )
-    def test_deletion_curve_sources_and_removals(self, extra, named, oracle, tmp_path, capsys):
+    def test_deletion_curve_sources_and_removals(
+        self, extra, named, oracle, tmp_path, monkeypatch, capsys
+    ):
         _, oracle_path = oracle
         out = tmp_path / "out"
+        fetched = TestEvaluationStore._counting(monkeypatch)
         argv = ["deletion-curve", *_tabular_inputs(tmp_path), "--backend",
                 f"synthetic:{oracle_path}", "--out", str(out), *extra]
         self._refused(argv, named, out, capsys)
+        assert not out.exists()
+        assert fetched == []
 
     @pytest.mark.parametrize(
         "backend, named",

@@ -31,6 +31,7 @@ LIVE = {
     "tabattr.faithfulness.evaluate_prompts",
     "tabattr.backends.ReplayBackend.__init__",
     "tabattr.backends.RecordingBackend._fetch",
+    "tabattr.backends.HttpBackend._fetch",
 }
 
 
