@@ -13,6 +13,11 @@ Three interchangeable implementations sit behind one query interface:
 Wrapping any live backend in :class:`RecordingBackend` persists every
 response so the run can later be replayed bit-exactly.
 
+:func:`evaluate_prompts` queries a batch with at most ``workers`` requests in
+flight. A request waiting out a backoff step or a ``Retry-After`` before its
+retry holds no slot: the query pauses through the ``wait`` callable it is
+given, which gives the slot back for the pause.
+
 A recording is one JSON object mapping prompt digest to response. Each new
 response is appended as one compact line, ``"<digest>":{...}`` (with a
 leading comma after the first), written over the closing brace together
@@ -41,7 +46,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 from urllib.parse import urlsplit
 
 from .errors import (
@@ -120,7 +125,10 @@ class Backend(abc.ABC):
     """Common query contract. Subclasses implement :meth:`_fetch`.
 
     ``calls`` counts completed queries; replay and synthetic backends are
-    otherwise immutable and safe to share across threads.
+    otherwise immutable and safe to share across threads. A query that has to
+    pause between attempts, as :class:`HttpBackend` does before a retry, calls
+    the ``wait`` it was given with the seconds to pause instead of sleeping
+    itself, so a caller can lend its concurrency slot out for the pause.
     """
 
     def __init__(self):
@@ -131,18 +139,20 @@ class Backend(abc.ABC):
     def calls(self) -> int:
         return self._calls
 
-    def query(self, prompt: str, k: int) -> TopKDistribution:
+    def query(
+        self, prompt: str, k: int, wait: Callable[[float], None] = time.sleep
+    ) -> TopKDistribution:
         if not prompt:
             raise ValueError("prompt must be non-empty")
         if k < 1:
             raise ValueError("k must be >= 1")
-        result = self._fetch(prompt, k)
+        result = self._fetch(prompt, k, wait)
         with self._calls_lock:
             self._calls += 1
         return result
 
     @abc.abstractmethod
-    def _fetch(self, prompt: str, k: int) -> TopKDistribution:
+    def _fetch(self, prompt: str, k: int, wait: Callable[[float], None]) -> TopKDistribution:
         ...
 
     def close(self) -> None:
@@ -232,7 +242,7 @@ class SyntheticBackend(Backend):
             block = prompt[start:end] if end >= 0 else prompt[start:]
         return {tok.partition(":")[0] for tok in block.split() if ":" in tok}
 
-    def _fetch(self, prompt: str, k: int) -> TopKDistribution:
+    def _fetch(self, prompt: str, k: int, wait: Callable[[float], None]) -> TopKDistribution:
         p_pos = self.spec.positive_probability(self.present_keys(prompt))
         pos, neg = self.spec.classes
         ranked = sorted(
@@ -283,7 +293,7 @@ class ReplayBackend(Backend):
         self.path = Path(path)
         self._store, _, _ = _parse_recording(self.path)
 
-    def _fetch(self, prompt: str, k: int) -> TopKDistribution:
+    def _fetch(self, prompt: str, k: int, wait: Callable[[float], None]) -> TopKDistribution:
         digest = prompt_digest(prompt, k)
         payload = self._store.get(digest)
         if payload is None:
@@ -326,13 +336,13 @@ class RecordingBackend(Backend):
         self._store, self._brace = _open_recording(self.path)
         self._file = None
 
-    def _fetch(self, prompt: str, k: int) -> TopKDistribution:
+    def _fetch(self, prompt: str, k: int, wait: Callable[[float], None]) -> TopKDistribution:
         digest = prompt_digest(prompt, k)
         with self._write_lock:
             cached = self._store.get(digest)
         if cached is not None:
             return TopKDistribution.from_payload(cached, k=k)
-        result = self.inner.query(prompt, k)
+        result = self.inner.query(prompt, k, wait)
         payload = result.to_payload()
         with self._write_lock:
             if digest not in self._store:
@@ -469,16 +479,17 @@ class HttpBackend(Backend):
 
     Each request is one write of a head built once plus the JSON body, sent
     with ``Accept-Encoding: identity`` on a kept-alive connection from an idle
-    pool that grows to the number of threads querying at once; the caller
+    pool that grows to the number of requests in flight at once; the caller
     bounds those, as :func:`evaluate_prompts` does with ``workers``. A response
     body is read by ``Content-Length``, by ``Transfer-Encoding: chunked``, or
     until the server closes; ``Connection: close``, and an HTTP/1.0 answer
     without ``keep-alive``, end the connection. Retries transport failures,
     malformed framing, 5xx and 429 responses with exponential backoff; a 429
     whose ``Retry-After`` gives delta-seconds waits that long instead, at most
-    ``timeout``. Other non-200 responses, 3xx included, and malformed bodies
-    raise :class:`ProtocolError` immediately. A query that fails after all
-    retries raises :class:`BackendUnavailableError`.
+    ``timeout``. Each pause is one call of the query's ``wait``, during which
+    no connection is held. Other non-200 responses, 3xx included, and
+    malformed bodies raise :class:`ProtocolError` immediately. A query that
+    fails after all retries raises :class:`BackendUnavailableError`.
     """
 
     def __init__(
@@ -572,14 +583,14 @@ class HttpBackend(Backend):
                 pass
         return self._exchange(self._connect(), request)
 
-    def _fetch(self, prompt: str, k: int) -> TopKDistribution:
+    def _fetch(self, prompt: str, k: int, wait: Callable[[float], None]) -> TopKDistribution:
         body = json.dumps({"prompt": prompt, "top_k": k}).encode("utf-8")
         last_error: Exception | None = None
         retry_after: float | None = None
         for attempt in range(self.retries + 1):
             if attempt:
                 step = self.backoff * 2 ** (attempt - 1)
-                time.sleep(step if retry_after is None else retry_after)
+                wait(step if retry_after is None else retry_after)
                 retry_after = None
             try:
                 status, delay, content = self._post(body)
@@ -646,10 +657,42 @@ def open_backend(
     return backend
 
 
+class _Slots:
+    """Permits for the requests in flight. A query taking its permit back
+    after a wait goes before the queries not yet started; those would
+    otherwise win each race for a freed permit and hold the retry back until
+    the batch runs out of prompts."""
+
+    def __init__(self, count: int):
+        self._free = count
+        self._returning = 0
+        self._changed = threading.Condition()
+
+    def take(self, returning: bool = False) -> None:
+        with self._changed:
+            self._returning += returning
+            self._changed.wait_for(lambda: self._free and (returning or not self._returning))
+            self._free -= 1
+            self._returning -= returning
+
+    def give(self) -> None:
+        with self._changed:
+            self._free += 1
+            self._changed.notify_all()
+
+
 def evaluate_prompts(
     backend: Backend, prompts: Sequence[str], k: int, workers: int = 1
 ) -> dict[str, TopKDistribution]:
-    """Query each distinct prompt once, optionally with a bounded thread pool.
+    """Query each distinct prompt once, with at most ``workers`` requests in flight.
+
+    With one worker the prompts are queried in turn in the calling thread.
+    With more, ``2 * workers`` threads share ``workers`` permits. A query holds
+    a permit while it runs, but not while it waits out a backoff step or a
+    ``Retry-After`` between attempts: it gives the permit back for the wait,
+    so another prompt uses the slot meanwhile, and takes one again before it
+    retries, ahead of the prompts not yet started. A query that raises cancels
+    the prompts not yet started, and its error is raised here.
 
     The result is keyed by prompt, so aggregation downstream is independent
     of completion order.
@@ -657,6 +700,22 @@ def evaluate_prompts(
     unique = list(dict.fromkeys(prompts))
     if workers <= 1 or len(unique) <= 1:
         return {p: backend.query(p, k) for p in unique}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda p: backend.query(p, k), unique))
+    slots = _Slots(workers)
+
+    def wait(seconds: float) -> None:
+        slots.give()
+        try:
+            time.sleep(seconds)
+        finally:
+            slots.take(returning=True)
+
+    def query(prompt: str) -> TopKDistribution:
+        slots.take()
+        try:
+            return backend.query(prompt, k, wait)
+        finally:
+            slots.give()
+
+    with ThreadPoolExecutor(max_workers=2 * workers) as pool:
+        results = list(pool.map(query, unique))
     return dict(zip(unique, results))

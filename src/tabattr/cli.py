@@ -20,8 +20,9 @@ also serve as the verbalizer when ``--verbalizer`` is not given). A malformed
 spec, or ``--record`` with a backend other than http, exits 2 before the
 output directory is made. The environment variable ``TABATTR_ENDPOINT``
 replaces the URL of an http backend and leaves other kinds alone.
-``--workers`` is the number of backend requests in flight at once, and the
-only bound on it.
+``--workers`` bounds the backend requests in flight at once, and is the only
+bound on them. A request waiting out a backoff or ``Retry-After`` before its
+retry holds no slot, so another request goes out meanwhile.
 
 ``--external`` names a ranking file: ``{"global": [keys]}``, or, for
 ``deletion-curve`` only, ``{"per_instance": {"<index>": [keys]}}``.
@@ -111,7 +112,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--instances", type=int, help="number of instances to sample")
     parser.add_argument("--indices", help="explicit comma-separated instance indices")
-    parser.add_argument("--workers", type=int, help="backend requests in flight at once")
+    parser.add_argument(
+        "--workers", type=int,
+        help="most backend requests in flight at once; one waiting to retry holds no slot",
+    )
     parser.add_argument("--max-removals", type=int, dest="max_removals")
     parser.add_argument("--record", help="record live http responses to this replay file")
     parser.add_argument("--timeout", type=float, help="http timeout in seconds")

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import socket
+import threading
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -111,10 +116,10 @@ class FlakyBackend(Backend):
         self.inner = inner
         self.poison = poison
 
-    def _fetch(self, prompt, k):
+    def _fetch(self, prompt, k, wait):
         if self.poison in prompt:
             raise BackendError(f"injected failure for {self.poison!r}")
-        return self.inner.query(prompt, k)
+        return self.inner.query(prompt, k, wait)
 
 
 def brute_force_raw_phi(instance, backend, template, vmap, metric="jsd"):
@@ -134,3 +139,66 @@ def brute_force_raw_phi(instance, backend, template, vmap, metric="jsd"):
         without_j = [v for s, v in sims.items() if j not in s]
         raw.append(sum(with_j) / len(with_j) - sum(without_j) / len(without_j))
     return np.array(raw)
+
+
+class KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 oracle answers; counts the TCP connections it accepts."""
+
+    protocol_version = "HTTP/1.1"
+    oracle = oracle_backend({"a": 1.0})
+    connections = 0
+    answered = 0
+    close_after_answer = False
+    counts_lock = threading.Lock()
+
+    def setup(self):
+        super().setup()
+        # Headers and body go out in two writes; without this the body waits
+        # for the client's delayed acknowledgement.
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with self.counts_lock:
+            type(self).connections += 1
+
+    def do_POST(self):
+        self.answer(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
+        # Close without a "Connection: close" header, as an idle timeout would.
+        self.close_connection = self.close_after_answer
+
+    def answer(self, request: dict) -> None:
+        """Send the oracle's answer to one decoded request body."""
+        topk = self.oracle.query(request["prompt"], request["top_k"])
+        self.reply(200, json.dumps(topk.to_payload()).encode())
+        with self.counts_lock:
+            type(self).answered += 1
+
+    def reply(self, status: int, body: bytes, headers: dict[str, str] | None = None) -> None:
+        self.send_response(status)
+        for name, value in {"Content-Type": "application/json",
+                            "Content-Length": str(len(body)), **(headers or {})}.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextmanager
+def serving(handler, tls=None):
+    """Serve ``handler`` on a localhost port; ``tls`` is a server-side
+    ``ssl.SSLContext`` that makes it an https endpoint."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    scheme = "http"
+    if tls is not None:
+        server.socket = tls.wrap_socket(server.socket, server_side=True)
+        scheme = "https"
+    # shutdown() waits for serve_forever to notice it, up to one poll interval.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        yield f"{scheme}://127.0.0.1:{server.server_address[1]}/logprobs"
+    finally:
+        server.shutdown()
+        server.server_close()

@@ -36,9 +36,9 @@ class PromptLog(Backend):
         self.inner = inner
         self.prompts: list[str] = []
 
-    def _fetch(self, prompt, k):
+    def _fetch(self, prompt, k, wait):
         self.prompts.append(prompt)
-        return self.inner.query(prompt, k)
+        return self.inner.query(prompt, k, wait)
 
 
 class TestCoalitionRows:

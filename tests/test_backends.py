@@ -11,8 +11,7 @@ import subprocess
 import sys
 import threading
 import time
-from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import pytest
@@ -41,7 +40,7 @@ from tabattr.errors import (
     ProtocolError,
 )
 from tabattr._json_io import dump_canonical
-from conftest import logistic, oracle_backend, topk_from
+from conftest import KeepAliveHandler, logistic, oracle_backend, serving, topk_from
 
 
 class TestWireTypes:
@@ -210,9 +209,9 @@ class _CountingBackend(tabattr.Backend):
         self.inner = inner
         self.prompts = []
 
-    def _fetch(self, prompt, k):
+    def _fetch(self, prompt, k, wait):
         self.prompts.append(prompt)
-        return self.inner.query(prompt, k)
+        return self.inner.query(prompt, k, wait)
 
 
 def _record(path, prompts):
@@ -355,70 +354,17 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         pass
 
 
-class _KeepAliveHandler(BaseHTTPRequestHandler):
-    """HTTP/1.1 oracle answers; counts the TCP connections it accepts."""
-
-    protocol_version = "HTTP/1.1"
-    oracle = oracle_backend({"a": 1.0})
-    connections = 0
-    answered = 0
-    close_after_answer = False
-    counts_lock = threading.Lock()
-
-    def setup(self):
-        super().setup()
-        # Headers and body go out in two writes; without this the body waits
-        # for the client's delayed acknowledgement.
-        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        with self.counts_lock:
-            type(self).connections += 1
-
-    def do_POST(self):
-        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        body = json.dumps(self.oracle.query(request["prompt"], request["top_k"]).to_payload())
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body.encode())
-        with self.counts_lock:
-            type(self).answered += 1
-        # Close without a "Connection: close" header, as an idle timeout would.
-        self.close_connection = self.close_after_answer
-
-    def log_message(self, *args):
-        pass
-
-
-@contextmanager
-def _serving(handler, tls=None):
-    """Serve ``handler`` on a localhost port; ``tls`` is a server-side
-    ``ssl.SSLContext`` that makes it an https endpoint."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    scheme = "http"
-    if tls is not None:
-        server.socket = tls.wrap_socket(server.socket, server_side=True)
-        scheme = "https"
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"{scheme}://127.0.0.1:{server.server_address[1]}/logprobs"
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
 @pytest.fixture
 def http_server():
     _ScriptedHandler.script = []
     _ScriptedHandler.requests_seen = []
-    with _serving(_ScriptedHandler) as endpoint:
+    with serving(_ScriptedHandler) as endpoint:
         yield endpoint, _ScriptedHandler
 
 
 @pytest.fixture
 def keep_alive_handler():
-    class Handler(_KeepAliveHandler):
+    class Handler(KeepAliveHandler):
         pass
 
     return Handler
@@ -516,7 +462,7 @@ class TestHttpBackend:
 
 class TestPooledConnections:
     def test_sequential_queries_share_one_connection(self, keep_alive_handler):
-        with _serving(keep_alive_handler) as endpoint, HttpBackend(endpoint, retries=0) as backend:
+        with serving(keep_alive_handler) as endpoint, HttpBackend(endpoint, retries=0) as backend:
             answers = [backend.query(f"a:{i}", 2) for i in range(50)]
         assert keep_alive_handler.answered == 50
         assert keep_alive_handler.connections == 1
@@ -526,7 +472,7 @@ class TestPooledConnections:
         keep_alive_handler.close_after_answer = True
         # With no retry budget, a reopen that spent an attempt would fail the
         # query; a backoff sleep would outlast the time limit.
-        with _serving(keep_alive_handler) as endpoint, \
+        with serving(keep_alive_handler) as endpoint, \
                 HttpBackend(endpoint, retries=0, backoff=60.0) as backend:
             started = time.monotonic()
             for i in range(20):
@@ -540,7 +486,7 @@ class TestPooledConnections:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with _serving(keep_alive_handler) as endpoint, \
+            with serving(keep_alive_handler) as endpoint, \
                     HttpBackend(endpoint, retries=0) as backend:
                 answers = evaluate_prompts(backend, prompts, 2, workers=3)
         finally:
@@ -560,7 +506,7 @@ class TestPooledConnections:
 
         keep_alive_handler.do_POST = do_post_when_all_arrived
         prompts = [f"a:{i}" for i in range(12)]
-        with _serving(keep_alive_handler) as endpoint, \
+        with serving(keep_alive_handler) as endpoint, \
                 HttpBackend(endpoint, retries=0, timeout=20.0) as backend:
             answers = evaluate_prompts(backend, prompts, 2, workers=12)
         assert keep_alive_handler.connections == 12
@@ -583,6 +529,118 @@ class TestPooledConnections:
     def test_invalid_setting_is_a_config_error(self, setting, named):
         with pytest.raises(ConfigError, match=named):
             HttpBackend("http://127.0.0.1:9/logprobs", **setting)
+
+
+@pytest.fixture
+def retry_handler(keep_alive_handler):
+    class Handler(keep_alive_handler):
+        """Sends the failures scripted for a prompt at once, then oracle
+        answers held ``hold`` seconds, and logs each arrival and answer."""
+
+        script: dict[str, list[tuple]] = {}  # prompt -> [(status, body[, headers])]
+        hold = 0.0
+        in_flight = 0
+        # (monotonic time, prompt, status or None for an arrival, requests in flight)
+        events: list[tuple[float, str, int | None, int]] = []
+
+        def answer(self, request):
+            cls, prompt = type(self), request["prompt"]
+            with self.counts_lock:
+                cls.in_flight += 1
+                cls.events.append((time.monotonic(), prompt, None, cls.in_flight))
+                failure = self.script[prompt].pop(0) if self.script.get(prompt) else None
+            if failure is None:
+                time.sleep(self.hold)
+            # Counted out before the answer goes out, so the client cannot
+            # have sent its next request yet.
+            with self.counts_lock:
+                cls.in_flight -= 1
+                status = 200 if failure is None else failure[0]
+                cls.events.append((time.monotonic(), prompt, status, cls.in_flight))
+            if failure is None:
+                super().answer(request)
+            else:
+                self.reply(*failure)
+
+    return Handler
+
+
+def _attempts(events, prompt) -> list[tuple[float, int | None]]:
+    """(time, status or None for an arrival) of each event of ``prompt``, in order."""
+    return [(t, status) for t, p, status, _ in events if p == prompt]
+
+
+_BUSY = (503, b"busy")
+
+
+class TestSlotsDuringBackoff:
+    """``workers`` bounds the requests in flight; a query waiting to retry holds no slot."""
+
+    def test_a_backoff_holds_no_slot(self, retry_handler):
+        backoff = 0.6
+        retry_handler.script = {"a:0": [_BUSY]}
+        retry_handler.hold = 0.03
+        prompts = [f"a:{i}" for i in range(80)]
+        with serving(retry_handler) as endpoint, \
+                HttpBackend(endpoint, retries=1, backoff=backoff) as backend:
+            answers = evaluate_prompts(backend, prompts, 2, workers=2)
+        assert answers["a:0"] == retry_handler.oracle.query("a:0", 2)
+        (_, _), (failed, status), (retried, _), (_, _) = _attempts(retry_handler.events, "a:0")
+        assert status == 503
+        assert retried - failed >= backoff
+        # While a:0 waits, the other prompts keep both slots busy.
+        arrivals = [(t, n) for t, _, status, n in retry_handler.events if status is None]
+        assert max(n for t, n in arrivals if failed < t < retried) == 2
+        # Once the wait is over, the retry takes the next free slot, ahead of
+        # the prompts not yet started (the second half of them here).
+        assert sum(failed + backoff < t < retried for t, _ in arrivals) <= 6
+
+    def test_workers_bound_requests_in_flight_through_retries(self, retry_handler):
+        retry_handler.script = {
+            "a:1": [_BUSY], "a:4": [_BUSY, _BUSY], "a:9": [_BUSY],
+            "a:13": [(429, b"slow down", {"Retry-After": "1"})],
+        }
+        retry_handler.hold = 0.02
+        prompts = [f"a:{i}" for i in range(60)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with serving(retry_handler) as endpoint, \
+                    HttpBackend(endpoint, retries=2, backoff=0.1) as backend:
+                answers = evaluate_prompts(backend, prompts, 2, workers=3)
+        finally:
+            sys.setswitchinterval(interval)
+        events = retry_handler.events
+        assert max(n for *_, n in events) <= 3
+        assert retry_handler.connections <= 3
+        assert answers == {p: retry_handler.oracle.query(p, 2) for p in prompts}
+        assert sorted(p for _, p, status, _ in events if status == 200) == sorted(prompts)
+        # The same attempts as a serial run: one more per scripted failure.
+        assert sum(status is None for _, _, status, _ in events) == len(prompts) + 5
+        # Each retry waits out its backoff step, or the Retry-After instead.
+        for prompt, waits in (("a:1", [0.1]), ("a:4", [0.1, 0.2]), ("a:13", [1.0])):
+            times = [t for t, _ in _attempts(events, prompt)]
+            # arrival, failure, arrival, ..., answer: each failure to the next arrival
+            assert [later - answered >= wait for answered, later, wait
+                    in zip(times[1::2], times[2::2], waits)] == [True] * len(waits)
+
+    @pytest.mark.parametrize(
+        "failures, error",
+        [([(404, b"nope")], ProtocolError), ([_BUSY] * 2, BackendUnavailableError)],
+    )
+    def test_a_failed_query_raises_and_cancels_the_prompts_not_started(
+        self, retry_handler, failures, error
+    ):
+        retry_handler.script = {"a:0": failures}
+        retry_handler.hold = 0.2
+        prompts = [f"a:{i}" for i in range(60)]
+        with serving(retry_handler) as endpoint, \
+                HttpBackend(endpoint, retries=1, backoff=0.05) as backend:
+            with pytest.raises(error):
+                evaluate_prompts(backend, prompts, 2, workers=3)
+        started = {p for _, p, status, _ in retry_handler.events if status is None}
+        assert "a:0" in started
+        assert len(started) < len(prompts) // 2
 
 
 @pytest.fixture
@@ -657,7 +715,7 @@ class TestResponseFraming:
             (200, _chunked(_ok_body(_ANSWER)), {"Transfer-Encoding": "chunked",
                                                 "Content-Length": None}),
         ] * 2
-        with _serving(Http11) as endpoint, HttpBackend(endpoint, retries=0) as backend:
+        with serving(Http11) as endpoint, HttpBackend(endpoint, retries=0) as backend:
             answers = [backend.query(f"p{i}", 2) for i in range(2)]
         assert [e.token for e in answers[1].entries] == [" yes", " no"]
         assert answers[0] == answers[1]
@@ -683,7 +741,7 @@ class TestResponseFraming:
         handler.script = [(200, _ok_body(_ANSWER), {"Connection": "close"})] * 3
         # With no retry budget a spent attempt fails the query; a backoff sleep
         # would outlast the time limit.
-        with _serving(Http11) as endpoint, \
+        with serving(Http11) as endpoint, \
                 HttpBackend(endpoint, retries=0, backoff=60.0) as backend:
             started = time.monotonic()
             for i in range(3):
@@ -776,7 +834,7 @@ class TestHttps:
     ):
         cert, context = tls_server
         monkeypatch.setenv("SSL_CERT_FILE", str(cert))
-        with _serving(keep_alive_handler, tls=context) as endpoint, \
+        with serving(keep_alive_handler, tls=context) as endpoint, \
                 HttpBackend(endpoint, retries=0) as backend:
             answers = [backend.query(f"a:{i}", 2) for i in range(3)]
         assert answers[2] == keep_alive_handler.oracle.query("a:2", 2)
@@ -788,7 +846,7 @@ class TestHttps:
         _, context = tls_server
         monkeypatch.setenv("SSL_CERT_FILE", os.devnull)
         monkeypatch.setenv("SSL_CERT_DIR", os.devnull)
-        with _serving(keep_alive_handler, tls=context) as endpoint, \
+        with serving(keep_alive_handler, tls=context) as endpoint, \
                 HttpBackend(endpoint, retries=0) as backend:
             with pytest.raises(BackendUnavailableError, match="CERTIFICATE_VERIFY_FAILED"):
                 backend.query("a:1", 2)
@@ -869,7 +927,7 @@ class TestEndpointOverride:
         monkeypatch.delenv(cli.ENDPOINT_ENV, raising=False)
         assert cli.main(self._argv(tmp_path, dead, "unset")) == 1
         assert "unreachable" in capsys.readouterr().err
-        with _serving(keep_alive_handler) as endpoint:
+        with serving(keep_alive_handler) as endpoint:
             monkeypatch.setenv(cli.ENDPOINT_ENV, endpoint)
             assert cli.main(self._argv(tmp_path, dead, "set")) == 0
         # Two rows of M=2: the full prompt and two single-field coalitions each.

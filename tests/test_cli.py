@@ -27,7 +27,7 @@ from tabattr import (
 )
 from tabattr.errors import BackendError
 from tabattr.faithfulness import DeletionCurve
-from conftest import brute_force_raw_phi
+from conftest import KeepAliveHandler, brute_force_raw_phi, serving
 from reference import build_prompt, fields_at
 
 WEIGHTS = {"f0": 0.9, "f1": 2.0, "f2": 0.3, "f3": 1.4, "f4": 0.6, "f5": 0.15}
@@ -64,9 +64,9 @@ class TestSynthDemoGolden:
         fetched: list[str] = []
         fetch = SyntheticBackend._fetch
 
-        def counting_fetch(self, prompt, k):
+        def counting_fetch(self, prompt, k, wait):
             fetched.append(prompt)
-            return fetch(self, prompt, k)
+            return fetch(self, prompt, k, wait)
 
         deletion_starts_at = []
         run_deletion = cli.run_deletion
@@ -295,9 +295,9 @@ class TestEvaluationStore:
         fetched: list[str] = []
         fetch = SyntheticBackend._fetch
 
-        def counting_fetch(self, prompt, k):
+        def counting_fetch(self, prompt, k, wait):
             fetched.append(prompt)
-            return fetch(self, prompt, k)
+            return fetch(self, prompt, k, wait)
 
         monkeypatch.setattr(SyntheticBackend, "_fetch", counting_fetch)
         return fetched
@@ -360,10 +360,10 @@ class TestEvaluationStore:
             "import os, signal, sys\n"
             "from tabattr import SyntheticBackend, cli\n"
             "fetch = SyntheticBackend._fetch\n"
-            "def dying(self, prompt, k):\n"
+            "def dying(self, prompt, k, wait):\n"
             "    if 'f0:4' in prompt:\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
-            "    return fetch(self, prompt, k)\n"
+            "    return fetch(self, prompt, k, wait)\n"
             "SyntheticBackend._fetch = dying\n"
             "sys.exit(cli.main(sys.argv[1:]))\n"
         )
@@ -664,10 +664,10 @@ class TestRunErrors:
         _, oracle_path = oracle
         fetch = SyntheticBackend._fetch
 
-        def failing_on_row_1(self, prompt, k):
+        def failing_on_row_1(self, prompt, k, wait):
             if "f0:4" in prompt:
                 raise BackendError("injected failure")
-            return fetch(self, prompt, k)
+            return fetch(self, prompt, k, wait)
 
         monkeypatch.setattr(SyntheticBackend, "_fetch", failing_on_row_1)
         out = tmp_path / "out"
@@ -677,6 +677,53 @@ class TestRunErrors:
         assert cli.main(argv) == 1
         assert "dropped=1" in capsys.readouterr().out
         assert json.loads((out / "curves.json").read_text())["dropped_instances"] == [1]
+
+
+class TestRetriedHttpRun:
+    def test_two_workers_over_a_flaky_endpoint_write_the_serial_run_files(
+        self, oracle, tmp_path, capsys
+    ):
+        spec, oracle_path = oracle
+
+        class Flaky(KeepAliveHandler):
+            """The oracle over HTTP, answering every 5th request with a 503;
+            a retry is always answered, so no query runs out of retries."""
+
+            oracle = SyntheticBackend(spec)
+            requests = 0
+            failed: set[str] = set()
+
+            def answer(self, request):
+                cls = type(self)
+                with self.counts_lock:
+                    cls.requests += 1
+                    busy = cls.requests % 5 == 0 and request["prompt"] not in cls.failed
+                    if busy:
+                        cls.failed.add(request["prompt"])
+                if busy:
+                    self.reply(503, b"busy")
+                else:
+                    super().answer(request)
+
+        vmap = tmp_path / "vmap.json"
+        vmap.write_text(json.dumps({"yes": ["yes"], "no": ["no"]}))
+        recording = tmp_path / "recording.json"
+
+        def attribute(backend, out, *extra):
+            argv = ["attribute", *_tabular_inputs(tmp_path), "--verbalizer", str(vmap),
+                    "--indices", "0,1,2", "--seed", "5", "--backend", backend,
+                    "--out", str(tmp_path / out), *extra]
+            assert cli.main(argv) == 0
+            return [(tmp_path / out / name).read_bytes()
+                    for name in ("results_jsd.json", "evaluations.jsonl")]
+
+        serial = attribute(f"synthetic:{oracle_path}", "serial", "--workers", "1")
+        with serving(Flaky) as endpoint:
+            recorded = attribute(endpoint, "recorded", "--workers", "2",
+                                 "--record", str(recording))
+        assert len(Flaky.failed) >= 2
+        assert recorded == serial
+        assert attribute(f"replay:{recording}", "replayed", "--workers", "2") == serial
 
 
 def test_cli_import_loads_neither_scipy_nor_an_http_library():
