@@ -10,6 +10,13 @@ Three interchangeable implementations sit behind one query interface:
 * :class:`SyntheticBackend` is an analytic logistic oracle used for tests
   and demos, with no network at all.
 
+Every answer is a :class:`TopKDistribution`, checked by one loop over its
+entries as they are built: the oracle's two entries, the entries converted
+from an HTTP body or from a recording served by replay or by a recording's
+cache hit. Those entries are built without their own :class:`TokenLogprob`
+check, which that loop makes. The oracle finds a feature key by its
+``" key:"`` needle in the prompt's input block, normalized once per prompt.
+
 Wrapping any live backend in :class:`RecordingBackend` persists every
 response so the run can later be replayed bit-exactly.
 
@@ -54,60 +61,120 @@ from .errors import (
     BackendUnavailableError,
     CacheMissError,
     ConfigError,
+    NormalizationError,
     ProtocolError,
 )
+from .tabular import normalize_key
 
 _EXP_SUM_TOLERANCE = 1e-6
+_NEG_INF = float("-inf")
+# Build frozen dataclasses without running their __init__ and __post_init__.
+_new = object.__new__
+_setattr = object.__setattr__
+
+
+def _check_logprob(token: str, logprob: float) -> None:
+    if not math.isfinite(logprob) and logprob != _NEG_INF:
+        raise ValueError(f"logprob for {token!r} must be finite or -inf")
+    if logprob > 0:
+        raise ValueError(f"logprob for {token!r} is positive: {logprob}")
 
 
 @dataclass(frozen=True)
 class TokenLogprob:
-    """One next-token candidate, surface form preserved exactly."""
+    """One next-token candidate, surface form preserved exactly.
+
+    Built directly, it checks its own logprob: finite or ``-inf``, and at
+    most 0. The backends build the entries of an answer unchecked and leave
+    that check to :class:`TopKDistribution`'s loop, which runs next.
+    """
 
     token: str
     logprob: float
 
     def __post_init__(self):
-        if not math.isfinite(self.logprob) and self.logprob != float("-inf"):
-            raise ValueError(f"logprob for {self.token!r} must be finite or -inf")
-        if self.logprob > 0:
-            raise ValueError(f"logprob for {self.token!r} is positive: {self.logprob}")
+        _check_logprob(self.token, self.logprob)
+
+
+def _entry(token: str, logprob: float) -> TokenLogprob:
+    """A :class:`TokenLogprob` built without its own check, for a value that
+    :func:`_checked_entries` checks next."""
+    entry = _new(TokenLogprob)
+    _setattr(entry, "token", token)
+    _setattr(entry, "logprob", logprob)
+    return entry
+
+
+def _checked_entries(entries: Iterable[TokenLogprob], k: int) -> tuple[TokenLogprob, ...]:
+    """``entries`` as a tuple, each checked as the one loop reads it.
+
+    A logprob that is NaN, ``+inf`` or positive raises at once, with the
+    message :class:`TokenLogprob` gives it. The checks on the whole answer
+    follow the loop, in this order: ``k >= 1``, at most ``k`` entries,
+    entries non-increasing, and a mass (their probabilities summed in entry
+    order) of at most ``1 + 1e-6``.
+    """
+    kept = []
+    previous, total, unsorted = 0.0, 0, False
+    for entry in entries:
+        logprob = entry.logprob
+        if not logprob <= 0.0:
+            _check_logprob(entry.token, logprob)
+        if logprob > previous:
+            unsorted = True
+        previous = logprob
+        total += math.exp(logprob)
+        kept.append(entry)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if len(kept) > k:
+        raise ValueError(f"{len(kept)} entries exceed k={k}")
+    if unsorted:
+        raise ValueError("entries must be sorted non-increasing by logprob")
+    if total > 1.0 + _EXP_SUM_TOLERANCE:
+        raise ValueError(f"probabilities sum to {total}, exceeding 1")
+    return tuple(kept)
 
 
 @dataclass(frozen=True)
 class TopKDistribution:
-    """Top-k next-token candidates, sorted non-increasing by logprob."""
+    """Top-k candidates for the next token, sorted non-increasing by logprob.
+
+    Every answer is checked in one loop over its entries: each logprob
+    finite or ``-inf`` and at most 0, the entries non-increasing, their
+    probabilities summing to at most ``1 + 1e-6``, no more than ``k`` of
+    them and ``k >= 1``; a failure is a :class:`ValueError`. The constructor
+    runs that loop over the entries it is given. :meth:`from_payload` and
+    :class:`SyntheticBackend` run it as they build each entry, and build no
+    entry that checks itself.
+    """
 
     entries: tuple[TokenLogprob, ...]
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if len(self.entries) > self.k:
-            raise ValueError(f"{len(self.entries)} entries exceed k={self.k}")
-        logprobs = [e.logprob for e in self.entries]
-        if any(a < b for a, b in zip(logprobs, logprobs[1:])):
-            raise ValueError("entries must be sorted non-increasing by logprob")
-        total = sum(math.exp(lp) for lp in logprobs)
-        if total > 1.0 + _EXP_SUM_TOLERANCE:
-            raise ValueError(f"probabilities sum to {total}, exceeding 1")
+        _checked_entries(self.entries, self.k)
+
+    @classmethod
+    def _checked(cls, entries: Iterable[TokenLogprob], k: int) -> "TopKDistribution":
+        """The answer over ``entries``, checked by the one loop as it reads them."""
+        dist = _new(cls)
+        _setattr(dist, "entries", _checked_entries(entries, k))
+        _setattr(dist, "k", k)
+        return dist
 
     def to_payload(self) -> dict:
         return {"tokens": [{"token": e.token, "logprob": e.logprob} for e in self.entries]}
 
     @classmethod
     def from_payload(cls, payload: Mapping, k: int) -> "TopKDistribution":
-        """Build from the wire shape; raises :class:`ProtocolError` on malformed data."""
+        """Build from the wire shape, converting and checking each entry in
+        one pass; raises :class:`ProtocolError` on malformed data."""
         try:
-            tokens = payload["tokens"]
-            entries = tuple(
-                TokenLogprob(token=str(item["token"]), logprob=float(item["logprob"]))
-                for item in tokens
+            return cls._checked(
+                (_entry(str(item["token"]), float(item["logprob"])) for item in payload["tokens"]),
+                k,
             )
-            return cls(entries=entries, k=k)
-        except ProtocolError:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed top-k payload: {exc}") from exc
 
@@ -170,7 +237,11 @@ class SyntheticOracleSpec:
     """Analytic test double: a logistic model over PRESENT feature keys.
 
     The positive-class probability is ``logistic(bias + sum of weights whose
-    key appears in the prompt)``; absent features contribute exactly 0.
+    key appears in the prompt)``, summed in ``weights`` order; absent
+    features contribute exactly 0. Each key must be a field key as a dataset
+    column would give it, unchanged by :func:`~tabattr.tabular.normalize_key`:
+    nonempty, lowercase, without whitespace or ``:``. Any other key could
+    never appear in a prompt, so it is refused with a :class:`ConfigError`.
     """
 
     classes: tuple[str, str]
@@ -183,14 +254,19 @@ class SyntheticOracleSpec:
             raise ConfigError("a logistic oracle needs exactly two distinct classes")
         if self.link != "logistic":
             raise ConfigError(f"unsupported link {self.link!r}")
+        for key in self.weights:
+            try:
+                field_key = normalize_key(key)
+            except NormalizationError:
+                field_key = None
+            if field_key != key:
+                hint = f"; a column named {key!r} has the key {field_key!r}" if field_key else ""
+                raise ConfigError(
+                    f"oracle weight key {key!r} can never appear in a prompt: field keys "
+                    f"are nonempty, lowercase and without whitespace or ':'{hint}"
+                )
         object.__setattr__(self, "classes", tuple(self.classes))
         object.__setattr__(self, "weights", dict(self.weights))
-
-    def positive_probability(self, present_keys: Iterable[str]) -> float:
-        # Summed in weights order: a set's order follows the string-hash seed.
-        present = set(present_keys)
-        score = self.bias + sum(w for key, w in self.weights.items() if key in present)
-        return 1.0 / (1.0 + math.exp(-score))
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SyntheticOracleSpec":
@@ -217,9 +293,16 @@ class SyntheticOracleSpec:
 class SyntheticBackend(Backend):
     """Deterministic oracle backend emitting one ``" class"`` token per class.
 
-    Feature presence is read from the prompt: the text between the input and
-    response markers (the whole prompt if the markers are absent) is split on
-    whitespace and each ``key:value`` token contributes its key.
+    Feature presence is read from the prompt's input block: the text after
+    the first input marker, up to the first response marker after it if there
+    is one, or the whole prompt if there is no input marker. A key is present
+    when some whitespace-separated token of the block starts with ``key:``.
+    The block is normalized once per prompt, its tokens joined by single
+    spaces after a leading one, and a key is present exactly when its needle
+    ``" key:"`` occurs in that text; this holds because a key carries no
+    whitespace and no ``:`` (:class:`SyntheticOracleSpec` refuses any other).
+    The answer's entries go straight into :class:`TopKDistribution`'s one
+    loop of checks.
     """
 
     def __init__(
@@ -232,27 +315,28 @@ class SyntheticBackend(Backend):
         self.spec = spec
         self.input_marker = input_marker
         self.response_marker = response_marker
+        self._needles = tuple((f" {key}:", weight) for key, weight in spec.weights.items())
+        pos, neg = spec.classes
+        self._tokens = (f" {pos}", f" {neg}")
 
-    def present_keys(self, prompt: str) -> set[str]:
+    def _fetch(self, prompt: str, k: int, wait: Callable[[float], None]) -> TopKDistribution:
         block = prompt
         start = prompt.find(self.input_marker)
         if start >= 0:
             start += len(self.input_marker)
             end = prompt.find(self.response_marker, start)
             block = prompt[start:end] if end >= 0 else prompt[start:]
-        return {tok.partition(":")[0] for tok in block.split() if ":" in tok}
-
-    def _fetch(self, prompt: str, k: int, wait: Callable[[float], None]) -> TopKDistribution:
-        p_pos = self.spec.positive_probability(self.present_keys(prompt))
-        pos, neg = self.spec.classes
-        ranked = sorted(
-            ((f" {pos}", p_pos), (f" {neg}", 1.0 - p_pos)), key=lambda item: -item[1]
+        text = " " + " ".join(block.split())
+        # Summed in weights order: the same floats in the same order every run.
+        score = self.spec.bias + sum([w for needle, w in self._needles if needle in text])
+        p_pos = 1.0 / (1.0 + math.exp(-score))
+        p_neg = 1.0 - p_pos
+        pos, neg = self._tokens
+        # The more probable class first, the positive one on a tie.
+        ranked = ((neg, p_neg), (pos, p_pos)) if p_pos < p_neg else ((pos, p_pos), (neg, p_neg))
+        return TopKDistribution._checked(
+            [_entry(t, math.log(p) if p > 0 else _NEG_INF) for t, p in ranked[:k]], k
         )
-        entries = tuple(
-            TokenLogprob(token=t, logprob=math.log(p) if p > 0 else float("-inf"))
-            for t, p in ranked[:k]
-        )
-        return TopKDistribution(entries=entries, k=k)
 
 
 def _parse_recording(path: Path) -> tuple[dict[str, dict], str, int]:

@@ -11,17 +11,34 @@ through them.
 instance when it is read; :func:`load_dataset_eagerly` builds every instance
 at load, and is what the lazy loader must match row for row and error for
 error.
+
+``SyntheticBackend`` finds a feature key by its ``" key:"`` needle in the
+input block normalized once, and checks each answer in one loop as it
+builds it; :class:`ReferenceOracle` splits the block into a set of present
+keys, sums the weights of those in the set and builds self-checking
+``TokenLogprob`` entries, and the production oracle must answer exactly as
+it does.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from tabattr import FeatureField, PromptTemplate, TabularInstance, TopKDistribution, VerbalizerMap
+from tabattr import (
+    Backend,
+    FeatureField,
+    PromptTemplate,
+    SyntheticOracleSpec,
+    TabularInstance,
+    TokenLogprob,
+    TopKDistribution,
+    VerbalizerMap,
+)
 from tabattr.divergence import _SUM_TOLERANCE, KL_EPSILON, LN2, METRICS
 from tabattr.errors import DatasetError, NormalizationError, SerializationError
 from tabattr.tabular import CATEGORICAL, LABEL, MISSING_VALUE, normalize_key, normalize_value
@@ -206,3 +223,52 @@ def load_dataset_eagerly(path: str | Path, schema: Mapping[str, str]) -> list[Ta
                     label = normalize_value(raw_label, CATEGORICAL)
             instances.append(TabularInstance(index=row_number, fields=tuple(fields), label=label))
     return instances
+
+
+def present_keys(prompt: str, input_marker: str, response_marker: str) -> set[str]:
+    """The key of each ``key:value`` token of the prompt's input block: the
+    text between the input and response markers, or the whole prompt if the
+    input marker is absent."""
+    block = prompt
+    start = prompt.find(input_marker)
+    if start >= 0:
+        start += len(input_marker)
+        end = prompt.find(response_marker, start)
+        block = prompt[start:end] if end >= 0 else prompt[start:]
+    return {tok.partition(":")[0] for tok in block.split() if ":" in tok}
+
+
+def positive_probability(spec: SyntheticOracleSpec, present: Iterable[str]) -> float:
+    """``logistic(bias + the weights of the present keys)``, summed in weights order."""
+    present = set(present)
+    score = spec.bias + sum(w for key, w in spec.weights.items() if key in present)
+    return 1.0 / (1.0 + math.exp(-score))
+
+
+class ReferenceOracle(Backend):
+    """The synthetic oracle answering through :func:`present_keys`,
+    :func:`positive_probability` and one checked ``TokenLogprob`` per entry."""
+
+    def __init__(
+        self,
+        spec: SyntheticOracleSpec,
+        input_marker: str = "### Input:",
+        response_marker: str = "### Response:",
+    ):
+        super().__init__()
+        self.spec = spec
+        self.input_marker = input_marker
+        self.response_marker = response_marker
+
+    def _fetch(self, prompt: str, k: int, wait) -> TopKDistribution:
+        present = present_keys(prompt, self.input_marker, self.response_marker)
+        p_pos = positive_probability(self.spec, present)
+        pos, neg = self.spec.classes
+        ranked = sorted(
+            ((f" {pos}", p_pos), (f" {neg}", 1.0 - p_pos)), key=lambda item: -item[1]
+        )
+        entries = tuple(
+            TokenLogprob(token=t, logprob=math.log(p) if p > 0 else float("-inf"))
+            for t, p in ranked[:k]
+        )
+        return TopKDistribution(entries=entries, k=k)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import socket
 import ssl
@@ -42,6 +43,8 @@ from tabattr.errors import (
 from tabattr._json_io import dump_canonical
 from conftest import KeepAliveHandler, logistic, oracle_backend, serving, topk_from
 
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+
 
 class TestWireTypes:
     def test_positive_logprob_rejected(self):
@@ -74,6 +77,81 @@ class TestWireTypes:
             TopKDistribution.from_payload({"tokens": [{"token": "x"}]}, k=3)
         with pytest.raises(ProtocolError):
             TopKDistribution.from_payload({"tokens": [{"token": "x", "logprob": 0.5}]}, k=3)
+
+    @pytest.mark.parametrize("logprob", [math.nan, math.inf], ids=["nan", "+inf"])
+    def test_nan_and_plus_inf_logprobs_rejected(self, logprob):
+        with pytest.raises(ValueError, match=r"^logprob for 'x' must be finite or -inf$"):
+            TokenLogprob("x", logprob)
+
+    def test_minus_inf_logprob_is_an_entry_of_zero_mass(self):
+        entries = (TokenLogprob("a", math.log(0.5)), TokenLogprob("b", -math.inf))
+        assert TopKDistribution(entries, k=2).entries[1].logprob == -math.inf
+        assert TopKDistribution((TokenLogprob("b", -math.inf),), k=1).entries[0].token == "b"
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+            TopKDistribution((), k=0)
+        with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+            TopKDistribution((TokenLogprob("a", -1.0),), k=0)
+
+    @pytest.mark.parametrize(
+        "logprobs, k, message",
+        [
+            ([math.nan], 3, "logprob for 't0' must be finite or -inf"),
+            ([math.inf], 3, "logprob for 't0' must be finite or -inf"),
+            ([-1.0, 0.5], 3, "logprob for 't1' is positive: 0.5"),
+            ([-1.0], 0, "k must be >= 1"),
+            ([], 0, "k must be >= 1"),
+            ([-1.0, -2.0, -3.0], 2, "3 entries exceed k=2"),
+            ([-2.0, -1.0], 5, "entries must be sorted non-increasing by logprob"),
+            ([math.log(0.7)] * 2, 5, f"probabilities sum to {0 + 0.7 + 0.7}, exceeding 1"),
+            # A bad entry is reported before anything about the whole answer.
+            ([-2.0, -1.0, math.nan], 1, "logprob for 't2' must be finite or -inf"),
+            ([-1.0, -2.0, 3.0], 0, "logprob for 't2' is positive: 3.0"),
+            ([-2.0, -1.0, -3.0], 2, "3 entries exceed k=2"),
+            ([-2.0, -1.0] + [math.log(0.7)] * 2, 9,
+             "entries must be sorted non-increasing by logprob"),
+        ],
+    )
+    def test_payload_checks_keep_their_messages(self, logprobs, k, message):
+        payload = {"tokens": [{"token": f"t{i}", "logprob": lp} for i, lp in enumerate(logprobs)]}
+        with pytest.raises(ProtocolError) as err:
+            TopKDistribution.from_payload(payload, k=k)
+        assert str(err.value) == f"malformed top-k payload: {message}"
+        assert isinstance(err.value.__cause__, ValueError)
+        assert str(err.value.__cause__) == message
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"tokens": [{"token": "x"}]}, "'logprob'"),
+            ({"tokens": [{"logprob": -1.0}]}, "'token'"),
+            ({}, "'tokens'"),
+            ({"tokens": [{"token": "x", "logprob": "high"}]},
+             "could not convert string to float: 'high'"),
+            ({"tokens": [{"token": "x", "logprob": None}]},
+             "float() argument must be a string or a real number, not 'NoneType'"),
+            ({"tokens": 5}, "'int' object is not iterable"),
+            ({"tokens": ["x"]}, "string indices must be integers, not 'str'"),
+            # Entries convert and check in turn: a bad first entry wins.
+            ({"tokens": [{"token": "x", "logprob": 0.5}, {"token": "y"}]},
+             "logprob for 'x' is positive: 0.5"),
+            ({"tokens": [{"token": "x"}, {"token": "y", "logprob": 0.5}]}, "'logprob'"),
+        ],
+    )
+    def test_malformed_payload_keeps_its_message(self, payload, message):
+        with pytest.raises(ProtocolError) as err:
+            TopKDistribution.from_payload(payload, k=3)
+        assert str(err.value) == f"malformed top-k payload: {message}"
+
+    def test_payload_with_minus_inf_is_accepted(self):
+        tokens = [{"token": "a", "logprob": -0.5}, {"token": "b", "logprob": -math.inf}]
+        dist = TopKDistribution.from_payload({"tokens": tokens}, k=2)
+        assert dist == TopKDistribution(
+            (TokenLogprob("a", -0.5), TokenLogprob("b", -math.inf)), k=2
+        )
+        assert type(dist.entries) is tuple
+        assert all(type(e) is TokenLogprob for e in dist.entries)
 
     def test_digest_depends_on_prompt_and_k(self):
         assert prompt_digest("p", 5) != prompt_digest("p", 6)
@@ -123,12 +201,13 @@ class TestSyntheticBackend:
         # oracle's sum must not, or runs differ in the last bits.
         script = (
             "import hashlib, itertools\n"
-            "from tabattr import SyntheticOracleSpec\n"
+            "from tabattr import SyntheticBackend, SyntheticOracleSpec\n"
             "keys = [f'feature_{i}' for i in range(14)]\n"
             "weights = {k: 2.0 * 0.75**i * (1 + 0.013 * i) for i, k in enumerate(keys)}\n"
-            "spec = SyntheticOracleSpec(('yes', 'no'), weights, bias=-3.0)\n"
+            "backend = SyntheticBackend(SyntheticOracleSpec(('yes', 'no'), weights, bias=-3.0))\n"
             "subsets = (s for r in range(1, 15) for s in itertools.combinations(keys, r))\n"
-            "text = ' '.join(repr(spec.positive_probability(s)) for s in subsets)\n"
+            "answers = (backend.query(' '.join(f'{k}:1' for k in s), 2) for s in subsets)\n"
+            "text = ' '.join(repr(a.entries[0].logprob) for a in answers)\n"
             "print(hashlib.sha256(text.encode()).hexdigest())\n"
         )
         src = str(Path(tabattr.__file__).resolve().parents[1])
@@ -160,6 +239,55 @@ class TestSyntheticBackend:
             SyntheticOracleSpec.from_json(path)
 
 
+class TestOracleKeys:
+    """An oracle key must be a field key, as ``normalize_key`` makes it from
+    a column name: anything else could never appear in a prompt."""
+
+    @staticmethod
+    def refused(key: str) -> None:
+        with pytest.raises(ConfigError, match=re.escape(repr(key))):
+            SyntheticOracleSpec(classes=("yes", "no"), weights={"age": 1.0, key: 2.0})
+
+    @pytest.mark.parametrize("key", ["capital gain", "capital\tgain", "age ", "\u3000age",
+                                     "a\x1cb", "a\x85b"])
+    def test_whitespace_refused(self, key):
+        self.refused(key)
+
+    @pytest.mark.parametrize("key", ["odd:name", ":age", "age:"])
+    def test_colon_refused(self, key):
+        self.refused(key)
+
+    @pytest.mark.parametrize("key", ["", "   "])
+    def test_empty_refused(self, key):
+        self.refused(key)
+
+    @pytest.mark.parametrize("key", ["Age", "Capital Gain", "capital_Gain"])
+    def test_uppercase_refused(self, key):
+        self.refused(key)
+
+    def test_refused_when_read_from_json(self, tmp_path):
+        path = tmp_path / "oracle.json"
+        path.write_text(json.dumps({"classes": ["yes", "no"], "weights": {"Capital Gain": 2.0}}))
+        with pytest.raises(ConfigError, match="'Capital Gain'.*the key 'capital_gain'"):
+            SyntheticOracleSpec.from_json(path)
+
+    def test_field_keys_load(self):
+        keys = ["age", "capital_gain", "native_country", "x1", "a-b.c", "\u00e9t\u00e9"]
+        spec = SyntheticOracleSpec(classes=("yes", "no"), weights=dict.fromkeys(keys, 1.0))
+        assert list(spec.weights) == keys
+
+    def test_every_benchmark_oracle_loads(self):
+        sys.path.insert(0, PERFBENCH)
+        try:
+            import workloads
+        finally:
+            sys.path.remove(PERFBENCH)
+        for m in (10, 14):
+            for seed in range(1, 129):
+                data = workloads.oracle_spec(seed, m)
+                SyntheticOracleSpec(tuple(data["classes"]), data["weights"], data["bias"])
+
+
 class TestReplayAndRecording:
     def test_record_then_replay_bit_exact(self, tmp_path):
         store = tmp_path / "cache.json"
@@ -171,6 +299,24 @@ class TestReplayAndRecording:
         replay = ReplayBackend(store)
         assert replay.query("a:1 b:2", 7) == first == second
         assert replay.query("a:1 b:2", 7) == replay.query("a:1 b:2", 7)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_recorded_logprob_fails_on_query(self, tmp_path, literal):
+        store = tmp_path / "cache.json"
+        bad = '{"tokens": [{"token": " yes", "logprob": %s}]}' % literal
+        store.write_text('{"%s": %s,\n"%s": %s}\n' % (
+            prompt_digest("bad", 3), bad,
+            prompt_digest("good", 3), '{"tokens": [{"token": " yes", "logprob": -0.5}]}',
+        ))
+        replay = ReplayBackend(store)
+        assert replay.query("good", 3).entries == (TokenLogprob(" yes", -0.5),)
+        with pytest.raises(ProtocolError, match="must be finite or -inf"):
+            replay.query("bad", 3)
+        live = oracle_backend({"a": 1.0})
+        with RecordingBackend(live, store) as recorder:
+            with pytest.raises(ProtocolError, match="must be finite or -inf"):
+                recorder.query("bad", 3)
+        assert live.calls == 0
 
     def test_replay_miss_carries_digest(self, tmp_path):
         store = tmp_path / "cache.json"
@@ -445,6 +591,24 @@ class TestHttpBackend:
         backend = HttpBackend(endpoint, retries=0)
         with pytest.raises(ProtocolError):
             backend.query("p", 1)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_json_logprob_is_protocol_error(self, http_server, literal):
+        endpoint, handler = http_server
+        handler.script = [(200, b'{"tokens": [{"token": "x", "logprob": %s}]}' % literal.encode())]
+        backend = HttpBackend(endpoint, retries=2, backoff=0.01)
+        with pytest.raises(ProtocolError, match="must be finite or -inf"):
+            backend.query("p", 1)
+        assert len(handler.requests_seen) == 1
+
+    def test_minus_infinity_json_logprob_is_an_entry(self, http_server):
+        endpoint, handler = http_server
+        handler.script = [
+            (200, b'{"tokens": [{"token": "x", "logprob": 0.0}, '
+                  b'{"token": "y", "logprob": -Infinity}]}')
+        ]
+        topk = HttpBackend(endpoint, retries=0).query("p", 2)
+        assert [(e.token, e.logprob) for e in topk.entries] == [("x", 0.0), ("y", -math.inf)]
 
     def test_recording_wrapper_via_descriptor(self, http_server, tmp_path):
         endpoint, handler = http_server

@@ -2,26 +2,35 @@
 
 ``build_prompts``, ``class_distributions`` and ``_new_rows`` each replace a
 loop of one call per coalition row; every result must equal the stacked
-per-item results bit for bit. The last class checks, by counting calls, that
-an instance is processed in one pass per layer.
+per-item results bit for bit. The synthetic oracle's one pass per answer
+must answer exactly as the reference oracle does. The last classes check, by
+counting calls, that an instance is processed in one pass per layer and that
+each distinct prompt of a batch is queried once.
 """
 
 from __future__ import annotations
 
+import collections
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tabattr import (
+    Backend,
     PromptTemplate,
     SamplingConfig,
+    SyntheticBackend,
+    SyntheticOracleSpec,
     TokenLogprob,
     TopKDistribution,
     VerbalizerMap,
     build_prompts,
     class_distributions,
+    cli,
     evaluate,
     random_order,
     run_deletion,
@@ -30,7 +39,13 @@ from tabattr import attribution, faithfulness
 from tabattr.attribution import _new_rows
 from tabattr.errors import SerializationError
 from conftest import ADULT_KEYS, adult_like_instance, make_instance, oracle_backend
-from reference import build_prompt, class_distribution, fields_at, fields_without_keys
+from reference import (
+    ReferenceOracle,
+    build_prompt,
+    class_distribution,
+    fields_at,
+    fields_without_keys,
+)
 
 _text = st.text(alphabet="abcXY #:\n\t.", max_size=12)
 
@@ -142,6 +157,97 @@ class TestClassDistributions:
         assert batched.tobytes() == one_by_one.tobytes()
 
 
+# Keys that prefix or suffix one another, so a match must be a whole key.
+_ORACLE_KEYS = ("age", "wage", "age_group", "group", "a", "ag", "e")
+_MARKERS = {"### Input:": "### Response:", "<in>": "<out>"}
+_GAPS = ["", " ", "  ", "\t", "\n", "\x1c", "\x85", "\u3000", " \n\t", "\u2003"]
+
+
+@st.composite
+def _oracle_prompts(draw):
+    """An oracle over some of ``_ORACLE_KEYS`` and a prompt of ``key:value``
+    tokens and near misses, with Unicode whitespace between them and each
+    marker missing, present once or repeated."""
+    input_marker = draw(st.sampled_from(sorted(_MARKERS)))
+    response_marker = _MARKERS[input_marker]
+    keys = draw(st.lists(st.sampled_from(_ORACLE_KEYS), unique=True, max_size=len(_ORACLE_KEYS)))
+    weights = {
+        key: draw(st.one_of(st.floats(-60.0, 60.0), st.sampled_from([0.0, -0.0, 1.0, -1.0])))
+        for key in keys
+    }
+    spec = SyntheticOracleSpec(
+        classes=draw(st.sampled_from([("yes", "no"), ("no", "yes"), ("A", "b c")])),
+        weights=weights,
+        bias=draw(st.one_of(st.floats(-10.0, 10.0), st.just(0.0))),
+    )
+    names = _ORACLE_KEYS + ("Age", "AGE_GROUP", "x", "", "age group", "a:b")
+    token = st.one_of(
+        st.builds("{}:{}".format, st.sampled_from(names),
+                  st.sampled_from(["1", "", ":", "a:b", "age:2", "::", "x y"])),
+        st.sampled_from([":age", "::", "age", "wage_", ":", "a:", "ge:3", "#", input_marker,
+                         response_marker, "Input:", "Response:"]),
+    )
+    parts = draw(st.lists(st.tuples(st.sampled_from(_GAPS), token), max_size=12))
+    prompt = "".join(gap + text for gap, text in parts) + draw(st.sampled_from(_GAPS))
+    return spec, input_marker, response_marker, prompt or "a:1"
+
+
+def _bits(topk: TopKDistribution) -> list[bytes]:
+    return [struct.pack("<d", e.logprob) for e in topk.entries]
+
+
+class TestSyntheticOracle:
+    @settings(max_examples=300)
+    @given(_oracle_prompts(), st.sampled_from([1, 2, 5]))
+    def test_answers_equal_the_reference_oracle(self, case, k):
+        spec, input_marker, response_marker, prompt = case
+        got = SyntheticBackend(spec, input_marker, response_marker).query(prompt, k)
+        want = ReferenceOracle(spec, input_marker, response_marker).query(prompt, k)
+        assert got == want
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("prompt, present", [
+        ("age:1 wage:2", {"age", "wage"}),
+        ("age_group:1", {"age_group"}),
+        ("wage:1 group:x", {"wage", "group"}),
+        ("x:age:1 :age age", set()),
+        ("Age:1\x1cage:2", {"age"}),
+        ("### Input:\nage:1\n### Response:\nwage:2", {"age"}),
+        ("wage:2 ### Input:age:1", {"age"}),
+    ])
+    def test_a_key_is_present_as_a_whole_token_prefix(self, prompt, present):
+        weights = {key: 2.0**-i for i, key in enumerate(_ORACLE_KEYS)}
+        spec = SyntheticOracleSpec(("yes", "no"), weights)
+        expected = 1.0 / (1.0 + math.exp(-sum(w for key, w in weights.items() if key in present)))
+        topk = SyntheticBackend(spec).query(prompt, 2)
+        assert {e.token: e.logprob for e in topk.entries}[" yes"] == math.log(expected)
+
+    def test_synth_demo_writes_the_reference_oracle_artifacts(self, tmp_path, monkeypatch):
+        keys = list(_ORACLE_KEYS) + ["capital_gain", "capital_gain_x", "x_capital_gain",
+                                     "hours", "hours_per_week", "sex", "race"]
+        weights = {key: 2.0 * 0.75**i * (1 + 0.013 * i) for i, key in enumerate(keys)}
+        oracle = tmp_path / "oracle.json"
+        oracle.write_text(json.dumps({"classes": ["yes", "no"], "weights": weights,
+                                      "bias": 3.0 - sum(weights.values())}))
+        names = ["results_jsd.json", "results_kl.json", "results_l1.json", "curves.json",
+                 "evaluations.jsonl", "rank_report_jsd.json"]
+        argv = ["synth-demo", "--oracle", str(oracle), "--n-instances", "2", "--seed", "3"]
+        assert cli.main([*argv, "--out", str(tmp_path / "production")]) == 0
+        references = []
+
+        def reference_backend(kind, target, *args):
+            assert kind == "synthetic"
+            references.append(ReferenceOracle(SyntheticOracleSpec.from_json(target)))
+            return references[-1]
+
+        monkeypatch.setattr(cli, "open_backend", reference_backend)
+        assert cli.main([*argv, "--out", str(tmp_path / "reference")]) == 0
+        assert len(references) == 1 and references[0].calls > 2 * 800
+        for name in names:
+            production = (tmp_path / "production" / name).read_bytes()
+            assert production == (tmp_path / "reference" / name).read_bytes(), name
+
+
 def _new_rows_reference(rows: np.ndarray) -> np.ndarray:
     sizes = rows.sum(axis=1)
     rows = rows[(sizes > 0) & (sizes != rows.shape[1] - 1)]
@@ -232,3 +338,52 @@ class TestOnePassPerInstance:
                     dist, _ = class_distribution(backend.query(prompt, 10), yes_no_vmap)
                     expected.append(float(dist[target]))
                 assert run.curves[source].traces[instance.index] == tuple(expected)
+
+
+def _backend_classes(cls=Backend) -> set[type]:
+    found = set()
+    for sub in cls.__subclasses__():
+        found |= {sub} | _backend_classes(sub)
+    return found
+
+
+class TestOneQueryPerDistinctPrompt:
+    """The benchmark counts backend calls by patching ``Backend.query`` on the
+    base class: each distinct prompt of a batch must be one call there."""
+
+    def test_no_backend_class_defines_query(self):
+        classes = _backend_classes()
+        assert {"HttpBackend", "RecordingBackend", "ReplayBackend", "SyntheticBackend"} <= {
+            cls.__name__ for cls in classes
+        }
+        assert [cls for cls in classes if "query" in vars(cls)] == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_synth_demo_queries_each_distinct_prompt_once_per_batch(
+        self, workers, tmp_path, monkeypatch, capsys
+    ):
+        queried: list[str] = []
+        batches: list[tuple[list[str], list[str]]] = []
+        query = Backend.query
+
+        def counted_query(self, prompt, *args, **kwargs):
+            queried.append(prompt)
+            return query(self, prompt, *args, **kwargs)
+
+        monkeypatch.setattr(Backend, "query", counted_query)
+        for module in (attribution, faithfulness):
+            def counted_batch(backend, prompts, *args, _inner=module.evaluate_prompts, **kwargs):
+                start = len(queried)
+                answers = _inner(backend, prompts, *args, **kwargs)
+                batches.append((list(dict.fromkeys(prompts)), queried[start:]))
+                return answers
+
+            monkeypatch.setattr(module, "evaluate_prompts", counted_batch)
+        weights = {key: 1.0 + i for i, key in enumerate(ADULT_KEYS)}
+        oracle = tmp_path / "oracle.json"
+        oracle.write_text(json.dumps({"classes": ["yes", "no"], "weights": weights}))
+        assert cli.main(["synth-demo", "--oracle", str(oracle), "--n-instances", "2",
+                         "--workers", str(workers), "--out", str(tmp_path / "out")]) == 0
+        assert len(batches) == 2 + 2 and sum(len(q) for _, q in batches) == len(queried)
+        for distinct, calls in batches:
+            assert collections.Counter(calls) == collections.Counter(distinct)

@@ -232,6 +232,51 @@ class TestIndexSelection:
         assert not out.exists()
 
 
+class TestUncarriedOracleKey:
+    """The column ``Capital Gain`` becomes the field key ``capital_gain``, so
+    an oracle weight on ``"Capital Gain"`` could never be carried by a
+    prompt; the oracle is refused before the run writes anything."""
+
+    @staticmethod
+    def _inputs(tmp_path, key):
+        dataset = tmp_path / "data.csv"
+        dataset.write_text("age,Capital Gain\n30,100\n40,0\n50,7\n")
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"age": "numeric", "Capital Gain": "numeric"}))
+        oracle = tmp_path / "oracle.json"
+        oracle.write_text(json.dumps({"classes": ["yes", "no"], "weights": {"age": 0.5, key: 2.0}}))
+        return ["--dataset", str(dataset), "--schema", str(schema),
+                "--backend", f"synthetic:{oracle}", "--ratio", "1.0"], oracle
+
+    @pytest.mark.parametrize("verbalizer", [False, True], ids=["oracle-classes", "verbalizer"])
+    def test_attribute_refuses_it_before_writing(self, verbalizer, tmp_path, capsys):
+        inputs, _ = self._inputs(tmp_path, "Capital Gain")
+        if verbalizer:
+            vmap = tmp_path / "vmap.json"
+            vmap.write_text(json.dumps({"yes": ["yes"], "no": ["no"]}))
+            inputs += ["--verbalizer", str(vmap)]
+        out = tmp_path / "out"
+        assert cli.main(["attribute", *inputs, "--out", str(out)]) == 2
+        assert "'Capital Gain'" in capsys.readouterr().err
+        assert not (out / "index_manifest.json").exists()
+        assert not (out / "evaluations.jsonl").exists()
+
+    def test_synth_demo_refuses_it_before_writing(self, tmp_path, capsys):
+        _, oracle = self._inputs(tmp_path, "Capital Gain")
+        out = tmp_path / "out"
+        assert cli.main(["synth-demo", "--oracle", str(oracle), "--out", str(out)]) == 2
+        assert "'Capital Gain'" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_the_field_key_is_carried(self, tmp_path, capsys):
+        inputs, _ = self._inputs(tmp_path, "capital_gain")
+        out = tmp_path / "out"
+        assert cli.main(["attribute", *inputs, "--out", str(out)]) == 0
+        capsys.readouterr()
+        results = json.loads((out / "results_jsd.json").read_text())
+        assert all(abs(r["phi"]["capital_gain"]) > abs(r["phi"]["age"]) for r in results.values())
+
+
 class TestLargeDataset:
     """Every row is checked at load; only the selected rows become instances."""
 
