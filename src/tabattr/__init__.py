@@ -27,7 +27,6 @@ from .backends import (
     ReplayBackend,
     SyntheticBackend,
     SyntheticOracleSpec,
-    TokenLogprob,
     TopKDistribution,
     evaluate_prompts,
     open_backend,

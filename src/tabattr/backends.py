@@ -10,12 +10,13 @@ Three interchangeable implementations sit behind one query interface:
 * :class:`SyntheticBackend` is an analytic logistic oracle used for tests
   and demos, with no network at all.
 
-Every answer is a :class:`TopKDistribution`, checked by one loop over its
-entries as they are built: the oracle's two entries, the entries converted
-from an HTTP body or from a recording served by replay or by a recording's
-cache hit. Those entries are built without their own :class:`TokenLogprob`
-check, which that loop makes. The oracle finds a feature key by its
-``" key:"`` needle in the prompt's input block, normalized once per prompt.
+Every answer is a :class:`TopKDistribution`: the candidates' ``tokens`` and
+their ``logprobs``, two tuples of equal length, and ``k``. Its constructor
+checks it once, whoever builds it: the oracle, or
+:meth:`TopKDistribution.from_payload` reading an HTTP body or a recording
+served by replay or by a recording's cache hit. The oracle finds a feature
+key by its ``" key:"`` needle in the prompt's input block, normalized once
+per prompt.
 
 Wrapping any live backend in :class:`RecordingBackend` persists every
 response so the run can later be replayed bit-exactly.
@@ -53,7 +54,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 from urllib.parse import urlsplit
 
 from .errors import (
@@ -68,113 +69,67 @@ from .tabular import normalize_key
 
 _EXP_SUM_TOLERANCE = 1e-6
 _NEG_INF = float("-inf")
-# Build frozen dataclasses without running their __init__ and __post_init__.
-_new = object.__new__
-_setattr = object.__setattr__
-
-
-def _check_logprob(token: str, logprob: float) -> None:
-    if not math.isfinite(logprob) and logprob != _NEG_INF:
-        raise ValueError(f"logprob for {token!r} must be finite or -inf")
-    if logprob > 0:
-        raise ValueError(f"logprob for {token!r} is positive: {logprob}")
-
-
-@dataclass(frozen=True)
-class TokenLogprob:
-    """One next-token candidate, surface form preserved exactly.
-
-    Built directly, it checks its own logprob: finite or ``-inf``, and at
-    most 0. The backends build the entries of an answer unchecked and leave
-    that check to :class:`TopKDistribution`'s loop, which runs next.
-    """
-
-    token: str
-    logprob: float
-
-    def __post_init__(self):
-        _check_logprob(self.token, self.logprob)
-
-
-def _entry(token: str, logprob: float) -> TokenLogprob:
-    """A :class:`TokenLogprob` built without its own check, for a value that
-    :func:`_checked_entries` checks next."""
-    entry = _new(TokenLogprob)
-    _setattr(entry, "token", token)
-    _setattr(entry, "logprob", logprob)
-    return entry
-
-
-def _checked_entries(entries: Iterable[TokenLogprob], k: int) -> tuple[TokenLogprob, ...]:
-    """``entries`` as a tuple, each checked as the one loop reads it.
-
-    A logprob that is NaN, ``+inf`` or positive raises at once, with the
-    message :class:`TokenLogprob` gives it. The checks on the whole answer
-    follow the loop, in this order: ``k >= 1``, at most ``k`` entries,
-    entries non-increasing, and a mass (their probabilities summed in entry
-    order) of at most ``1 + 1e-6``.
-    """
-    kept = []
-    previous, total, unsorted = 0.0, 0, False
-    for entry in entries:
-        logprob = entry.logprob
-        if not logprob <= 0.0:
-            _check_logprob(entry.token, logprob)
-        if logprob > previous:
-            unsorted = True
-        previous = logprob
-        total += math.exp(logprob)
-        kept.append(entry)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if len(kept) > k:
-        raise ValueError(f"{len(kept)} entries exceed k={k}")
-    if unsorted:
-        raise ValueError("entries must be sorted non-increasing by logprob")
-    if total > 1.0 + _EXP_SUM_TOLERANCE:
-        raise ValueError(f"probabilities sum to {total}, exceeding 1")
-    return tuple(kept)
 
 
 @dataclass(frozen=True)
 class TopKDistribution:
-    """Top-k candidates for the next token, sorted non-increasing by logprob.
+    """Top-k candidates for the next token: ``tokens[i]`` has the natural-log
+    probability ``logprobs[i]``, most probable first, surface forms exact.
 
-    Every answer is checked in one loop over its entries: each logprob
-    finite or ``-inf`` and at most 0, the entries non-increasing, their
-    probabilities summing to at most ``1 + 1e-6``, no more than ``k`` of
-    them and ``k >= 1``; a failure is a :class:`ValueError`. The constructor
-    runs that loop over the entries it is given. :meth:`from_payload` and
-    :class:`SyntheticBackend` run it as they build each entry, and build no
-    entry that checks itself.
+    The constructor checks the answer, whoever builds it: the oracle, an HTTP
+    body or a recording read by :meth:`from_payload`. The two tuples must be
+    of equal length; then one loop over the entries checks each logprob,
+    finite or ``-inf`` and at most 0, and the whole answer after it, in this
+    order: ``k >= 1``, at most ``k`` entries, entries non-increasing, and a
+    mass (their probabilities summed in entry order) of at most ``1 + 1e-6``.
+    A failure is a :class:`ValueError`.
     """
 
-    entries: tuple[TokenLogprob, ...]
+    tokens: tuple[str, ...]
+    logprobs: tuple[float, ...]
     k: int
 
     def __post_init__(self):
-        _checked_entries(self.entries, self.k)
-
-    @classmethod
-    def _checked(cls, entries: Iterable[TokenLogprob], k: int) -> "TopKDistribution":
-        """The answer over ``entries``, checked by the one loop as it reads them."""
-        dist = _new(cls)
-        _setattr(dist, "entries", _checked_entries(entries, k))
-        _setattr(dist, "k", k)
-        return dist
+        if len(self.tokens) != len(self.logprobs):
+            raise ValueError(f"{len(self.tokens)} tokens but {len(self.logprobs)} logprobs")
+        previous, total, unsorted = 0.0, 0, False
+        for token, logprob in zip(self.tokens, self.logprobs):
+            if not logprob <= 0.0:
+                if not math.isfinite(logprob):
+                    raise ValueError(f"logprob for {token!r} must be finite or -inf")
+                raise ValueError(f"logprob for {token!r} is positive: {logprob}")
+            if logprob > previous:
+                unsorted = True
+            previous = logprob
+            total += math.exp(logprob)
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if len(self.tokens) > self.k:
+            raise ValueError(f"{len(self.tokens)} entries exceed k={self.k}")
+        if unsorted:
+            raise ValueError("entries must be sorted non-increasing by logprob")
+        if total > 1.0 + _EXP_SUM_TOLERANCE:
+            raise ValueError(f"probabilities sum to {total}, exceeding 1")
 
     def to_payload(self) -> dict:
-        return {"tokens": [{"token": e.token, "logprob": e.logprob} for e in self.entries]}
+        pairs = zip(self.tokens, self.logprobs)
+        return {"tokens": [{"token": t, "logprob": lp} for t, lp in pairs]}
 
     @classmethod
     def from_payload(cls, payload: Mapping, k: int) -> "TopKDistribution":
-        """Build from the wire shape, converting and checking each entry in
-        one pass; raises :class:`ProtocolError` on malformed data."""
+        """Build from the wire shape; raises :class:`ProtocolError` on malformed data.
+
+        Entries are converted in turn, and reading stops at the first bad
+        logprob, so the constructor reports it before any later entry that
+        cannot be converted."""
+        tokens, logprobs = [], []
         try:
-            return cls._checked(
-                (_entry(str(item["token"]), float(item["logprob"])) for item in payload["tokens"]),
-                k,
-            )
+            for item in payload["tokens"]:
+                tokens.append(str(item["token"]))
+                logprobs.append(logprob := float(item["logprob"]))
+                if not logprob <= 0.0:
+                    break
+            return cls(tuple(tokens), tuple(logprobs), k)
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed top-k payload: {exc}") from exc
 
@@ -232,16 +187,31 @@ class Backend(abc.ABC):
         self.close()
 
 
+def _finite_number(name: str, value) -> float:
+    """``value`` as a float, if it is a finite int or float; a bool, a string
+    or anything else is a :class:`ConfigError`."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SyntheticOracleSpec:
     """Analytic test double: a logistic model over PRESENT feature keys.
 
     The positive-class probability is ``logistic(bias + sum of weights whose
     key appears in the prompt)``, summed in ``weights`` order; absent
-    features contribute exactly 0. Each key must be a field key as a dataset
-    column would give it, unchanged by :func:`~tabattr.tabular.normalize_key`:
-    nonempty, lowercase, without whitespace or ``:``. Any other key could
-    never appear in a prompt, so it is refused with a :class:`ConfigError`.
+    features contribute exactly 0. ``classes`` are two distinct strings,
+    every weight and the bias finite numbers, and ``link`` is
+    ``"logistic"``. Each key must be a field key as a dataset column would
+    give it, unchanged by :func:`~tabattr.tabular.normalize_key`: nonempty,
+    lowercase, without whitespace or ``:``. Any other key could never appear
+    in a prompt. Whatever breaks these rules is refused with a
+    :class:`ConfigError`.
     """
 
     classes: tuple[str, str]
@@ -250,11 +220,21 @@ class SyntheticOracleSpec:
     link: str = "logistic"
 
     def __post_init__(self):
-        if len(self.classes) != 2 or len(set(self.classes)) != 2:
-            raise ConfigError("a logistic oracle needs exactly two distinct classes")
+        classes = self.classes
+        if not (
+            isinstance(classes, (list, tuple))
+            and all(isinstance(c, str) for c in classes)
+            and len(set(classes)) == len(classes) == 2
+        ):
+            raise ConfigError(
+                f"a logistic oracle needs a list of two distinct class strings, got {classes!r}"
+            )
         if self.link != "logistic":
             raise ConfigError(f"unsupported link {self.link!r}")
-        for key in self.weights:
+        if not isinstance(self.weights, Mapping):
+            raise ConfigError(f"oracle weights must map keys to numbers, got {self.weights!r}")
+        weights = {}
+        for key, weight in self.weights.items():
             try:
                 field_key = normalize_key(key)
             except NormalizationError:
@@ -265,20 +245,25 @@ class SyntheticOracleSpec:
                     f"oracle weight key {key!r} can never appear in a prompt: field keys "
                     f"are nonempty, lowercase and without whitespace or ':'{hint}"
                 )
-        object.__setattr__(self, "classes", tuple(self.classes))
-        object.__setattr__(self, "weights", dict(self.weights))
+            weights[key] = _finite_number(f"oracle weight {key!r}", weight)
+        object.__setattr__(self, "classes", tuple(classes))
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "bias", _finite_number("oracle bias", self.bias))
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SyntheticOracleSpec":
+        """The spec in a JSON object with ``classes``, ``weights`` and optional
+        ``bias`` and ``link``; any fault is a :class:`ConfigError` naming
+        ``path``."""
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
             return cls(
-                classes=tuple(data["classes"]),
-                weights={str(k): float(v) for k, v in data["weights"].items()},
-                bias=float(data.get("bias", 0.0)),
+                classes=data["classes"],
+                weights=data["weights"],
+                bias=data.get("bias", 0.0),
                 link=data.get("link", "logistic"),
             )
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, ConfigError) as exc:
             raise ConfigError(f"malformed oracle spec {path}: {exc}") from exc
 
     def to_payload(self) -> dict:
@@ -301,8 +286,6 @@ class SyntheticBackend(Backend):
     spaces after a leading one, and a key is present exactly when its needle
     ``" key:"`` occurs in that text; this holds because a key carries no
     whitespace and no ``:`` (:class:`SyntheticOracleSpec` refuses any other).
-    The answer's entries go straight into :class:`TopKDistribution`'s one
-    loop of checks.
     """
 
     def __init__(
@@ -329,14 +312,19 @@ class SyntheticBackend(Backend):
         text = " " + " ".join(block.split())
         # Summed in weights order: the same floats in the same order every run.
         score = self.spec.bias + sum([w for needle, w in self._needles if needle in text])
-        p_pos = 1.0 / (1.0 + math.exp(-score))
+        try:
+            p_pos = 1.0 / (1.0 + math.exp(-score))
+        except OverflowError:  # score below about -709: the same value, to rounding
+            p_pos = math.exp(score)
         p_neg = 1.0 - p_pos
         pos, neg = self._tokens
         # The more probable class first, the positive one on a tie.
-        ranked = ((neg, p_neg), (pos, p_pos)) if p_pos < p_neg else ((pos, p_pos), (neg, p_neg))
-        return TopKDistribution._checked(
-            [_entry(t, math.log(p) if p > 0 else _NEG_INF) for t, p in ranked[:k]], k
-        )
+        if p_pos < p_neg:
+            tokens, probs = (neg, pos), (p_neg, p_pos)
+        else:
+            tokens, probs = (pos, neg), (p_pos, p_neg)
+        logprobs = tuple([math.log(p) if p > 0 else _NEG_INF for p in probs[:k]])
+        return TopKDistribution(tokens[:k], logprobs, k)
 
 
 def _parse_recording(path: Path) -> tuple[dict[str, dict], str, int]:

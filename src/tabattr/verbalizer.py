@@ -1,11 +1,13 @@
 """Class aggregation of top-K token probabilities.
 
 A verbalizer maps each class label to the set of token surface forms that
-count as that class. Raw class masses are sums of ``exp(logprob)`` over
-matching top-K entries; normalizing over the class subspace yields the
-distribution compared by the attribution divergences. Zero total mass is
-not fatal: the row falls back to the uniform distribution, flagged
-degenerate.
+count as that class. An answer is a
+:class:`~tabattr.backends.TopKDistribution`, checked when it was built; its
+``tokens`` and ``logprobs`` are read side by side. Raw class masses are sums
+of ``exp(logprob)`` over matching top-K entries; normalizing over the class
+subspace yields the distribution compared by the attribution divergences.
+Zero total mass is not fatal: the row falls back to the uniform
+distribution, flagged degenerate.
 
 :func:`class_distributions` verbalizes all the answers of an instance in
 one pass: one lookup per distinct token, one ``exp`` over the matched
@@ -60,13 +62,18 @@ class VerbalizerMap:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Sequence[str]]) -> "VerbalizerMap":
-        """Build from ``{class: [surface forms...]}``, canonicalizing each form."""
-        classes = tuple(mapping)
-        surface_sets = {
-            label: frozenset(canonicalize_token(f) for f in forms)
-            for label, forms in mapping.items()
-        }
-        return cls(classes=classes, surface_sets=surface_sets)
+        """Build from ``{class: [surface forms...]}``, canonicalizing each form.
+
+        A class whose forms are not a list of strings, a bare string
+        included, is a :class:`ConfigError` naming the class."""
+        surface_sets = {}
+        for label, forms in mapping.items():
+            if not (isinstance(forms, (list, tuple)) and all(isinstance(f, str) for f in forms)):
+                raise ConfigError(
+                    f"class {label!r} needs a list of surface-form strings, got {forms!r}"
+                )
+            surface_sets[label] = frozenset(canonicalize_token(f) for f in forms)
+        return cls(classes=tuple(mapping), surface_sets=surface_sets)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "VerbalizerMap":
@@ -102,14 +109,14 @@ def class_distributions(
     lookup: dict[str, int] = {}
     rows, cols, logprobs = [], [], []
     for row, topk in enumerate(topks):
-        for entry in topk.entries:
-            col = lookup.get(entry.token)
+        for token, logprob in zip(topk.tokens, topk.logprobs):
+            col = lookup.get(token)
             if col is None:
-                col = lookup[entry.token] = column.get(vmap.class_of(entry.token), -1)
+                col = lookup[token] = column.get(vmap.class_of(token), -1)
             if col >= 0:
                 rows.append(row)
                 cols.append(col)
-                logprobs.append(entry.logprob)
+                logprobs.append(logprob)
     raw = np.zeros((len(topks), len(vmap.classes)))
     masses = np.exp(np.array(logprobs, dtype=float))
     np.add.at(raw, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)), masses)

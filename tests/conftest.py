@@ -18,7 +18,6 @@ from tabattr import (
     SyntheticBackend,
     SyntheticOracleSpec,
     TabularInstance,
-    TokenLogprob,
     TopKDistribution,
     VerbalizerMap,
     evaluate,
@@ -94,7 +93,9 @@ def topk_from(probs: dict[str, float], k: int) -> TopKDistribution:
     """Top-k candidates from token -> probability, most probable first."""
     ranked = sorted(probs.items(), key=lambda item: -item[1])
     return TopKDistribution(
-        tuple(TokenLogprob(t, math.log(p) if p > 0 else float("-inf")) for t, p in ranked), k
+        tuple(t for t, _ in ranked),
+        tuple(math.log(p) if p > 0 else float("-inf") for _, p in ranked),
+        k,
     )
 
 

@@ -13,11 +13,10 @@ at load, and is what the lazy loader must match row for row and error for
 error.
 
 ``SyntheticBackend`` finds a feature key by its ``" key:"`` needle in the
-input block normalized once, and checks each answer in one loop as it
-builds it; :class:`ReferenceOracle` splits the block into a set of present
-keys, sums the weights of those in the set and builds self-checking
-``TokenLogprob`` entries, and the production oracle must answer exactly as
-it does.
+input block normalized once; :class:`ReferenceOracle` splits the block into
+a set of present keys, sums the weights of those in the set and computes
+each entry's logprob on its own, and the production oracle must answer
+exactly as it does.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from tabattr import (
     PromptTemplate,
     SyntheticOracleSpec,
     TabularInstance,
-    TokenLogprob,
     TopKDistribution,
     VerbalizerMap,
 )
@@ -90,10 +88,10 @@ def aggregate_raw(topk: TopKDistribution, vmap: VerbalizerMap) -> np.ndarray:
     belongs to the class; entries matching no class are ignored."""
     index = {label: i for i, label in enumerate(vmap.classes)}
     raw = np.zeros(len(vmap.classes))
-    for entry in topk.entries:
-        label = vmap.class_of(entry.token)
+    for token, logprob in zip(topk.tokens, topk.logprobs):
+        label = vmap.class_of(token)
         if label is not None:
-            raw[index[label]] += np.exp(entry.logprob)
+            raw[index[label]] += np.exp(logprob)
     return raw
 
 
@@ -247,7 +245,7 @@ def positive_probability(spec: SyntheticOracleSpec, present: Iterable[str]) -> f
 
 class ReferenceOracle(Backend):
     """The synthetic oracle answering through :func:`present_keys`,
-    :func:`positive_probability` and one checked ``TokenLogprob`` per entry."""
+    :func:`positive_probability` and one logprob computed per entry."""
 
     def __init__(
         self,
@@ -267,8 +265,6 @@ class ReferenceOracle(Backend):
         ranked = sorted(
             ((f" {pos}", p_pos), (f" {neg}", 1.0 - p_pos)), key=lambda item: -item[1]
         )
-        entries = tuple(
-            TokenLogprob(token=t, logprob=math.log(p) if p > 0 else float("-inf"))
-            for t, p in ranked[:k]
-        )
-        return TopKDistribution(entries=entries, k=k)
+        tokens = tuple(t for t, _ in ranked[:k])
+        logprobs = tuple(math.log(p) if p > 0 else float("-inf") for _, p in ranked[:k])
+        return TopKDistribution(tokens=tokens, logprobs=logprobs, k=k)

@@ -8,6 +8,7 @@ import re
 import shutil
 import socket
 import ssl
+import struct
 import subprocess
 import sys
 import threading
@@ -16,16 +17,17 @@ from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import tabattr
 
 from tabattr import (
+    Backend,
     HttpBackend,
     RecordingBackend,
     ReplayBackend,
     SyntheticBackend,
     SyntheticOracleSpec,
-    TokenLogprob,
     TopKDistribution,
     cli,
     evaluate_prompts,
@@ -44,28 +46,105 @@ from tabattr._json_io import dump_canonical
 from conftest import KeepAliveHandler, logistic, oracle_backend, serving, topk_from
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+RECORDING = Path(__file__).resolve().parent / "data" / "recording.json"
+
+#: The answers in ``RECORDING``, by prompt and k, as (token, logprob) pairs:
+#: k=1, k=10 with a -inf entry and tokens that JSON escapes, a -0.0 logprob
+#: and an empty answer.
+WIRE_SCRIPT = {
+    ("### Input:\nage:41 income:high\n\n### Response:\n", 1): [(" yes", math.log(0.75))],
+    ("### Input:\nage:23\n\n### Response:\n", 10): [
+        (" no", math.log(0.5)), (" yes", math.log(0.3)), ("No", math.log(0.1)),
+        ("\u00e9t\u00e9", math.log(0.05)), ('"quoted"', math.log(0.02)),
+        ("tab\t\\", math.log(0.01)), ("", -700.0), ("\U0001f600", -745.0),
+        (" maybe", -800.5), (" unknown", -math.inf),
+    ],
+    ("age:1", 2): [(" no", -0.0), (" yes", -math.inf)],
+    ("income:low", 3): [],
+}
+
+
+class _Scripted(Backend):
+    """Answers each (prompt, k) of a script, read through the wire shape."""
+
+    def __init__(self, script):
+        super().__init__()
+        self.script = script
+
+    def _fetch(self, prompt, k, wait):
+        tokens = [{"token": t, "logprob": lp} for t, lp in self.script[prompt, k]]
+        return TopKDistribution.from_payload({"tokens": tokens}, k)
+
+
+def _wire_bits(answer: TopKDistribution) -> list[tuple[str, bytes]]:
+    return [(e["token"], struct.pack("<d", e["logprob"])) for e in answer.to_payload()["tokens"]]
+
+
+@st.composite
+def _wire_answers(draw) -> TopKDistribution:
+    k = draw(st.integers(1, 12))
+    n = draw(st.integers(0, k))
+    weights = draw(st.lists(
+        st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 1e-300, 1.0])),
+        min_size=n, max_size=n,
+    ))
+    probs = [w / n for w in weights]
+    logprobs = sorted((math.log(p) if p > 0 else -math.inf for p in probs), reverse=True)
+    text = st.text(alphabet=' aY"\\/\t\n\x00\x1f\u00e9\u2028\U0001f600', max_size=6)
+    tokens = [{"token": draw(text), "logprob": lp} for lp in logprobs]
+    return TopKDistribution.from_payload({"tokens": tokens}, k)
+
+
+class TestWireShape:
+    """Answers cross the wire, into a recording and back out of it, unchanged
+    to the bit. ``RECORDING`` was written by ``RecordingBackend`` over
+    ``_Scripted(WIRE_SCRIPT)``, querying the script in order."""
+
+    def test_recording_the_script_again_writes_the_same_bytes(self, tmp_path):
+        path = tmp_path / "recording.json"
+        with RecordingBackend(_Scripted(WIRE_SCRIPT), path) as recorder:
+            for prompt, k in WIRE_SCRIPT:
+                recorder.query(prompt, k)
+        assert path.read_bytes() == RECORDING.read_bytes()
+
+    def test_replaying_it_gives_the_scripted_answers(self):
+        replay = ReplayBackend(RECORDING)
+        live = _Scripted(WIRE_SCRIPT)
+        for (prompt, k), entries in WIRE_SCRIPT.items():
+            answer = replay.query(prompt, k)
+            assert answer == live.query(prompt, k)
+            assert _wire_bits(answer) == [(t, struct.pack("<d", lp)) for t, lp in entries]
+
+    @given(_wire_answers())
+    def test_payload_round_trip_is_bit_exact(self, answer):
+        payload = answer.to_payload()
+        for wire in (payload, json.loads(json.dumps(payload))):
+            again = TopKDistribution.from_payload(wire, answer.k)
+            assert again == answer
+            assert _wire_bits(again) == _wire_bits(answer)
 
 
 class TestWireTypes:
     def test_positive_logprob_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            TokenLogprob("x", 0.1)
+        with pytest.raises(ValueError, match=r"^logprob for 'x' is positive: 0.1$"):
+            TopKDistribution(("x",), (0.1,), k=1)
 
     def test_entries_must_be_sorted(self):
         with pytest.raises(ValueError, match="sorted"):
-            TopKDistribution(
-                entries=(TokenLogprob("a", -2.0), TokenLogprob("b", -1.0)), k=5
-            )
+            TopKDistribution(tokens=("a", "b"), logprobs=(-2.0, -1.0), k=5)
 
     def test_entries_exceeding_k_rejected(self):
-        entries = tuple(TokenLogprob(str(i), -1.0 - i) for i in range(3))
         with pytest.raises(ValueError, match="exceed"):
-            TopKDistribution(entries=entries, k=2)
+            TopKDistribution(tokens=("0", "1", "2"), logprobs=(-1.0, -2.0, -3.0), k=2)
 
     def test_mass_above_one_rejected(self):
-        entries = (TokenLogprob("a", math.log(0.7)), TokenLogprob("b", math.log(0.7)))
         with pytest.raises(ValueError, match="exceeding 1"):
-            TopKDistribution(entries=entries, k=5)
+            TopKDistribution(tokens=("a", "b"), logprobs=(math.log(0.7),) * 2, k=5)
+
+    @pytest.mark.parametrize("tokens, logprobs", [(("a", "b"), (-1.0,)), (("a",), (-1.0, 0.5))])
+    def test_tuples_of_unequal_length_rejected_first(self, tokens, logprobs):
+        with pytest.raises(ValueError, match=r"^\d tokens? but \d logprobs?$"):
+            TopKDistribution(tokens, logprobs, k=0)
 
     def test_payload_round_trip(self):
         dist = topk_from({" yes": 0.6, " no": 0.2}, k=4)
@@ -81,18 +160,18 @@ class TestWireTypes:
     @pytest.mark.parametrize("logprob", [math.nan, math.inf], ids=["nan", "+inf"])
     def test_nan_and_plus_inf_logprobs_rejected(self, logprob):
         with pytest.raises(ValueError, match=r"^logprob for 'x' must be finite or -inf$"):
-            TokenLogprob("x", logprob)
+            TopKDistribution(("x",), (logprob,), k=1)
 
     def test_minus_inf_logprob_is_an_entry_of_zero_mass(self):
-        entries = (TokenLogprob("a", math.log(0.5)), TokenLogprob("b", -math.inf))
-        assert TopKDistribution(entries, k=2).entries[1].logprob == -math.inf
-        assert TopKDistribution((TokenLogprob("b", -math.inf),), k=1).entries[0].token == "b"
+        dist = TopKDistribution(("a", "b"), (math.log(0.5), -math.inf), k=2)
+        assert dist.logprobs[1] == -math.inf
+        assert TopKDistribution(("b",), (-math.inf,), k=1).tokens == ("b",)
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError, match=r"^k must be >= 1$"):
-            TopKDistribution((), k=0)
+            TopKDistribution((), (), k=0)
         with pytest.raises(ValueError, match=r"^k must be >= 1$"):
-            TopKDistribution((TokenLogprob("a", -1.0),), k=0)
+            TopKDistribution(("a",), (-1.0,), k=0)
 
     @pytest.mark.parametrize(
         "logprobs, k, message",
@@ -147,11 +226,8 @@ class TestWireTypes:
     def test_payload_with_minus_inf_is_accepted(self):
         tokens = [{"token": "a", "logprob": -0.5}, {"token": "b", "logprob": -math.inf}]
         dist = TopKDistribution.from_payload({"tokens": tokens}, k=2)
-        assert dist == TopKDistribution(
-            (TokenLogprob("a", -0.5), TokenLogprob("b", -math.inf)), k=2
-        )
-        assert type(dist.entries) is tuple
-        assert all(type(e) is TokenLogprob for e in dist.entries)
+        assert dist == TopKDistribution(("a", "b"), (-0.5, -math.inf), k=2)
+        assert type(dist.tokens) is tuple and type(dist.logprobs) is tuple
 
     def test_digest_depends_on_prompt_and_k(self):
         assert prompt_digest("p", 5) != prompt_digest("p", 6)
@@ -175,21 +251,22 @@ class TestSyntheticBackend:
     def test_present_feature_shifts_probability(self, yes_no_vmap):
         backend = oracle_backend({"a": 2.0})
         topk = backend.query("a:1 b:2", 10)
-        p_yes = math.exp(topk.entries[0].logprob)
-        assert topk.entries[0].token == " yes"
+        p_yes = math.exp(topk.logprobs[0])
+        assert topk.tokens[0] == " yes"
         assert p_yes == pytest.approx(logistic(2.0), abs=1e-12)
         assert p_yes == pytest.approx(0.8808, abs=1e-4)
 
     def test_absent_feature_contributes_zero(self):
         backend = oracle_backend({"a": 2.0})
         topk = backend.query("b:2 c:3", 10)
-        probs = {e.token: math.exp(e.logprob) for e in topk.entries}
+        probs = {t: math.exp(lp) for t, lp in zip(topk.tokens, topk.logprobs)}
         assert probs[" yes"] == pytest.approx(0.5, abs=1e-12)
 
     def test_markers_restrict_parsing_to_input_block(self):
         backend = oracle_backend({"a": 2.0})
         prompt = "mentions a:1 here\n\n### Input:\nb:2\n\n### Response:\n"
-        probs = {e.token: math.exp(e.logprob) for e in backend.query(prompt, 10).entries}
+        topk = backend.query(prompt, 10)
+        probs = {t: math.exp(lp) for t, lp in zip(topk.tokens, topk.logprobs)}
         assert probs[" yes"] == pytest.approx(0.5, abs=1e-12)
 
     def test_deterministic(self):
@@ -207,7 +284,7 @@ class TestSyntheticBackend:
             "backend = SyntheticBackend(SyntheticOracleSpec(('yes', 'no'), weights, bias=-3.0))\n"
             "subsets = (s for r in range(1, 15) for s in itertools.combinations(keys, r))\n"
             "answers = (backend.query(' '.join(f'{k}:1' for k in s), 2) for s in subsets)\n"
-            "text = ' '.join(repr(a.entries[0].logprob) for a in answers)\n"
+            "text = ' '.join(repr(a.logprobs[0]) for a in answers)\n"
             "print(hashlib.sha256(text.encode()).hexdigest())\n"
         )
         src = str(Path(tabattr.__file__).resolve().parents[1])
@@ -224,7 +301,7 @@ class TestSyntheticBackend:
     def test_k_one_truncates(self):
         backend = oracle_backend({"a": 2.0})
         topk = backend.query("a:1", 1)
-        assert len(topk.entries) == 1
+        assert len(topk.tokens) == len(topk.logprobs) == 1
 
     def test_spec_round_trip(self, tmp_path):
         spec = SyntheticOracleSpec(classes=("yes", "no"), weights={"a": 1.5}, bias=0.25)
@@ -276,16 +353,66 @@ class TestOracleKeys:
         spec = SyntheticOracleSpec(classes=("yes", "no"), weights=dict.fromkeys(keys, 1.0))
         assert list(spec.weights) == keys
 
-    def test_every_benchmark_oracle_loads(self):
+    def test_every_benchmark_oracle_loads(self, tmp_path):
         sys.path.insert(0, PERFBENCH)
         try:
             import workloads
         finally:
             sys.path.remove(PERFBENCH)
         for m in (10, 14):
-            for seed in range(1, 129):
+            for seed in range(129):
                 data = workloads.oracle_spec(seed, m)
-                SyntheticOracleSpec(tuple(data["classes"]), data["weights"], data["bias"])
+                path = workloads.write_json(tmp_path / "oracle.json", data)
+                spec = SyntheticOracleSpec.from_json(path)
+                assert spec.to_payload() == data
+
+
+class TestOracleSpecFile:
+    """A spec file is refused, naming itself, unless ``classes`` is a list of
+    two distinct strings, ``weights`` an object of finite numbers, ``bias`` a
+    finite number and ``link`` the string ``"logistic"``."""
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"weights": {"a": math.nan}}, "oracle weight 'a' must be a finite number, got nan"),
+            ({"weights": {"a": -math.inf}}, "oracle weight 'a' must be a finite number, got -inf"),
+            ({"weights": {"a": 10**400}}, "oracle weight 'a' must be a finite number"),
+            ({"weights": {"a": True}}, "oracle weight 'a' must be a finite number, got True"),
+            ({"weights": {"a": "2.0"}}, "oracle weight 'a' must be a finite number, got '2.0'"),
+            ({"weights": [1, 2]}, "oracle weights must map keys to numbers, got [1, 2]"),
+            ({"bias": math.inf}, "oracle bias must be a finite number, got inf"),
+            ({"bias": "0.5"}, "oracle bias must be a finite number, got '0.5'"),
+            ({"classes": "ab"}, "two distinct class strings, got 'ab'"),
+            ({"classes": ["yes", 1]}, "two distinct class strings, got ['yes', 1]"),
+            ({"link": ["logistic"]}, "unsupported link ['logistic']"),
+        ],
+        ids=["nan", "-inf", "huge-int", "bool", "string-weight", "weights-list", "inf-bias",
+             "string-bias", "classes-string", "class-number", "link-list"],
+    )
+    def test_refused_naming_the_file(self, change, message, tmp_path):
+        path = tmp_path / "oracle.json"
+        path.write_text(json.dumps({"classes": ["yes", "no"], "weights": {"a": 1.0}, **change}))
+        with pytest.raises(ConfigError) as err:
+            SyntheticOracleSpec.from_json(path)
+        assert str(err.value).startswith(f"malformed oracle spec {path}: ")
+        assert message in str(err.value)
+
+    def test_numbers_load_as_floats(self, tmp_path):
+        path = tmp_path / "oracle.json"
+        path.write_text('{"classes": ["yes", "no"], "weights": {"a": 2, "b": -0.5}, "bias": 1}')
+        spec = SyntheticOracleSpec.from_json(path)
+        assert spec.weights == {"a": 2.0, "b": -0.5} and spec.bias == 1.0
+        assert [type(v) for v in (*spec.weights.values(), spec.bias)] == [float] * 3
+
+    @pytest.mark.parametrize("weight", [-709.0, -720.0, -745.0, -800.0, -1e300])
+    def test_score_below_the_exp_range_does_not_overflow(self, weight):
+        # 1 / (1 + exp(-score)) overflows below about -709.78; exp(score) is
+        # the same value there, to rounding.
+        topk = oracle_backend({"a": weight}).query("a:1", 2)
+        p_yes = 1.0 / (1.0 + math.exp(-weight)) if weight > -709.78 else math.exp(weight)
+        assert topk.tokens == (" no", " yes")
+        assert topk.logprobs == (0.0, math.log(p_yes) if p_yes > 0 else -math.inf)
 
 
 class TestReplayAndRecording:
@@ -309,7 +436,7 @@ class TestReplayAndRecording:
             prompt_digest("good", 3), '{"tokens": [{"token": " yes", "logprob": -0.5}]}',
         ))
         replay = ReplayBackend(store)
-        assert replay.query("good", 3).entries == (TokenLogprob(" yes", -0.5),)
+        assert replay.query("good", 3) == TopKDistribution((" yes",), (-0.5,), 3)
         with pytest.raises(ProtocolError, match="must be finite or -inf"):
             replay.query("bad", 3)
         live = oracle_backend({"a": 1.0})
@@ -529,7 +656,7 @@ class TestHttpBackend:
         backend = HttpBackend(endpoint, retries=0)
         topk = backend.query("hello", 2)
         assert handler.requests_seen == [{"prompt": "hello", "top_k": 2}]
-        assert [e.token for e in topk.entries] == [" yes", " no"]
+        assert topk.tokens == (" yes", " no")
 
     def test_retries_transient_500_then_succeeds(self, http_server):
         endpoint, handler = http_server
@@ -539,7 +666,7 @@ class TestHttpBackend:
         ]
         backend = HttpBackend(endpoint, retries=2, backoff=0.01)
         topk = backend.query("p", 1)
-        assert topk.entries[0].token == "x"
+        assert topk.tokens[0] == "x"
         assert len(handler.requests_seen) == 2
 
     def test_unavailable_after_retry_budget(self, http_server):
@@ -558,7 +685,7 @@ class TestHttpBackend:
         # A backoff step of 30 s would stall the test; Retry-After: 0 replaces it.
         backend = HttpBackend(endpoint, retries=1, backoff=30.0)
         started = time.monotonic()
-        assert backend.query("p", 1).entries[0].token == "x"
+        assert backend.query("p", 1).tokens[0] == "x"
         assert time.monotonic() - started < 10.0
         assert len(handler.requests_seen) == 2
 
@@ -608,7 +735,7 @@ class TestHttpBackend:
                   b'{"token": "y", "logprob": -Infinity}]}')
         ]
         topk = HttpBackend(endpoint, retries=0).query("p", 2)
-        assert [(e.token, e.logprob) for e in topk.entries] == [("x", 0.0), ("y", -math.inf)]
+        assert (topk.tokens, topk.logprobs) == (("x", "y"), (0.0, -math.inf))
 
     def test_recording_wrapper_via_descriptor(self, http_server, tmp_path):
         endpoint, handler = http_server
@@ -881,7 +1008,7 @@ class TestResponseFraming:
         ] * 2
         with serving(Http11) as endpoint, HttpBackend(endpoint, retries=0) as backend:
             answers = [backend.query(f"p{i}", 2) for i in range(2)]
-        assert [e.token for e in answers[1].entries] == [" yes", " no"]
+        assert answers[1].tokens == (" yes", " no")
         assert answers[0] == answers[1]
         assert len(opened) == 1
 
@@ -889,7 +1016,7 @@ class TestResponseFraming:
         endpoint, handler = http_server
         handler.script = [(200, _ok_body(_ANSWER), {"Content-Length": None})] * 2
         with HttpBackend(endpoint, retries=0) as backend:
-            assert [e.token for e in backend.query("p", 2).entries] == [" yes", " no"]
+            assert backend.query("p", 2).tokens == (" yes", " no")
             assert opened[0].fileno() == -1
             backend.query("q", 2)
         assert len(opened) == 2
@@ -952,7 +1079,7 @@ class TestResponseFraming:
         response = b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s"
         fake_sockets(response % (len(body), body))
         with HttpBackend("http://tabattr.invalid/x", retries=0) as backend:
-            assert backend.query("p", 2).entries[0].token == " yes"
+            assert backend.query("p", 2).tokens[0] == " yes"
 
     def test_each_request_is_one_write(self, fake_sockets):
         body = _ok_body(_ANSWER)

@@ -25,7 +25,6 @@ from tabattr import (
     SamplingConfig,
     SyntheticBackend,
     SyntheticOracleSpec,
-    TokenLogprob,
     TopKDistribution,
     VerbalizerMap,
     build_prompts,
@@ -113,11 +112,11 @@ def _answers(draw):
         total = draw(st.sampled_from([1.0, 0.9, 0.5, 1e-12]))
         scale = total / sum(weights) if sum(weights) > 0 else 0.0
         probs = sorted((w * scale for w in weights), reverse=True)
-        entries = tuple(
-            TokenLogprob(draw(st.sampled_from(tokens)), math.log(p) if p > 0 else float("-inf"))
-            for p in probs
-        )
-        topks.append(TopKDistribution(entries, k))
+        topks.append(TopKDistribution(
+            tuple(draw(st.sampled_from(tokens)) for _ in probs),
+            tuple(math.log(p) if p > 0 else float("-inf") for p in probs),
+            k,
+        ))
     return topks, vmap
 
 
@@ -137,11 +136,10 @@ class TestClassDistributions:
     def test_zero_mass_rows_are_uniform_and_flagged(self):
         vmap = VerbalizerMap.from_mapping({"yes": ["yes"], "no": ["no"], "n/a": ["na"]})
         topks = [
-            TopKDistribution((TokenLogprob(" Yes", math.log(0.6)),
-                              TokenLogprob("maybe", math.log(0.3))), 2),
-            TopKDistribution((TokenLogprob("maybe", math.log(0.9)),), 1),
-            TopKDistribution((TokenLogprob("no", float("-inf")),), 1),
-            TopKDistribution((), 3),
+            TopKDistribution((" Yes", "maybe"), (math.log(0.6), math.log(0.3)), 2),
+            TopKDistribution(("maybe",), (math.log(0.9),), 1),
+            TopKDistribution(("no",), (float("-inf"),), 1),
+            TopKDistribution((), (), 3),
         ]
         probs, degenerate = class_distributions(topks, vmap)
         assert probs[0].tolist() == [1.0, 0.0, 0.0]
@@ -193,7 +191,7 @@ def _oracle_prompts(draw):
 
 
 def _bits(topk: TopKDistribution) -> list[bytes]:
-    return [struct.pack("<d", e.logprob) for e in topk.entries]
+    return [struct.pack("<d", logprob) for logprob in topk.logprobs]
 
 
 class TestSyntheticOracle:
@@ -220,7 +218,7 @@ class TestSyntheticOracle:
         spec = SyntheticOracleSpec(("yes", "no"), weights)
         expected = 1.0 / (1.0 + math.exp(-sum(w for key, w in weights.items() if key in present)))
         topk = SyntheticBackend(spec).query(prompt, 2)
-        assert {e.token: e.logprob for e in topk.entries}[" yes"] == math.log(expected)
+        assert dict(zip(topk.tokens, topk.logprobs))[" yes"] == math.log(expected)
 
     def test_synth_demo_writes_the_reference_oracle_artifacts(self, tmp_path, monkeypatch):
         keys = list(_ORACLE_KEYS) + ["capital_gain", "capital_gain_x", "x_capital_gain",

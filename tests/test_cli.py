@@ -277,6 +277,59 @@ class TestUncarriedOracleKey:
         assert all(abs(r["phi"]["capital_gain"]) > abs(r["phi"]["age"]) for r in results.values())
 
 
+class TestMalformedSpecFiles:
+    """An oracle or verbalizer file of the wrong shape exits 2, naming what is
+    wrong, before the run writes any file; an oracle whose score leaves the
+    range of ``exp`` runs."""
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [({"weights": {**WEIGHTS, "f0": float("nan")}}, "'f0' must be a finite number, got nan"),
+         ({"weights": [1, 2]}, "weights must map keys to numbers, got [1, 2]"),
+         ({"classes": "ab"}, "two distinct class strings, got 'ab'")],
+        ids=["nan-weight", "weights-list", "classes-string"],
+    )
+    def test_synth_demo_refuses_the_oracle(self, change, named, oracle, tmp_path, capsys):
+        _, path = oracle
+        path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+        out = tmp_path / "out"
+        argv = ["synth-demo", "--oracle", str(path), "--out", str(out), "--n-instances", "1"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"malformed oracle spec {path}: " in err and named in err
+        assert list(out.iterdir()) == []
+
+    def test_synth_demo_runs_a_score_below_the_exp_range(self, oracle, tmp_path, capsys):
+        _, path = oracle
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    "weights": {**WEIGHTS, "f0": -800.0}}))
+        out = tmp_path / "out"
+        argv = ["synth-demo", "--oracle", str(path), "--out", str(out), "--n-instances", "1",
+                "--max-coalitions", "20"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        (result,) = json.loads((out / "results_jsd.json").read_text()).values()
+        assert max(result["phi"], key=lambda key: abs(result["phi"][key])) == "f0"
+
+    @pytest.mark.parametrize(
+        "mapping, named",
+        [({"yes": "yes", "no": "no"}, "class 'yes' needs a list of surface-form strings"),
+         ({"yes": "yes", "no": "nope"}, "class 'yes' needs a list of surface-form strings"),
+         ({"yes": ["yes"], "no": [3]}, "class 'no' needs a list of surface-form strings")],
+        ids=["strings", "strings-sharing-letters", "number-form"],
+    )
+    def test_attribute_refuses_the_verbalizer(self, mapping, named, oracle, tmp_path, capsys):
+        _, path = oracle
+        verbalizer = tmp_path / "vb.json"
+        verbalizer.write_text(json.dumps(mapping))
+        out = tmp_path / "out"
+        argv = ["attribute", *_tabular_inputs(tmp_path), "--backend", f"synthetic:{path}",
+                "--verbalizer", str(verbalizer), "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
 class TestLargeDataset:
     """Every row is checked at load; only the selected rows become instances."""
 

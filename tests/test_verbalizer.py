@@ -44,7 +44,7 @@ class TestAggregateRaw:
         assert raw[1] == pytest.approx(0.3, abs=1e-12)
 
     def test_never_exceeds_topk_mass(self, mixed_topk, yes_no_vmap):
-        total = sum(math.exp(e.logprob) for e in mixed_topk.entries)
+        total = sum(math.exp(lp) for lp in mixed_topk.logprobs)
         assert aggregate_raw(mixed_topk, yes_no_vmap).sum() <= total + 1e-12
 
 
@@ -88,6 +88,16 @@ class TestVerbalizerMap:
     def test_empty_surface_set_rejected(self):
         with pytest.raises(ConfigError, match="empty surface set"):
             VerbalizerMap.from_mapping({"yes": [], "no": ["no"]})
+
+    @pytest.mark.parametrize(
+        "mapping, label",
+        [({"yes": "yes", "no": ["no"]}, "yes"), ({"yes": ["yes"], "no": [3]}, "no"),
+         ({"yes": ["yes"], "no": None}, "no")],
+        ids=["string", "number-form", "null"],
+    )
+    def test_forms_must_be_a_list_of_strings(self, mapping, label):
+        with pytest.raises(ConfigError, match=f"^class '{label}' needs a list of surface-form"):
+            VerbalizerMap.from_mapping(mapping)
 
     def test_from_json(self, tmp_path):
         path = tmp_path / "v.json"
