@@ -6,17 +6,38 @@ loudly if it asks for a different index set.
 
 All runs in a directory share one store of :class:`Evaluation` lines. Line 1
 is a header with a fingerprint of everything that changes prompts or their
-answers; a mismatch is an explicit stale-cache error, never a silent
-recompute. The metric is not part of it: it only scores an evaluation after
-the backend has answered, so one store serves every metric. Each instance's
-line is appended and flushed as soon as it is evaluated, so a killed run
-keeps every instance it finished. A last line torn by a kill mid-append is
-dropped on open; damage anywhere else is a :class:`CorruptCacheError` with
-its byte offset.
+answers, and of the store's line format; a mismatch is an explicit
+stale-cache error, never a silent recompute. The metric is not part of it:
+it only scores an evaluation after the backend has answered, so one store
+serves every metric. Each instance's line is appended and flushed as soon as
+it is evaluated, so a killed run keeps every instance it finished. A last
+line torn by a kill mid-append is dropped on open; damage anywhere else is a
+:class:`CorruptCacheError` with its byte offset.
+
+Each evaluation line is one JSON object over N coalitions of M features and
+C classes. Its arrays are raw bytes in standard base64 (``+/``, padded)::
+
+    instance_index   int
+    feature_keys     [str] * M
+    membership       base64, N x ceil(M/8) bytes: each row's bits packed
+                     little-bit-order (bit j of the row is feature j)
+    class_dists      base64, N x C little-endian float64, row-major
+    degenerate       [int], the zero-mass rows' positions, strictly increasing
+    full_dist        base64, C little-endian float64
+    full_degenerate  bool
+
+so an array reads back, bit for bit, as::
+
+    full_dist = np.frombuffer(base64.b64decode(entry["full_dist"]), "<f8")
+    class_dists = np.frombuffer(base64.b64decode(entry["class_dists"]), "<f8").reshape(-1, C)
+    membership = np.unpackbits(
+        np.frombuffer(base64.b64decode(entry["membership"]), np.uint8).reshape(N, -1),
+        axis=1, count=M, bitorder="little").view(bool)
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 from dataclasses import dataclass
@@ -39,13 +60,18 @@ from .verbalizer import VerbalizerMap
 
 STORE_NAME = "evaluations.jsonl"
 MANIFEST_NAME = "index_manifest.json"
+#: Names the line format of :func:`_encode`; the fingerprint covers it, so a
+#: store written in another format is stale.
+STORE_FORMAT = "base64-float64le"
 
 
 def config_fingerprint(
     config: SamplingConfig, template: PromptTemplate, vmap: VerbalizerMap
 ) -> str:
-    """Hash of everything that changes prompts or their answers."""
+    """Hash of everything that changes prompts or their answers, and of
+    :data:`STORE_FORMAT`, the format the store's lines are written in."""
     payload = {
+        "store_format": STORE_FORMAT,
         "sampling": config.to_payload(),
         "template": {
             "instruction": template.instruction,
@@ -131,38 +157,67 @@ def _read_json(path: Path):
 
 
 def _encode(evaluation: Evaluation) -> bytes:
-    """One store line: membership rows as little-endian packed bits in hex,
-    which round-trips for any M, and the degenerate rows by position."""
+    """One store line, in the format of the module docstring: each array's
+    raw bytes in base64 (membership rows as little-bit-order packed bits,
+    which hold any M; distributions as little-endian float64, so a read-back
+    value is bit-identical) and the degenerate rows by position."""
     packed = np.packbits(evaluation.membership, axis=1, bitorder="little")
     entry = {
         "instance_index": evaluation.instance_index,
         "feature_keys": list(evaluation.feature_keys),
-        "membership": packed.tobytes().hex(),
-        "class_dists": evaluation.class_dists.tolist(),
+        "membership": _b64(packed),
+        "class_dists": _b64(evaluation.class_dists.astype("<f8", copy=False)),
         "degenerate": np.flatnonzero(evaluation.degenerate).tolist(),
-        "full_dist": evaluation.full_dist.tolist(),
+        "full_dist": _b64(evaluation.full_dist.astype("<f8", copy=False)),
         "full_degenerate": evaluation.full_degenerate,
     }
     return json.dumps(entry, separators=(",", ":")).encode("ascii") + b"\n"
 
 
+def _b64(array: np.ndarray) -> str:
+    return base64.b64encode(array.tobytes()).decode("ascii")
+
+
+def _unb64(text: str, dtype: str) -> np.ndarray:
+    """The ``dtype`` array whose raw bytes base64 ``text`` holds; a character
+    outside the base64 alphabet is refused, not skipped."""
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype=dtype)
+
+
 def _decode(entry: dict, config: SamplingConfig) -> Evaluation:
     keys = tuple(entry["feature_keys"])
-    class_dists = np.array(entry["class_dists"], dtype=float)
-    packed = np.frombuffer(bytes.fromhex(entry["membership"]), dtype=np.uint8)
+    full_dist = _unb64(entry["full_dist"], "<f8").astype(float, copy=False)
+    class_dists = _unb64(entry["class_dists"], "<f8").astype(float, copy=False)
+    c = full_dist.size
+    if c < 1:
+        raise ValueError("full_dist holds no class")
+    n, rest = divmod(class_dists.size, c)
+    if rest:
+        raise ValueError(f"class_dists of {class_dists.size} values is not rows of {c}")
+    width = -(-len(keys) // 8)
+    packed = _unb64(entry["membership"], "u1")
+    if packed.size != n * width:
+        raise ValueError(f"membership of {packed.size} bytes, expected {n} rows of {width}")
     membership = np.unpackbits(
-        packed.reshape(len(class_dists), -1), axis=1, count=len(keys), bitorder="little"
-    ).astype(bool)
-    degenerate = np.zeros(len(class_dists), dtype=bool)
-    degenerate[entry["degenerate"]] = True
+        packed.reshape(n, width), axis=1, count=len(keys), bitorder="little"
+    ).view(bool)
+    positions = entry["degenerate"]
+    if not (
+        isinstance(positions, list)
+        and all(type(p) is int and 0 <= p < n for p in positions)
+        and positions == sorted(set(positions))
+    ):
+        raise ValueError(f"degenerate positions {positions!r} are not increasing in [0, {n})")
+    degenerate = np.zeros(n, dtype=bool)
+    degenerate[positions] = True
     return Evaluation(
         instance_index=int(entry["instance_index"]),
         feature_keys=keys,
         config=config,
         membership=membership,
-        class_dists=class_dists,
+        class_dists=class_dists.reshape(n, c),
         degenerate=degenerate,
-        full_dist=np.array(entry["full_dist"], dtype=float),
+        full_dist=full_dist,
         full_degenerate=bool(entry["full_degenerate"]),
     )
 

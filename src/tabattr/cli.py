@@ -39,8 +39,10 @@ the instances of the selected rows only.
 Every command reads and fills the same evaluation store,
 ``evaluations.jsonl``, once, and scores each metric it needs from it once:
 after any ``attribute``, another metric costs no backend call. The store holds each
-instance's coalitions and their class distributions; a stored instance over
-other feature keys than the dataset's is refused. ``results_{metric}.json``
+instance's coalitions and their class distributions as raw bytes (see
+:mod:`tabattr.cache`); a store written in another format or under another
+configuration, or a stored instance over other feature keys than the
+dataset's, is refused (exit 1). ``results_{metric}.json``
 holds only the scores (phi, raw_phi, the full-input distribution and the
 degeneracy flags per instance), which scoring the stored evaluation
 reproduces exactly.
@@ -270,15 +272,14 @@ class Run:
 
     @classmethod
     def open(cls, command: str, spec: RunSpec, *required: str) -> "Run":
-        """Check the ``required`` options and the backend spec, create the output
-        directory and load the template and verbalizer."""
+        """Check the ``required`` options and the backend spec, load the
+        template and verbalizer, then create the output directory, so a
+        refused file leaves no directory behind."""
         spec.require(*required)
         spec.require("out")
         kind, target = parse_backend(spec.backend) if spec.backend else (None, None)
         if spec.record and kind not in (None, "http"):
             raise ConfigError("recording applies to the http backend only")
-        out = Path(spec.out)
-        out.mkdir(parents=True, exist_ok=True)
         template = load_template(spec.template) if spec.template else PromptTemplate()
         if spec.verbalizer:
             vmap = VerbalizerMap.from_json(spec.verbalizer)
@@ -287,6 +288,8 @@ class Run:
             vmap = VerbalizerMap.from_mapping({c: [c] for c in oracle.classes})
         else:
             raise ConfigError("missing required options: --verbalizer")
+        out = Path(spec.out)
+        out.mkdir(parents=True, exist_ok=True)
         return cls(command, spec, out, template, vmap)
 
     def backend(self) -> Backend:
@@ -527,10 +530,10 @@ def cmd_synth_demo(spec: RunSpec) -> int:
         sources=("jsd", "kl", "l1", "random", "external"),
         external=str(Path(spec.out) / "external_ranking.json"),
     )
-    run = Run.open("synth-demo", spec)
     oracle = SyntheticOracleSpec.from_json(spec.oracle)
     if len(oracle.weights) < 2:
         raise ConfigError("oracle spec needs at least 2 weighted features")
+    run = Run.open("synth-demo", spec)
     instances = synthetic_instances(oracle, spec.n_instances, spec.seed)
     backend = run.backend()
     true_order = tuple(sorted(oracle.weights, key=lambda k: (-abs(oracle.weights[k]), k)))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -303,23 +304,56 @@ def load_dataset(path: str | Path, schema: Mapping[str, str]) -> TabularDataset:
         numeric = [(column, position) for column, _, kind, position in features if kind == NUMERIC]
 
         rows = []
-        for row_number, row in enumerate(reader, start=2):
+        for row in reader:
             if len(row) != len(header):
+                _check_numeric_cells(path, rows, numeric)
                 raise DatasetError(
-                    f"{path}: row {row_number} has {len(row)} cells, expected {len(header)}"
+                    f"{path}: row {len(rows) + 2} has {len(row)} cells, expected {len(header)}"
                 )
             if not features:  # TabularInstance refuses a row with no field
                 raise ValueError("an instance needs at least one field")
-            for column, position in numeric:
-                raw = row[position]
-                if raw.strip():
-                    try:
-                        normalize_value(raw, NUMERIC, column=column)
-                    except NormalizationError as exc:
-                        raise DatasetError(f"{path}: row {row_number}: {exc}") from exc
             rows.append(row)
+    _check_numeric_cells(path, rows, numeric)
     label_position = None if label_column is None else header.index(label_column)
     return TabularDataset(rows, features, label_position)
+
+
+def _check_numeric_cells(
+    path: str | Path, rows: list[list[str]], numeric: list[tuple[str, int]]
+) -> None:
+    """Raise the first bad numeric cell of ``rows``, in file order.
+
+    A cell that ``float`` reads as a finite number normalizes and an empty
+    cell is missing, so each column's other cells are first parsed whole in
+    one ``map``. Only a column with some other cell (blank but not empty,
+    padded with what ``str.strip`` drops but ``float`` refuses, such as
+    U+001C, or not a finite number) checks those cells one by one, by
+    :func:`normalize_value`.
+    """
+    suspects = []
+    for order, (column, position) in enumerate(numeric):
+        cells = [row[position] for row in rows]
+        try:
+            if np.isfinite(np.fromiter(map(float, filter(None, cells)), float)).all():
+                continue
+        except ValueError:
+            pass
+        suspects += [(r, order) for r, raw in enumerate(cells) if not _finite_number(raw)]
+    for r, order in sorted(suspects):
+        column, position = numeric[order]
+        raw = rows[r][position]
+        if raw.strip():
+            try:
+                normalize_value(raw, NUMERIC, column=column)
+            except NormalizationError as exc:
+                raise DatasetError(f"{path}: row {r + 2}: {exc}") from exc
+
+
+def _finite_number(raw: str) -> bool:
+    try:
+        return math.isfinite(float(raw))
+    except ValueError:
+        return False
 
 
 def load_template(path: str | Path) -> PromptTemplate:

@@ -1,16 +1,69 @@
 from __future__ import annotations
 
+import base64
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tabattr import Evaluation, SamplingConfig, evaluate, load_or_evaluate
+from tabattr import (
+    Evaluation,
+    PromptTemplate,
+    SamplingConfig,
+    VerbalizerMap,
+    cache,
+    config_fingerprint,
+    evaluate,
+    load_or_evaluate,
+)
 from tabattr.errors import BackendError, CacheError, CorruptCacheError, StaleCacheError
 from conftest import make_instance, oracle_backend
 
 KEYS = ("a", "b", "c")
 CONFIG = SamplingConfig(max_coalitions=10)
+GOLDEN_STORE = Path(__file__).resolve().parent / "data" / "golden_store.jsonl"
+PINNED_FINGERPRINT = "2b3701aa87bc8ebb67d7f8496aa11da65365f8e8c4f66e65895497b1a6c67ece"
+
+
+def _floats(*values: float) -> str:
+    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _line(**changes) -> str:
+    """A store line of 2 coalitions over KEYS and 2 classes, with ``changes``."""
+    entry = {
+        "instance_index": 0,
+        "feature_keys": list(KEYS),
+        "membership": base64.b64encode(bytes([0b011, 0b110])).decode("ascii"),
+        "class_dists": _floats(0.5, 0.5, 1.0, 0.0),
+        "degenerate": [1],
+        "full_dist": _floats(0.25, 0.75),
+        "full_degenerate": False,
+        **changes,
+    }
+    return json.dumps(entry)
+
+
+def _golden() -> Evaluation:
+    """The evaluation ``tests/data/golden_store.jsonl`` holds: M=70, C=3,
+    a degenerate uniform row and the floats 0.0, 1.0 and 5e-324."""
+    membership = np.zeros((4, 70), dtype=bool)
+    membership[0] = True
+    membership[0, 3] = False
+    membership[1, ::3] = True
+    membership[2, 64:] = True  # bits an int64 mask cannot hold
+    membership[3, [0, 69]] = True
+    class_dists = np.array(
+        [[0.0, 1.0, 0.0], [1 / 3, 1 / 3, 1 / 3], [5e-324, 0.75, 0.25], [0.1, 0.2, 0.7]]
+    )
+    return Evaluation(
+        instance_index=7, feature_keys=tuple(f"k{j}" for j in range(70)), config=CONFIG,
+        membership=membership, class_dists=class_dists,
+        degenerate=np.array([False, True, False, False]),
+        full_dist=np.array([0.2, 0.3, 0.5]), full_degenerate=False,
+    )
 
 
 @pytest.fixture
@@ -108,7 +161,34 @@ class TestLoadOrCompute:
         with pytest.raises(CacheError, match=r"outside selected_test_indices: \[1\]"):
             load_or_evaluate(path, [0], evaluate_row, CONFIG, "f")
 
-    @pytest.mark.parametrize("line", ['[1, 2]', '{"instance_index": 0}', '"x"'])
+    def test_hand_written_line_reads_back(self, tmp_path):
+        # The base of the corrupt lines below is itself a valid line.
+        path = tmp_path / "evaluations.jsonl"
+        path.write_text(f'{{"fingerprint": "f"}}\n{_line()}\n')
+        [stored] = load_or_evaluate(path, [0], lambda idx: pytest.fail("stored"), CONFIG, "f")
+        assert stored.membership.tolist() == [[True, True, False], [False, True, True]]
+        assert stored.class_dists.tolist() == [[0.5, 0.5], [1.0, 0.0]]
+        assert stored.degenerate.tolist() == [False, True]
+        assert stored.full_dist.tolist() == [0.25, 0.75]
+
+    @pytest.mark.parametrize(
+        "line",
+        ['[1, 2]', '{"instance_index": 0}', '"x"']
+        + [pytest.param(_line(degenerate=d), id=f"degenerate-{d}")
+           for d in ([-1, -1], [-1], [2], [1, 0], [1, 1], [True], [0.0])]
+        + [pytest.param(_line(**{key: value}), id=name) for name, key, value in [
+            ("bad-padding", "full_dist", _floats(0.25, 0.75)[:-1]),
+            ("urlsafe-char", "class_dists", _floats(0.5, 0.5, 1.0, 0.0)[:-2] + "-="),
+            ("newline", "membership", "Aw\nY="),
+            ("decimal-list", "full_dist", [0.25, 0.75]),
+            ("no-class", "full_dist", ""),
+            ("partial-float", "full_dist", base64.b64encode(bytes(12)).decode("ascii")),
+            ("partial-row", "class_dists", _floats(0.5, 0.5, 1.0)),
+            ("extra-row", "class_dists", _floats(0.5, 0.5, 1.0, 0.0, 0.5, 0.5)),
+            ("short-membership", "membership", base64.b64encode(bytes([3])).decode("ascii")),
+            ("long-membership", "membership", base64.b64encode(bytes(3)).decode("ascii")),
+        ]],
+    )
     def test_line_that_is_no_evaluation_is_corrupt(self, line, evaluate_row, tmp_path):
         path = tmp_path / "evaluations.jsonl"
         load_or_evaluate(path, [0], evaluate_row, CONFIG, "f")
@@ -134,3 +214,30 @@ class TestLoadOrCompute:
         [again] = load_or_evaluate(path, [4], lambda idx: pytest.fail("stored"), CONFIG, "f")
         assert _same(again, evaluation)
         assert again.membership.dtype == bool and again.degenerate.dtype == bool
+
+
+class TestStoreFormat:
+    """Arrays are stored as their raw bytes, so a stored evaluation reads back bit for bit."""
+
+    def test_golden_store_decodes_bit_exactly_and_re_encodes_to_its_bytes(self, tmp_path):
+        path = tmp_path / "evaluations.jsonl"
+        shutil.copyfile(GOLDEN_STORE, path)
+        [stored] = load_or_evaluate(path, [7], lambda idx: pytest.fail("stored"), CONFIG, "golden")
+        expected = _golden()
+        for name in ("membership", "class_dists", "degenerate", "full_dist"):
+            got, want = getattr(stored, name), getattr(expected, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+        assert (stored.instance_index, stored.feature_keys, stored.full_degenerate) == (
+            expected.instance_index, expected.feature_keys, expected.full_degenerate
+        )
+        line = GOLDEN_STORE.read_bytes().split(b"\n")[1] + b"\n"
+        assert cache._encode(stored) == line
+        assert cache._encode(expected) == line
+        assert path.read_bytes() == GOLDEN_STORE.read_bytes()
+
+    def test_fingerprint_is_pinned(self):
+        # Any change to what the fingerprint hashes refuses every existing
+        # store as stale; such a change must update this value on purpose.
+        vmap = VerbalizerMap.from_mapping({"yes": ["yes", "Yes"], "no": ["no"]})
+        assert config_fingerprint(SamplingConfig(), PromptTemplate(), vmap) == PINNED_FINGERPRINT

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -31,6 +32,9 @@ from conftest import KeepAliveHandler, brute_force_raw_phi, serving
 from reference import build_prompt, fields_at
 
 WEIGHTS = {"f0": 0.9, "f1": 2.0, "f2": 0.3, "f3": 1.4, "f4": 0.6, "f5": 0.15}
+# Written by `attribute ... --max-coalitions 10 --indices 0,1` over the
+# inputs below, before the store held raw bytes: decimal lists, old fingerprint.
+DECIMAL_STORE = Path(__file__).resolve().parent / "data" / "decimal_store.jsonl"
 
 
 @pytest.fixture
@@ -266,7 +270,7 @@ class TestUncarriedOracleKey:
         out = tmp_path / "out"
         assert cli.main(["synth-demo", "--oracle", str(oracle), "--out", str(out)]) == 2
         assert "'Capital Gain'" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_the_field_key_is_carried(self, tmp_path, capsys):
         inputs, _ = self._inputs(tmp_path, "capital_gain")
@@ -278,9 +282,9 @@ class TestUncarriedOracleKey:
 
 
 class TestMalformedSpecFiles:
-    """An oracle or verbalizer file of the wrong shape exits 2, naming what is
-    wrong, before the run writes any file; an oracle whose score leaves the
-    range of ``exp`` runs."""
+    """An oracle, verbalizer or template file of the wrong shape exits,
+    naming what is wrong, before the output directory is made; an oracle
+    whose score leaves the range of ``exp`` runs."""
 
     @pytest.mark.parametrize(
         "change, named",
@@ -297,7 +301,26 @@ class TestMalformedSpecFiles:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert f"malformed oracle spec {path}: " in err and named in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_synth_demo_refuses_an_oracle_of_one_feature(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"classes": ["yes", "no"], "weights": {"f0": 1.0}}))
+        out = tmp_path / "out"
+        assert cli.main(["synth-demo", "--oracle", str(path), "--out", str(out)]) == 2
+        assert "at least 2 weighted features" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_attribute_refuses_the_template(self, oracle, tmp_path, capsys):
+        _, path = oracle
+        template = tmp_path / "template.json"
+        template.write_text(json.dumps({"instruction": "Go.", "preamble": "x"}))
+        out = tmp_path / "out"
+        argv = ["attribute", *_tabular_inputs(tmp_path), "--backend", f"synthetic:{path}",
+                "--template", str(template), "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "unknown keys: ['preamble']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_synth_demo_runs_a_score_below_the_exp_range(self, oracle, tmp_path, capsys):
         _, path = oracle
@@ -327,7 +350,7 @@ class TestMalformedSpecFiles:
                 "--verbalizer", str(verbalizer), "--out", str(out)]
         assert cli.main(argv) == 2
         assert named in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestLargeDataset:
@@ -496,6 +519,21 @@ class TestEvaluationStore:
         assert captured.out == ""
         assert "evaluated over features ['f0', 'f1', 'f2']" in captured.err
         assert "the dataset has ['g0', 'g1', 'g2']" in captured.err
+
+    def test_store_of_the_decimal_format_is_stale_and_left_alone(self, oracle, tmp_path, capsys):
+        _, oracle_path = oracle
+        out = tmp_path / "out"
+        out.mkdir()
+        cache.ensure_manifest(out / "index_manifest.json", [0, 1])
+        store = out / "evaluations.jsonl"
+        shutil.copyfile(DECIMAL_STORE, store)
+        assert isinstance(json.loads(store.read_text().splitlines()[1])["class_dists"], list)
+        argv = self._argv("compare", oracle_path, tmp_path, out,
+                          "--external", str(_true_order(tmp_path)))
+        assert cli.main(argv) == 1
+        assert "does not match the current configuration" in capsys.readouterr().err
+        assert store.read_bytes() == DECIMAL_STORE.read_bytes()
+        assert not (out / "rank_report_jsd.json").exists()
 
     @pytest.mark.parametrize("command", ["attribute", "compare"])
     @pytest.mark.parametrize(
