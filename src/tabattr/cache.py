@@ -97,12 +97,12 @@ class CacheManifest:
     @classmethod
     def load(cls, path: str | Path) -> "CacheManifest":
         """Raises :class:`MalformedManifestError` for a file that parses but
-        holds no ``selected_test_indices`` list of integers."""
+        holds no non-empty ``selected_test_indices`` list of integers."""
         data = _read_json(Path(path))
         indices = data.get("selected_test_indices") if isinstance(data, dict) else None
-        if not isinstance(indices, list) or any(type(i) is not int for i in indices):
+        if not isinstance(indices, list) or not indices or any(type(i) is not int for i in indices):
             raise MalformedManifestError(
-                f"{path}: not an index manifest: needs a selected_test_indices list of integers"
+                f"{path}: not an index manifest: needs non-empty integer selected_test_indices"
             )
         return cls(selected_test_indices=tuple(indices), selection_seed=data.get("selection_seed"))
 

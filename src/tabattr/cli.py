@@ -16,10 +16,12 @@ output directory so every run is reproducible from its artifacts.
 
 ``--backend`` takes ``http:URL`` or a bare ``http(s)://`` URL, ``replay:FILE``
 (a recording, read-only) or ``synthetic:FILE`` (an oracle spec, whose classes
-also serve as the verbalizer when ``--verbalizer`` is not given). A malformed
-spec, or ``--record`` with a backend other than http, exits 2 before the
-output directory is made. The environment variable ``TABATTR_ENDPOINT``
-replaces the URL of an http backend and leaves other kinds alone.
+also serve as the verbalizer when ``--verbalizer`` is not given). The
+environment variable ``TABATTR_ENDPOINT`` replaces the URL of an http backend
+and leaves other kinds alone. Every command but ``serialize`` loads and checks
+all its inputs, the backend last, before it makes the output directory, so a
+refused input leaves no ``--out`` behind. ``attribute``, ``deletion-curve``
+and ``synth-demo`` open the backend; ``compare`` scores the store alone.
 ``--workers`` bounds the backend requests in flight at once, and is the only
 bound on them. A request waiting out a backoff or ``Retry-After`` before its
 retry holds no slot, so another request goes out meanwhile.
@@ -223,7 +225,10 @@ class RunSpec:
             config_path = Path(args.config)
             if not config_path.is_file():
                 raise ConfigError(f"config file not found: {config_path}")
-            values = json.loads(config_path.read_text(encoding="utf-8"))
+            try:
+                values = json.loads(config_path.read_text(encoding="utf-8"))
+            except ValueError as exc:  # malformed JSON or text that is not UTF-8
+                raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from exc
             if not isinstance(values, dict):
                 raise ConfigError(f"config file {config_path} must hold a JSON object")
         values.update((k, v) for k, v in vars(args).items() if k != "command" and v is not None)
@@ -262,22 +267,29 @@ _FIELD_TYPES = typing.get_type_hints(RunSpec)
 @dataclasses.dataclass(frozen=True)
 class Run:
     """What every writing subcommand opens first: its spec, output directory,
-    prompt template and verbalizer; the backend is built on demand."""
+    prompt template, verbalizer, the selected instances, the external ranking
+    (``None`` unless required) and the backend (``None`` for ``compare``)."""
 
     command: str
     spec: RunSpec
     out: Path
     template: PromptTemplate
     vmap: VerbalizerMap
+    instances: list[TabularInstance]
+    external: tuple[str, ...] | dict[int, tuple[str, ...]] | None
+    backend: Backend | None
 
     @classmethod
     def open(cls, command: str, spec: RunSpec, *required: str) -> "Run":
-        """Check the ``required`` options and the backend spec, load the
-        template and verbalizer, then create the output directory, so a
-        refused file leaves no directory behind."""
-        spec.require(*required)
-        spec.require("out")
+        """Load and check the options, the template, the verbalizer (or the
+        oracle's classes), the instances (selected dataset rows, or synth-demo's
+        rows over the oracle's keys), the external ranking if ``required`` and
+        last the backend, none for ``compare``; then make ``--out`` and record
+        the selection."""
+        spec.require(*required, "out")
         kind, target = parse_backend(spec.backend) if spec.backend else (None, None)
+        if kind == "http":
+            target = os.environ.get(ENDPOINT_ENV) or target
         if spec.record and kind not in (None, "http"):
             raise ConfigError("recording applies to the http backend only")
         template = load_template(spec.template) if spec.template else PromptTemplate()
@@ -289,16 +301,28 @@ class Run:
         else:
             raise ConfigError("missing required options: --verbalizer")
         out = Path(spec.out)
-        out.mkdir(parents=True, exist_ok=True)
-        return cls(command, spec, out, template, vmap)
-
-    def backend(self) -> Backend:
-        spec = self.spec
-        kind, target = parse_backend(spec.backend)
-        endpoint = os.environ.get(ENDPOINT_ENV)
-        if endpoint and kind == "http":
-            target = endpoint
-        return open_backend(kind, target, spec.timeout, spec.retries, spec.record)
+        if command == "synth-demo":
+            instances = synthetic_instances(oracle, spec.n_instances, spec.seed)
+        else:
+            dataset = load_dataset(spec.dataset, load_schema(spec.schema))
+            instances = [dataset[i] for i in select_indices(spec, out, len(dataset), command)]
+        keys = instances[0].keys
+        if len(keys) < 2:
+            raise ConfigError(f"attribution needs at least 2 features, got {list(keys)}")
+        external = load_external_ranking(spec.external, keys) if "external" in required else None
+        if command == "compare" and not isinstance(external, tuple):
+            raise ConfigError("compare needs a ranking file in the global form")
+        backend = None
+        if command != "compare":
+            backend = open_backend(kind, target, spec.timeout, spec.retries, spec.record)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            ensure_manifest(out / MANIFEST_NAME, [i.index for i in instances], spec.seed)
+        except BaseException:
+            if backend is not None:
+                backend.close()
+            raise
+        return cls(command, spec, out, template, vmap, instances, external, backend)
 
     def finish(self, summary: str) -> None:
         """Write ``run_manifest.json`` and ``summary.txt``; print the summary."""
@@ -309,15 +333,16 @@ class Run:
         sys.stdout.write(summary)
 
 
-def select_indices(run: Run, dataset_size: int, reuse_recorded: bool) -> list[int]:
-    """The run's instance indices: explicit ``--indices``, else the recorded
-    selection if ``reuse_recorded`` and one exists, else ``--instances`` rows
-    sampled with ``--seed``. They must match the index manifest (raising
-    IndexSetError) or are recorded in it."""
-    spec = run.spec
+def select_indices(spec: RunSpec, out: Path, dataset_size: int, command: str) -> list[int]:
+    """The run's instance indices: explicit ``--indices``, else the selection
+    recorded in ``out`` unless ``command`` is ``attribute``, else ``--instances``
+    rows sampled with ``--seed``. ``compare`` needs a recorded selection.
+    Reads only; :meth:`Run.open` records the selection, or enforces it."""
     if dataset_size == 0:
         raise ConfigError(f"dataset {spec.dataset} has no rows")
-    manifest_path = run.out / MANIFEST_NAME
+    manifest_path = out / MANIFEST_NAME
+    if command == "compare" and not manifest_path.exists():
+        raise CacheError(f"no index manifest at {manifest_path}; run `tabattr attribute` first")
     if spec.indices:
         indices = list(spec.indices)
         bad = [i for i in indices if not 0 <= i < dataset_size]
@@ -325,7 +350,7 @@ def select_indices(run: Run, dataset_size: int, reuse_recorded: bool) -> list[in
             raise ConfigError(f"indices out of range for dataset of {dataset_size} rows: {bad}")
         if len(set(indices)) != len(indices):
             raise ConfigError(f"--indices contain duplicates: {indices}")
-    elif reuse_recorded and manifest_path.exists():
+    elif command != "attribute" and manifest_path.exists():
         indices = list(CacheManifest.load(manifest_path).selected_test_indices)
         missing = [i for i in indices if not 0 <= i < dataset_size]
         if missing:
@@ -334,20 +359,17 @@ def select_indices(run: Run, dataset_size: int, reuse_recorded: bool) -> list[in
         count = min(spec.instances, dataset_size)
         rng = np.random.default_rng(spec.seed)
         indices = sorted(int(i) for i in rng.choice(dataset_size, size=count, replace=False))
-    ensure_manifest(manifest_path, indices, spec.seed)
     return indices
 
 
-def stored_evaluations(
-    run: Run, instances: list[TabularInstance], backend: Backend | None = None
-) -> list[Evaluation]:
-    """Evaluations of the selected ``instances`` from the run's store.
+def stored_evaluations(run: Run, backend: Backend | None = None) -> list[Evaluation]:
+    """Evaluations of the run's instances from its store.
     ``backend`` evaluates the misses; without it, a missing store or instance
     is a :class:`CacheError`. A stored evaluation over other feature keys than
     its instance's is a :class:`StaleCacheError`."""
     path = run.out / STORE_NAME
     config = run.spec.sampling()
-    by_index = {instance.index: instance for instance in instances}
+    by_index = {instance.index: instance for instance in run.instances}
     hint = "run `tabattr attribute` first"
     if backend is not None:
         def evaluate_fn(idx: int) -> Evaluation:
@@ -362,7 +384,7 @@ def stored_evaluations(
         path, list(by_index), evaluate_fn, config,
         fingerprint=config_fingerprint(config, run.template, run.vmap),
     )
-    for instance, evaluation in zip(instances, evaluations):
+    for instance, evaluation in zip(run.instances, evaluations):
         if evaluation.feature_keys != instance.keys:
             raise StaleCacheError(
                 f"{path}: instance {instance.index} was evaluated over features "
@@ -380,18 +402,12 @@ def attribute_step(run: Run, evaluations: list[Evaluation], metric: str) -> list
     return results
 
 
-def deletion_step(
-    run: Run,
-    instances: list[TabularInstance],
-    backend: Backend,
-    results: dict[str, list[AttributionResult]],
-    external: tuple[str, ...] | dict[int, tuple[str, ...]] | None,
-) -> DeletionRun:
-    """A removal order per ``--sources`` entry, the deletion protocol over
-    ``instances``, then ``curves.csv`` and ``curves.json``. A metric source
+def deletion_step(run: Run, results: dict[str, list[AttributionResult]]) -> DeletionRun:
+    """A removal order per ``--sources`` entry, the deletion protocol over the
+    run's instances, then ``curves.csv`` and ``curves.json``. A metric source
     orders each instance by its scores in ``results[metric]``; the external
-    source takes ``external``, one order for every instance or one per index."""
-    spec = run.spec
+    source takes ``run.external``, one order for every instance or one per index."""
+    spec, instances, external = run.spec, run.instances, run.external
     rankings: dict[str, dict[int, tuple[str, ...]]] = {}
     for source in spec.sources:
         if source in METRICS:
@@ -403,7 +419,7 @@ def deletion_step(
         else:
             rankings[source] = external
     deletion = run_deletion(
-        instances, rankings, backend, run.template, run.vmap,
+        instances, rankings, run.backend, run.template, run.vmap,
         max_removals=spec.max_removals, top_k=spec.top_k, workers=spec.workers,
     )
     write_curves_csv(deletion, run.out / "curves.csv")
@@ -443,10 +459,8 @@ def _summary_table(rows: list[tuple], header: tuple) -> str:
 
 def cmd_attribute(spec: RunSpec) -> int:
     run = Run.open("attribute", spec, "dataset", "schema", "backend")
-    dataset = load_dataset(spec.dataset, load_schema(spec.schema))
-    with run.backend() as backend:
-        indices = select_indices(run, len(dataset), reuse_recorded=False)
-        evaluations = stored_evaluations(run, [dataset[i] for i in indices], backend)
+    with run.backend:
+        evaluations = stored_evaluations(run, run.backend)
     results = attribute_step(run, evaluations, spec.metric)
     rows = [(k, f"{s:.6f}") for k, s in global_ranking(results).entries]
     run.finish(
@@ -460,22 +474,17 @@ def cmd_attribute(spec: RunSpec) -> int:
 def cmd_deletion_curve(spec: RunSpec) -> int:
     external_source = ("external",) if "external" in spec.sources else ()
     run = Run.open("deletion-curve", spec, "dataset", "schema", "backend", *external_source)
-    dataset = load_dataset(spec.dataset, load_schema(spec.schema))
-    with run.backend() as backend:
-        instances = [dataset[i] for i in select_indices(run, len(dataset), reuse_recorded=True)]
+    with run.backend:
         metrics = [source for source in spec.sources if source in METRICS]
-        evaluations = stored_evaluations(run, instances) if metrics else []
+        evaluations = stored_evaluations(run) if metrics else []
         results = {m: [score(e, m) for e in evaluations] for m in metrics}
-        external = None
-        if external_source:
-            external = load_external_ranking(spec.external, instances[0].keys)
-        deletion = deletion_step(run, instances, backend, results, external)
+        deletion = deletion_step(run, results)
     rows = [
         (source, f"{curve_auc(curve):.6f}", f"{curve.mean_probs[0]:.6f}")
         for source, curve in deletion.curves.items()
     ]
     run.finish(
-        f"deletion-curve: instances={len(instances) - len(deletion.dropped)} "
+        f"deletion-curve: instances={len(run.instances) - len(deletion.dropped)} "
         f"dropped={len(deletion.dropped)} max_removals={spec.max_removals}\n"
         + _summary_table(rows, ("source", "auc", "step0_prob"))
     )
@@ -484,16 +493,8 @@ def cmd_deletion_curve(spec: RunSpec) -> int:
 
 def cmd_compare(spec: RunSpec) -> int:
     run = Run.open("compare", spec, "dataset", "schema", "external")
-    dataset = load_dataset(spec.dataset, load_schema(spec.schema))
-    manifest_path = run.out / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise CacheError(f"no index manifest at {manifest_path}; run `tabattr attribute` first")
-    instances = [dataset[i] for i in select_indices(run, len(dataset), reuse_recorded=True)]
-    results = [score(e, spec.metric) for e in stored_evaluations(run, instances)]
-    external = load_external_ranking(spec.external, instances[0].keys)
-    if not isinstance(external, tuple):
-        raise ConfigError("compare needs a ranking file in the global form")
-    ranking, rho, external = rank_against(results, external)
+    results = [score(e, spec.metric) for e in stored_evaluations(run)]
+    ranking, rho, external = rank_against(results, run.external)
     _write_rank_report(run.out, ranking, rho, external)
     rows = [(i + 1, k, e) for i, (k, e) in enumerate(zip(ranking.keys, external))]
     run.finish(
@@ -519,8 +520,7 @@ def synthetic_instances(spec: SyntheticOracleSpec, count: int, seed: int) -> lis
 
 
 def cmd_synth_demo(spec: RunSpec) -> int:
-    spec.require("oracle")
-    spec.require("out")
+    spec.require("oracle", "out")
     if spec.indices:
         raise ConfigError("synth-demo runs instances 0..n-1; use --n-instances, not --indices")
     spec = dataclasses.replace(
@@ -530,26 +530,23 @@ def cmd_synth_demo(spec: RunSpec) -> int:
         sources=("jsd", "kl", "l1", "random", "external"),
         external=str(Path(spec.out) / "external_ranking.json"),
     )
-    oracle = SyntheticOracleSpec.from_json(spec.oracle)
-    if len(oracle.weights) < 2:
-        raise ConfigError("oracle spec needs at least 2 weighted features")
     run = Run.open("synth-demo", spec)
-    instances = synthetic_instances(oracle, spec.n_instances, spec.seed)
-    backend = run.backend()
-    true_order = tuple(sorted(oracle.weights, key=lambda k: (-abs(oracle.weights[k]), k)))
+    weights = run.backend.spec.weights
+    true_order = tuple(sorted(weights, key=lambda k: (-abs(weights[k]), k)))
     Path(spec.external).write_text(dump_canonical({"global": true_order}), encoding="utf-8")
+    run = dataclasses.replace(run, external=true_order)
 
-    ensure_manifest(run.out / MANIFEST_NAME, [i.index for i in instances], spec.seed)
-    evaluations = stored_evaluations(run, instances, backend)
-    results = {metric: attribute_step(run, evaluations, metric) for metric in METRICS}
-    deletion = deletion_step(run, instances, backend, results, true_order)
+    with run.backend:
+        evaluations = stored_evaluations(run, run.backend)
+        results = {metric: attribute_step(run, evaluations, metric) for metric in METRICS}
+        deletion = deletion_step(run, results)
     ranked = {metric: rank_against(results[metric], true_order) for metric in METRICS}
     _write_rank_report(run.out, *ranked["jsd"])
 
     auc_rows = [(s, f"{curve_auc(c):.6f}") for s, c in deletion.curves.items()]
     rho_rows = [(m, f"{rho:.6f}") for m, (_, rho, _) in ranked.items()]
     run.finish(
-        f"synth-demo: instances={len(instances)} seed={spec.seed}\n"
+        f"synth-demo: instances={len(run.instances)} seed={spec.seed}\n"
         + _summary_table(rho_rows, ("metric", "rho_vs_true_order"))
         + _summary_table(auc_rows, ("source", "deletion_auc"))
     )

@@ -363,9 +363,11 @@ def load_template(path: str | Path) -> PromptTemplate:
     ``response_marker``, ``suffix``; any other file supplies the instruction
     text verbatim (trailing newline stripped) with default markers.
     """
-    text = Path(path).read_text(encoding="utf-8")
     if str(path).endswith(".json"):
-        data = json.loads(text)
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # malformed JSON or text that is not UTF-8
+            raise DatasetError(f"template {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise DatasetError(f"template {path} must be a JSON object")
         allowed = {"instruction", "input_marker", "response_marker", "suffix"}
@@ -373,4 +375,4 @@ def load_template(path: str | Path) -> PromptTemplate:
         if unknown:
             raise DatasetError(f"template {path} has unknown keys: {sorted(unknown)}")
         return PromptTemplate(**data)
-    return PromptTemplate(instruction=text.rstrip("\n"))
+    return PromptTemplate(instruction=Path(path).read_text(encoding="utf-8").rstrip("\n"))

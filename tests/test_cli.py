@@ -144,10 +144,16 @@ class TestSynthDemoGolden:
         monkeypatch.setattr(
             cli, "load_external_ranking", lambda *args: loaded.append(args) or load(*args)
         )
+        read = []
+        from_json = SyntheticOracleSpec.from_json.__func__
+        monkeypatch.setattr(SyntheticOracleSpec, "from_json",
+                            classmethod(lambda cls, p: read.append(p) or from_json(cls, p)))
         out = tmp_path / "out"
         assert cli.main(["synth-demo", "--oracle", str(path), "--out", str(out),
                          "--n-instances", "2", "--max-coalitions", "20"]) == 0
         assert loaded == []
+        # The oracle file is read for the verbalizer's classes and for the backend.
+        assert read == [str(path), str(path)]
         true_order = json.loads((out / "external_ranking.json").read_text())["global"]
         assert true_order == sorted(WEIGHTS, key=lambda k: -WEIGHTS[k])
         assert json.loads((out / "rank_report_jsd.json").read_text())["external_ranking"] == (
@@ -210,7 +216,7 @@ class TestIndexSelection:
                 "--indices", "0", "--external", str(_true_order(tmp_path)), "--out", str(out)]
         assert cli.main(argv) == 1
         assert "no index manifest" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("command", ["attribute", "deletion-curve"])
@@ -308,7 +314,7 @@ class TestMalformedSpecFiles:
         path.write_text(json.dumps({"classes": ["yes", "no"], "weights": {"f0": 1.0}}))
         out = tmp_path / "out"
         assert cli.main(["synth-demo", "--oracle", str(path), "--out", str(out)]) == 2
-        assert "at least 2 weighted features" in capsys.readouterr().err
+        assert "attribution needs at least 2 features, got ['f0']" in capsys.readouterr().err
         assert not out.exists()
 
     def test_attribute_refuses_the_template(self, oracle, tmp_path, capsys):
@@ -393,10 +399,10 @@ class TestLargeDataset:
         schema = tmp_path / "schema.json"
         schema.write_text(json.dumps({"y": "label"}))
 
-        def no_backend(run):
+        def no_backend(*args):
             raise AssertionError("backend opened")
 
-        monkeypatch.setattr(cli.Run, "backend", no_backend)
+        monkeypatch.setattr(cli, "open_backend", no_backend)
         argv = ["attribute", "--dataset", str(dataset), "--schema", str(schema), "--backend",
                 f"synthetic:{oracle_path}", "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 2
@@ -446,6 +452,20 @@ class TestEvaluationStore:
         assert json.loads((out / "rank_report_l1.json").read_text())["metric"] == "l1"
         assert cli.main(self._argv("deletion-curve", oracle_path, tmp_path, out,
                                    "--sources", "kl,random")) == 0
+
+    def test_compare_opens_no_backend(self, oracle, tmp_path, monkeypatch, capsys):
+        _, oracle_path = oracle
+        out = tmp_path / "out"
+        assert cli.main(self._argv("attribute", oracle_path, tmp_path, out)) == 0
+
+        def no_backend(*args):
+            raise AssertionError("backend opened")
+
+        monkeypatch.setattr(cli, "open_backend", no_backend)
+        argv = self._argv("compare", oracle_path, tmp_path, out,
+                          "--external", str(_true_order(tmp_path)))
+        assert cli.main(argv) == 0
+        assert (out / "rank_report_jsd.json").exists()
 
     def test_each_command_decodes_the_store_once(self, oracle, tmp_path, monkeypatch, capsys):
         _, oracle_path = oracle
@@ -538,7 +558,8 @@ class TestEvaluationStore:
     @pytest.mark.parametrize("command", ["attribute", "compare"])
     @pytest.mark.parametrize(
         "manifest",
-        ["[1, 2]", "{}", '{"selected_test_indices": 5}', '{"selected_test_indices": ["0"]}'],
+        ["[1, 2]", "{}", '{"selected_test_indices": 5}', '{"selected_test_indices": ["0"]}',
+         '{"selected_test_indices": []}'],
     )
     def test_damaged_index_manifest_names_the_file(
         self, command, manifest, oracle, tmp_path, capsys
@@ -646,6 +667,121 @@ class TestRunSpec:
         assert set((json.loads((out / "curves.json").read_text())["curves"])) == {
             "jsd", "kl", "l1", "random", "external"
         }
+
+
+_ROWS = "--dataset {tmp}/rows.csv --schema {tmp}/schema.json "
+_SYNTHETIC = "--backend synthetic:{oracle} "
+_VERBALIZER = "--verbalizer {tmp}/vmap.json "
+
+# id: (argv, environment, exit code, message, command run first in --out)
+REFUSALS = {
+    "replay-file-missing": (
+        "attribute " + _ROWS + _VERBALIZER + "--backend replay:{tmp}/none.json", {}, 1,
+        "cannot read recording {tmp}/none.json", None),
+    "http-of-an-ftp-url": (
+        "attribute " + _ROWS + _VERBALIZER + "--backend http:ftp://x", {}, 2,
+        "needs an http(s) URL without credentials, got 'ftp://x'", None),
+    "http-with-credentials": (
+        "attribute " + _ROWS + _VERBALIZER + "--backend http://user@h/", {}, 2,
+        "needs an http(s) URL without credentials, got 'http://user@h/'", None),
+    "endpoint-environment": (
+        "attribute " + _ROWS + _VERBALIZER + "--backend http://127.0.0.1:9/",
+        {cli.ENDPOINT_ENV: "ftp://x"}, 2,
+        "needs an http(s) URL without credentials, got 'ftp://x'", None),
+    "bad-numeric-cell": (
+        "attribute --dataset {tmp}/bad_cell.csv --schema {tmp}/schema.json " + _SYNTHETIC, {}, 1,
+        "bad_cell.csv: row 3: cannot parse numeric value 'oops' in column 'f0'", None),
+    "header-only-dataset": (
+        "attribute --dataset {tmp}/header.csv --schema {tmp}/schema.json " + _SYNTHETIC, {}, 2,
+        "dataset {tmp}/header.csv has no rows", None),
+    "index-out-of-range": (
+        "attribute " + _ROWS + _SYNTHETIC + "--indices 5", {}, 2,
+        "indices out of range for dataset of 2 rows: [5]", None),
+    "compare-without-a-manifest": (
+        "compare " + _ROWS + _SYNTHETIC + "--external {tmp}/global.json", {}, 1,
+        "no index manifest at {tmp}/out/index_manifest.json", None),
+    "external-ranking-of-an-unknown-key": (
+        "deletion-curve " + _ROWS + _SYNTHETIC
+        + "--sources random,external --external {tmp}/unknown_key.json", {}, 1,
+        "unknown_key.json: unknown feature keys for global: ['zz']", None),
+    "one-feature-dataset": (
+        "attribute --dataset {tmp}/one.csv --schema {tmp}/one_schema.json " + _SYNTHETIC, {}, 2,
+        "attribution needs at least 2 features, got ['f0']", None),
+    "one-feature-deletion-curve": (
+        "deletion-curve --dataset {tmp}/one.csv --schema {tmp}/one_schema.json "
+        + _SYNTHETIC + "--sources random", {}, 2,
+        "attribution needs at least 2 features, got ['f0']", None),
+    "compare-of-a-per-instance-ranking": (
+        "compare " + _ROWS + _SYNTHETIC + "--max-coalitions 10 --external {tmp}/per_instance.json",
+        {}, 2, "compare needs a ranking file in the global form",
+        "attribute " + _ROWS + _SYNTHETIC + "--max-coalitions 10"),
+    "config-not-json": (
+        "attribute --config {tmp}/single_quoted.json", {}, 2,
+        "config file {tmp}/single_quoted.json is not valid JSON: Expecting property name", None),
+    "config-not-utf8": (
+        "attribute --config {tmp}/latin1.json", {}, 2,
+        "config file {tmp}/latin1.json is not valid JSON: 'utf-8' codec", None),
+    "template-not-json": (
+        "attribute " + _ROWS + _SYNTHETIC + "--template {tmp}/template.json", {}, 1,
+        "template {tmp}/template.json is not valid JSON: Expecting property name", None),
+}
+
+
+class TestRefusedInputs:
+    """Each refused input exits with its code and message before ``--out`` is
+    made. ``compare`` needs a recorded selection, so its ranking case runs in
+    an ``--out`` that ``attribute`` filled, and leaves it as it was."""
+
+    @staticmethod
+    def _write_inputs(tmp_path):
+        files = {
+            "rows.csv": "f0,f1,f2\n1,2,3\n4,5,6\n",
+            "bad_cell.csv": "f0,f1,f2\n1,2,3\noops,5,6\n",
+            "header.csv": "f0,f1,f2\n",
+            "one.csv": "f0\n1\n2\n",
+            "schema.json": json.dumps({"f0": "numeric", "f1": "numeric", "f2": "numeric"}),
+            "one_schema.json": json.dumps({"f0": "numeric"}),
+            "vmap.json": json.dumps({"yes": ["yes"], "no": ["no"]}),
+            "global.json": json.dumps({"global": ["f1", "f0", "f2"]}),
+            "unknown_key.json": json.dumps({"global": ["f1", "zz"]}),
+            "per_instance.json": json.dumps({"per_instance": {"0": ["f1", "f0", "f2"]}}),
+            "single_quoted.json": "{'seed': 1}",
+            "template.json": "{instruction: 'Go.'}",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        (tmp_path / "latin1.json").write_bytes('{"seed": "é"}'.encode("latin-1"))
+
+    @staticmethod
+    def _files(out):
+        return {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+
+    @pytest.mark.parametrize(
+        "argv, environment, code, message, setup", REFUSALS.values(), ids=list(REFUSALS)
+    )
+    def test_refused_before_writing(
+        self, argv, environment, code, message, setup, oracle, tmp_path, monkeypatch, capsys
+    ):
+        _, oracle_path = oracle
+        self._write_inputs(tmp_path)
+        out = tmp_path / "out"
+
+        def args(text):
+            words = text.format(tmp=tmp_path, oracle=oracle_path).split()
+            return [*words, "--out", str(out)]
+
+        if setup:
+            assert cli.main(args(setup)) == 0
+        before = self._files(out)
+        for name, value in environment.items():
+            monkeypatch.setenv(name, value)
+        capsys.readouterr()
+        assert cli.main(args(argv)) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message.format(tmp=tmp_path) in err
+        assert self._files(out) == before
+        if not setup:
+            assert not out.exists()
 
 
 class TestRefusedBeforeWriting:
