@@ -22,9 +22,10 @@ Wrapping any live backend in :class:`RecordingBackend` persists every
 response so the run can later be replayed bit-exactly.
 
 :func:`evaluate_prompts` queries a batch with at most ``workers`` requests in
-flight. A request waiting out a backoff step or a ``Retry-After`` before its
-retry holds no slot: the query pauses through the ``wait`` callable it is
-given, which gives the slot back for the pause.
+flight, on one thread per slot. A request waiting out a backoff step or a
+``Retry-After`` before its retry holds no slot: the query pauses through the
+``wait`` callable it is given, which lends the slot to a newly started
+thread for the pause.
 
 A recording is one JSON object mapping prompt digest to response. Each new
 response is appended as one compact line, ``"<digest>":{...}`` (with a
@@ -46,12 +47,13 @@ from __future__ import annotations
 
 import abc
 import hashlib
+import itertools
 import json
 import math
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -729,28 +731,96 @@ def open_backend(
     return backend
 
 
-class _Slots:
-    """Permits for the requests in flight. A query taking its permit back
-    after a wait goes before the queries not yet started; those would
-    otherwise win each race for a freed permit and hold the retry back until
-    the batch runs out of prompts."""
+class _Batch:
+    """One query per prompt on threads that each hold one slot.
 
-    def __init__(self, count: int):
-        self._free = count
-        self._returning = 0
-        self._changed = threading.Condition()
+    :meth:`run` starts one thread per first prompt; a thread pulls the next
+    prompt not yet started once its query is done. A query that pauses lends
+    its slot to a newly started thread for the pause; back from it, the query
+    takes a free slot, or else waits for the slot the next finishing query
+    gives up, ahead of the prompts not yet started. The first failure stops
+    new prompts; the queries already running or waiting finish, and the
+    failure is raised by :meth:`run`.
+    """
 
-    def take(self, returning: bool = False) -> None:
-        with self._changed:
-            self._returning += returning
-            self._changed.wait_for(lambda: self._free and (returning or not self._returning))
-            self._free -= 1
-            self._returning -= returning
+    def __init__(self, backend: Backend, k: int, pending: Sequence[str]):
+        self._backend = backend
+        self._k = k
+        self._pending = iter(pending)
+        self._lock = threading.Lock()
+        # One held lock per query back from a pause, released to hand it a slot.
+        self._returning: deque = deque()
+        self._free = 0
+        self._error: BaseException | None = None
+        self._threads: list[threading.Thread] = []
+        self._names = itertools.count()
+        self._results: dict[str, TopKDistribution] = {}
 
-    def give(self) -> None:
-        with self._changed:
-            self._free += 1
-            self._changed.notify_all()
+    def run(self, first: Sequence[str]) -> dict[str, TopKDistribution]:
+        try:
+            for prompt in first:
+                self._start(prompt)
+            # Iterates over threads started meanwhile too: a thread that starts
+            # another lists it before it ends.
+            for thread in self._threads:
+                thread.join()
+        except BaseException as exc:
+            with self._lock:
+                self._error = self._error or exc
+            raise
+        if self._error is not None:
+            raise self._error
+        return self._results
+
+    def _start(self, prompt: str) -> None:
+        thread = threading.Thread(
+            target=self._work, args=(prompt,), name=f"tabattr-query-{next(self._names)}"
+        )
+        thread.start()
+        self._threads.append(thread)
+
+    def _work(self, prompt: str | None) -> None:
+        while prompt is not None:
+            error = None
+            try:
+                answer = self._backend.query(prompt, self._k, self._pause)
+            except BaseException as exc:
+                error = exc
+            with self._lock:
+                if error is None:
+                    self._results[prompt] = answer
+                else:
+                    self._error = self._error or error
+                prompt = self._pass_slot()
+
+    def _pass_slot(self) -> str | None:
+        """Give up the calling query's slot, with the lock held: to the first
+        query back from a pause, else to the next prompt not yet started, which
+        is returned for the caller to query; else the slot is free."""
+        if self._returning:
+            self._returning.popleft().release()
+            return None
+        if self._error is None:
+            prompt = next(self._pending, None)
+            if prompt is not None:
+                return prompt
+        self._free += 1
+        return None
+
+    def _pause(self, seconds: float) -> None:
+        with self._lock:
+            prompt = self._pass_slot()
+        if prompt is not None:
+            self._start(prompt)
+        time.sleep(seconds)
+        with self._lock:
+            if self._free:
+                self._free -= 1
+                return
+            turn = threading.Lock()
+            turn.acquire()
+            self._returning.append(turn)
+        turn.acquire()
 
 
 def evaluate_prompts(
@@ -759,12 +829,15 @@ def evaluate_prompts(
     """Query each distinct prompt once, with at most ``workers`` requests in flight.
 
     With one worker the prompts are queried in turn in the calling thread.
-    With more, ``2 * workers`` threads share ``workers`` permits. A query holds
-    a permit while it runs, but not while it waits out a backoff step or a
-    ``Retry-After`` between attempts: it gives the permit back for the wait,
-    so another prompt uses the slot meanwhile, and takes one again before it
-    retries, ahead of the prompts not yet started. A query that raises cancels
-    the prompts not yet started, and its error is raised here.
+    With more, one thread per slot, ``min(workers, distinct prompts)`` of
+    them, named ``tabattr-query-<n>``, each queries the next prompt not yet
+    started until none is left. A query holds its slot while it runs, but not
+    while it waits out a backoff step or a ``Retry-After`` between attempts:
+    it lends the slot to a newly started thread for the wait, so another
+    prompt uses it meanwhile, and takes a slot back before it retries, ahead
+    of the prompts not yet started. A query that raises stops the prompts not
+    yet started; the queries already running or waiting finish, and the
+    error is raised here.
 
     The result is keyed by prompt, so aggregation downstream is independent
     of completion order.
@@ -772,22 +845,5 @@ def evaluate_prompts(
     unique = list(dict.fromkeys(prompts))
     if workers <= 1 or len(unique) <= 1:
         return {p: backend.query(p, k) for p in unique}
-    slots = _Slots(workers)
-
-    def wait(seconds: float) -> None:
-        slots.give()
-        try:
-            time.sleep(seconds)
-        finally:
-            slots.take(returning=True)
-
-    def query(prompt: str) -> TopKDistribution:
-        slots.take()
-        try:
-            return backend.query(prompt, k, wait)
-        finally:
-            slots.give()
-
-    with ThreadPoolExecutor(max_workers=2 * workers) as pool:
-        results = list(pool.map(query, unique))
-    return dict(zip(unique, results))
+    results = _Batch(backend, k, unique[workers:]).run(unique[:workers])
+    return {p: results[p] for p in unique}

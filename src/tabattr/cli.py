@@ -23,8 +23,9 @@ all its inputs, the backend last, before it makes the output directory, so a
 refused input leaves no ``--out`` behind. ``attribute``, ``deletion-curve``
 and ``synth-demo`` open the backend; ``compare`` scores the store alone.
 ``--workers`` bounds the backend requests in flight at once, and is the only
-bound on them. A request waiting out a backoff or ``Retry-After`` before its
-retry holds no slot, so another request goes out meanwhile.
+bound on them: each slot is one thread. A request waiting out a backoff or
+``Retry-After`` before its retry lends its slot to a new thread, so another
+request goes out meanwhile.
 
 ``--external`` names a ranking file: ``{"global": [keys]}``, or, for
 ``deletion-curve`` only, ``{"per_instance": {"<index>": [keys]}}``.
@@ -283,9 +284,10 @@ class Run:
     def open(cls, command: str, spec: RunSpec, *required: str) -> "Run":
         """Load and check the options, the template, the verbalizer (or the
         oracle's classes), the instances (selected dataset rows, or synth-demo's
-        rows over the oracle's keys), the external ranking if ``required`` and
-        last the backend, none for ``compare``; then make ``--out`` and record
-        the selection."""
+        rows over the oracle's keys), the external ranking if ``required``, the
+        evaluation store if the command only reads it (``compare``, and
+        ``deletion-curve`` with a metric source) and last the backend, none for
+        ``compare``; then make ``--out`` and record the selection."""
         spec.require(*required, "out")
         kind, target = parse_backend(spec.backend) if spec.backend else (None, None)
         if kind == "http":
@@ -312,6 +314,12 @@ class Run:
         external = load_external_ranking(spec.external, keys) if "external" in required else None
         if command == "compare" and not isinstance(external, tuple):
             raise ConfigError("compare needs a ranking file in the global form")
+        reads_store = command == "compare" or (
+            command == "deletion-curve" and any(source in METRICS for source in spec.sources)
+        )
+        store = out / STORE_NAME
+        if reads_store and not store.exists():
+            raise CacheError(f"no evaluation store at {store}; run `tabattr attribute` first")
         backend = None
         if command != "compare":
             backend = open_backend(kind, target, spec.timeout, spec.retries, spec.record)
@@ -364,21 +372,19 @@ def select_indices(spec: RunSpec, out: Path, dataset_size: int, command: str) ->
 
 def stored_evaluations(run: Run, backend: Backend | None = None) -> list[Evaluation]:
     """Evaluations of the run's instances from its store.
-    ``backend`` evaluates the misses; without it, a missing store or instance
-    is a :class:`CacheError`. A stored evaluation over other feature keys than
-    its instance's is a :class:`StaleCacheError`."""
+    ``backend`` evaluates the misses; without it, a missing instance is a
+    :class:`CacheError` (:meth:`Run.open` has refused a missing store). A
+    stored evaluation over other feature keys than its instance's is a
+    :class:`StaleCacheError`."""
     path = run.out / STORE_NAME
     config = run.spec.sampling()
     by_index = {instance.index: instance for instance in run.instances}
-    hint = "run `tabattr attribute` first"
     if backend is not None:
         def evaluate_fn(idx: int) -> Evaluation:
             return evaluate(by_index[idx], backend, run.template, run.vmap, config, run.spec.workers)
-    elif not path.exists():
-        raise CacheError(f"no evaluation store at {path}; {hint}")
     else:
         def evaluate_fn(idx: int) -> Evaluation:
-            raise CacheError(f"instance {idx} missing from {path}; {hint}")
+            raise CacheError(f"instance {idx} missing from {path}; run `tabattr attribute` first")
 
     evaluations = load_or_evaluate(
         path, list(by_index), evaluate_fn, config,

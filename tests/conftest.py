@@ -65,6 +65,21 @@ def logistic(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x))
 
 
+def query_threads() -> list[str]:
+    """The names of the live ``tabattr-query-<n>`` threads of
+    :func:`~tabattr.evaluate_prompts`, sorted."""
+    return sorted(t.name for t in threading.enumerate() if t.name.startswith("tabattr-query-"))
+
+
+@pytest.fixture(autouse=True)
+def no_query_thread_left():
+    """Fails a test that leaves a query thread alive."""
+    yield
+    left = query_threads()
+    if left:
+        pytest.fail(f"query threads left alive: {left}")
+
+
 @pytest.fixture
 def template() -> PromptTemplate:
     return PromptTemplate()

@@ -43,7 +43,14 @@ from tabattr.errors import (
     ProtocolError,
 )
 from tabattr._json_io import dump_canonical
-from conftest import KeepAliveHandler, logistic, oracle_backend, serving, topk_from
+from conftest import (
+    KeepAliveHandler,
+    logistic,
+    oracle_backend,
+    query_threads,
+    serving,
+    topk_from,
+)
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 RECORDING = Path(__file__).resolve().parent / "data" / "recording.json"
@@ -932,6 +939,130 @@ class TestSlotsDuringBackoff:
         started = {p for _, p, status, _ in retry_handler.events if status is None}
         assert "a:0" in started
         assert len(started) < len(prompts) // 2
+
+
+class _Hooked(Backend):
+    """Oracle answers, each after ``hook(prompt, wait)``; records the prompts
+    started and the answers given, in order."""
+
+    def __init__(self, hook, weights=None):
+        super().__init__()
+        self.oracle = oracle_backend(weights or {"a": 1.0})
+        self.hook = hook
+        self.started: list[str] = []
+        self.answered: list[str] = []
+
+    def _fetch(self, prompt, k, wait):
+        self.started.append(prompt)
+        self.hook(prompt, wait)
+        self.answered.append(prompt)
+        return self.oracle.query(prompt, k)
+
+
+def _watched(backend, prompts, workers) -> tuple[dict | None, BaseException | None]:
+    """``evaluate_prompts`` run in a thread; fails the test if it has not
+    returned within 10 s. Its answers, or the error it raised."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((evaluate_prompts(backend, prompts, 2, workers), None))
+        except BaseException as exc:
+            outcome.append((None, exc))
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=10.0)
+    assert not caller.is_alive(), "evaluate_prompts hung"
+    return outcome[0]
+
+
+class TestQueryBatch:
+    """One thread per slot; a pause lends the slot; the first failure ends the batch."""
+
+    def test_a_failure_during_another_querys_pause_ends_the_batch(self):
+        # a:1 fails once a:2 has started on the slot a:0 lent for its pause;
+        # a:2 finishes 50 ms after the failure.
+        lent, failed = threading.Event(), threading.Event()
+
+        def hook(prompt, wait):
+            if prompt == "a:0":
+                wait(0.3)
+            elif prompt == "a:1":
+                assert lent.wait(5.0)
+                failed.set()
+                raise BackendError("a:1 failed")
+            else:
+                lent.set()
+                assert failed.wait(5.0)
+                time.sleep(0.05)
+
+        backend = _Hooked(hook)
+        answers, error = _watched(backend, [f"a:{i}" for i in range(100)], workers=2)
+        assert answers is None
+        assert isinstance(error, BackendError) and str(error) == "a:1 failed"
+        # The running and the paused query finished; no new prompt started.
+        assert sorted(backend.started) == ["a:0", "a:1", "a:2"]
+        assert sorted(backend.answered) == ["a:0", "a:2"]
+
+    def test_a_query_back_from_a_pause_after_the_rest_finished_completes(self):
+        def hook(prompt, wait):
+            if prompt == "a:0":
+                wait(0.3)
+
+        backend = _Hooked(hook)
+        prompts = [f"a:{i}" for i in range(6)]
+        answers, error = _watched(backend, prompts, workers=3)
+        assert error is None
+        assert answers == {p: backend.oracle.query(p, 2) for p in prompts}
+        assert backend.answered[-1] == "a:0"
+
+    def test_one_thread_per_prompt_when_workers_exceed_them(self):
+        # Each query waits until all three run at once; the barrier's action
+        # runs while all three are alive.
+        alive = []
+        together = threading.Barrier(3, action=lambda: alive.append(query_threads()),
+                                     timeout=10.0)
+        backend = _Hooked(lambda prompt, wait: together.wait())
+        prompts = ["a:0", "a:1", "a:2"]
+        answers = evaluate_prompts(backend, prompts, 2, workers=10**6)
+        assert alive == [["tabattr-query-0", "tabattr-query-1", "tabattr-query-2"]]
+        assert list(answers) == prompts
+
+    def test_threaded_answers_equal_the_serial_ones(self):
+        keys = [f"f{j}" for j in range(8)]
+        weights = {key: 0.5 - j / 4 for j, key in enumerate(keys)}
+        prompts = [" ".join(f"{key}:1" for j, key in enumerate(keys) if i >> j & 1)
+                   for i in range(1, 201)]
+        backend = _Hooked(lambda prompt, wait: None, weights)
+        serial = evaluate_prompts(backend, prompts + prompts[::3], 2, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = evaluate_prompts(backend, prompts + prompts[::3], 2, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert list(threaded.items()) == list(serial.items())
+        assert backend.calls == 2 * len(prompts)
+
+    def test_an_interrupted_caller_stops_new_prompts(self, monkeypatch):
+        release = threading.Event()
+        backend = _Hooked(lambda prompt, wait: release.wait(10.0))
+        join = threading.Thread.join
+
+        def interrupted(self, timeout=None):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(threading.Thread, "join", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            evaluate_prompts(backend, [f"a:{i}" for i in range(50)], 2, workers=2)
+        monkeypatch.undo()
+        release.set()
+        for thread in threading.enumerate():
+            if thread.name in query_threads():
+                join(thread, timeout=10.0)
+                assert not thread.is_alive()
+        assert sorted(backend.answered) == ["a:0", "a:1"]
 
 
 @pytest.fixture

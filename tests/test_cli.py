@@ -700,6 +700,10 @@ REFUSALS = {
     "compare-without-a-manifest": (
         "compare " + _ROWS + _SYNTHETIC + "--external {tmp}/global.json", {}, 1,
         "no index manifest at {tmp}/out/index_manifest.json", None),
+    "deletion-curve-without-a-store": (
+        "deletion-curve " + _ROWS + _SYNTHETIC + "--sources jsd", {}, 1,
+        "no evaluation store at {tmp}/out/evaluations.jsonl; run `tabattr attribute` first",
+        None),
     "external-ranking-of-an-unknown-key": (
         "deletion-curve " + _ROWS + _SYNTHETIC
         + "--sources random,external --external {tmp}/unknown_key.json", {}, 1,
