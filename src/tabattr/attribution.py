@@ -5,7 +5,8 @@ coalition i holds feature j). The estimator always uses the M leave-one-out
 ("essential") rows and adds random distinct non-empty rows up to
 ``floor(((2^M - 1) - M) * r)``, capped at ``C_max - M``.
 
-Repeated draws are recognized by each row's packed bytes, for any M.
+Repeated draws are recognized by each row's packed bytes (:func:`row_keys`),
+for any M.
 
 :func:`evaluate` works per instance, one pass per layer: one
 :func:`~tabattr.tabular.build_prompts` call builds every row's prompt, each
@@ -129,20 +130,23 @@ def n_extra(m: int, ratio: float, max_coalitions: int) -> int:
     return min(proposed, max(0, max_coalitions - m))
 
 
+def row_keys(rows: np.ndarray) -> list[bytes]:
+    """Each row's packed bytes: equal rows have equal keys, for any M."""
+    packed = np.packbits(rows, axis=1)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+
+
 def _new_rows(rows: np.ndarray, seen: set[bytes] | None = None) -> np.ndarray:
     """First occurrence of each row, in order, minus empty and leave-one-out rows.
 
-    ``seen`` holds the packed bytes of rows already taken; their repeats are
-    dropped too, and the new rows' bytes are added to it.
+    ``seen`` holds the :func:`row_keys` of rows already taken; their repeats
+    are dropped too, and the new rows' keys are added to it.
     """
     seen = set() if seen is None else seen
     sizes = rows.sum(axis=1)
     rows = rows[(sizes > 0) & (sizes != rows.shape[1] - 1)]
-    packed = np.packbits(rows, axis=1)
-    flat, width = packed.tobytes(), packed.shape[1]
     first = []
-    for i in range(len(rows)):
-        key = flat[i * width : (i + 1) * width]
+    for i, key in enumerate(row_keys(rows)):
         if key not in seen:
             seen.add(key)
             first.append(i)

@@ -179,6 +179,13 @@ class Backend(abc.ABC):
     def _fetch(self, prompt: str, k: int, wait: Callable[[float], None]) -> TopKDistribution:
         ...
 
+    @property
+    def identity(self) -> str:
+        """What this backend's answers come from, as ``kind:value``; the
+        evaluation store records it and refuses another (see
+        :mod:`tabattr.cache`)."""
+        raise NotImplementedError(f"{type(self).__name__} names no identity")
+
     def close(self) -> None:
         """Release what the backend holds open, such as pooled connections."""
 
@@ -304,6 +311,13 @@ class SyntheticBackend(Backend):
         pos, neg = spec.classes
         self._tokens = (f" {pos}", f" {neg}")
 
+    @property
+    def identity(self) -> str:
+        """``synthetic:`` and the sha256 of the spec's payload, its weights in
+        the order the oracle sums them."""
+        payload = json.dumps(self.spec.to_payload(), separators=(",", ":"))
+        return "synthetic:" + hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
     def _fetch(self, prompt: str, k: int, wait: Callable[[float], None]) -> TopKDistribution:
         block = prompt
         start = prompt.find(self.input_marker)
@@ -365,7 +379,14 @@ class ReplayBackend(Backend):
     def __init__(self, path: str | Path):
         super().__init__()
         self.path = Path(path)
-        self._store, _, _ = _parse_recording(self.path)
+        self._store, text, _ = _parse_recording(self.path)
+        # Read with newline="", the text encodes back to the file's bytes.
+        self._identity = "replay:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    @property
+    def identity(self) -> str:
+        """``replay:`` and the sha256 of the recording's bytes."""
+        return self._identity
 
     def _fetch(self, prompt: str, k: int, wait: Callable[[float], None]) -> TopKDistribution:
         digest = prompt_digest(prompt, k)
@@ -409,6 +430,11 @@ class RecordingBackend(Backend):
         self._write_lock = threading.Lock()
         self._store, self._brace = _open_recording(self.path)
         self._file = None
+
+    @property
+    def identity(self) -> str:
+        """The recorded backend's: a recording adds no answer of its own."""
+        return self.inner.identity
 
     def _fetch(self, prompt: str, k: int, wait: Callable[[float], None]) -> TopKDistribution:
         digest = prompt_digest(prompt, k)
@@ -612,6 +638,11 @@ class HttpBackend(Backend):
 
             self._tls = ssl.create_default_context()
         self._idle: list[_Connection] = []
+
+    @property
+    def identity(self) -> str:
+        """``http:`` and the endpoint URL."""
+        return f"http:{self.endpoint}"
 
     def _connect(self) -> _Connection:
         sock = socket.create_connection(self._address, self.timeout)

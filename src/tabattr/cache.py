@@ -5,9 +5,28 @@ selected indices in a manifest, and every later run (any metric) is rejected
 loudly if it asks for a different index set.
 
 All runs in a directory share one store of :class:`Evaluation` lines. Line 1
-is a header with a fingerprint of everything that changes prompts or their
-answers, and of the store's line format; a mismatch is an explicit
-stale-cache error, never a silent recompute. The metric is not part of it:
+is a header, ``{"fingerprint": ..., "backend": ...}``. The fingerprint hashes
+everything that changes prompts or their answers, and the store's line
+format. ``backend`` is the identity of the backend that filled the store
+(:attr:`~tabattr.backends.Backend.identity`):
+
+* for http, ``http:`` and the URL actually used, after ``TABATTR_ENDPOINT``
+  replaced it; a run recording with ``--record`` has the identity of the URL
+  it records;
+* for a replay, ``replay:`` and the sha256 of the recording's bytes, so a
+  replay fills no store a live run made, and a recording that has grown
+  since is another identity;
+* for the synthetic oracle, ``synthetic:`` and the sha256 of its spec's
+  payload.
+
+A URL does not identify the model behind it: a model swapped behind the
+same URL keeps the identity, and its answers mix with the old model's.
+
+A mismatch of either is an explicit :class:`StaleCacheError`, never a silent
+recompute; ``compare`` opens no backend and checks the fingerprint alone. So
+is a stored instance over other feature keys, or other values, than the
+dataset's row of that index: each line carries the digest of its instance's
+content (:func:`content_digest`). The metric is not part of the header:
 it only scores an evaluation after the backend has answered, so one store
 serves every metric. Each instance's line is appended and flushed as soon as
 it is evaluated, so a killed run keeps every instance it finished. A last
@@ -18,6 +37,7 @@ Each evaluation line is one JSON object over N coalitions of M features and
 C classes. Its arrays are raw bytes in standard base64 (``+/``, padded)::
 
     instance_index   int
+    content          str, the instance's content_digest
     feature_keys     [str] * M
     membership       base64, N x ceil(M/8) bytes: each row's bits packed
                      little-bit-order (bit j of the row is feature j)
@@ -55,14 +75,21 @@ from .errors import (
     MalformedManifestError,
     StaleCacheError,
 )
-from .tabular import PromptTemplate
+from .tabular import PromptTemplate, TabularInstance
 from .verbalizer import VerbalizerMap
 
 STORE_NAME = "evaluations.jsonl"
 MANIFEST_NAME = "index_manifest.json"
 #: Names the line format of :func:`_encode`; the fingerprint covers it, so a
 #: store written in another format is stale.
-STORE_FORMAT = "base64-float64le"
+STORE_FORMAT = "base64-float64le+content-sha256"
+
+
+def content_digest(instance: TabularInstance) -> str:
+    """sha256 of the instance's ``key:value`` fields, space-joined in field
+    order as the full prompt holds them."""
+    serialized = " ".join(f.serialized for f in instance.fields)
+    return hashlib.sha256(serialized.encode("utf-8")).hexdigest()
 
 
 def config_fingerprint(
@@ -156,14 +183,16 @@ def _read_json(path: Path):
         raise CorruptCacheError(str(path), exc.pos, exc.msg) from exc
 
 
-def _encode(evaluation: Evaluation) -> bytes:
-    """One store line, in the format of the module docstring: each array's
-    raw bytes in base64 (membership rows as little-bit-order packed bits,
-    which hold any M; distributions as little-endian float64, so a read-back
-    value is bit-identical) and the degenerate rows by position."""
+def _encode(evaluation: Evaluation, content: str) -> bytes:
+    """One store line, in the format of the module docstring: the instance's
+    ``content`` digest, each array's raw bytes in base64 (membership rows as
+    little-bit-order packed bits, which hold any M; distributions as
+    little-endian float64, so a read-back value is bit-identical) and the
+    degenerate rows by position."""
     packed = np.packbits(evaluation.membership, axis=1, bitorder="little")
     entry = {
         "instance_index": evaluation.instance_index,
+        "content": content,
         "feature_keys": list(evaluation.feature_keys),
         "membership": _b64(packed),
         "class_dists": _b64(evaluation.class_dists.astype("<f8", copy=False)),
@@ -222,8 +251,12 @@ def _decode(entry: dict, config: SamplingConfig) -> Evaluation:
     )
 
 
-def _read_store(path: Path, fingerprint: str, config: SamplingConfig) -> dict[int, Evaluation]:
-    """The store's evaluations by instance index, after dropping a torn last line."""
+def _read_store(
+    path: Path, fingerprint: str, identity: str | None, config: SamplingConfig
+) -> dict[int, tuple[Evaluation, str]]:
+    """The store's evaluations and their content digests by instance index,
+    after dropping a torn last line. ``identity`` ``None`` leaves the header's
+    backend unchecked."""
     try:
         data = path.read_bytes()
     except FileNotFoundError:
@@ -239,7 +272,7 @@ def _read_store(path: Path, fingerprint: str, config: SamplingConfig) -> dict[in
     except UnicodeDecodeError as exc:
         raise CorruptCacheError(str(path), exc.start, "non-ASCII byte") from exc
 
-    stored: dict[int, Evaluation] = {}
+    stored: dict[int, tuple[Evaluation, str]] = {}
     offset = 0
     for number, line in enumerate(text.split("\n")[:-1]):
         try:
@@ -247,67 +280,118 @@ def _read_store(path: Path, fingerprint: str, config: SamplingConfig) -> dict[in
         except json.JSONDecodeError as exc:
             raise CorruptCacheError(str(path), offset + exc.pos, exc.msg) from exc
         if number == 0:
-            found = entry.get("fingerprint") if isinstance(entry, dict) else None
+            header = entry if isinstance(entry, dict) else {}
+            found = header.get("fingerprint")
             if found != fingerprint:
                 raise StaleCacheError(
                     f"{path}: store fingerprint {found!r} does not match the current "
                     f"configuration {fingerprint!r}; refusing to reuse or silently recompute"
                 )
+            found = header.get("backend")
+            if identity is not None and found != identity:
+                raise StaleCacheError(
+                    f"{path}: store was filled through backend {found!r}, but this run "
+                    f"uses {identity!r}; refusing to reuse or silently recompute"
+                )
         else:
             try:
                 evaluation = _decode(entry, config)
+                content = entry["content"]
+                if not isinstance(content, str):
+                    raise TypeError(f"content {content!r} is not a digest string")
             except (LookupError, TypeError, ValueError) as exc:
                 raise CorruptCacheError(str(path), offset, f"not an evaluation: {exc!r}") from exc
-            stored[evaluation.instance_index] = evaluation
+            stored[evaluation.instance_index] = evaluation, content
         offset += len(line) + 1
     return stored
 
 
-def load_or_evaluate(
+def read_evaluations(
     path: str | Path,
-    indices: Sequence[int],
-    evaluate_fn: Callable[[int], Evaluation],
+    instances: Sequence[TabularInstance],
     config: SamplingConfig,
     fingerprint: str,
-) -> list[Evaluation]:
-    """Return evaluations for ``indices`` from the store at ``path``,
-    evaluating only the missing ones.
+    identity: str | None = None,
+) -> dict[int, Evaluation]:
+    """The evaluations the store at ``path`` holds of ``instances``, by index.
 
-    Stored evaluations are read back under ``config``, which ``fingerprint``
-    must describe; each missing one comes from ``evaluate_fn`` and is
-    appended at once, so an error or a kill keeps every instance finished
-    before it. ``indices`` is the whole selection of the output directory
-    (see :func:`ensure_manifest`), so a stored instance outside it is refused.
+    They are read back under ``config``, which ``fingerprint`` must describe,
+    and must come from the backend named ``identity``; ``None`` leaves the
+    backend unchecked, for a command that opens none. ``instances`` is the
+    whole selection of the output directory (see :func:`ensure_manifest`),
+    so a stored instance outside it is refused.
 
     Raises:
-        StaleCacheError: the store was written under another fingerprint.
+        StaleCacheError: the store was written under another fingerprint or
+            backend, or a stored instance has other feature keys or values
+            than its instance in ``instances``.
         CorruptCacheError: damage before the store's last line.
         CacheError: the store holds instances outside the selection.
-        ValueError: empty or duplicated ``indices``.
     """
-    indices = [int(i) for i in indices]
-    if not indices:
-        raise ValueError("indices must be non-empty")
-    if len(set(indices)) != len(indices):
-        raise ValueError("indices contain duplicates")
-
     path = Path(path)
-    stored = _read_store(path, fingerprint, config)
-    stray = sorted(set(stored) - set(indices))
+    stored = _read_store(path, fingerprint, identity, config)
+    by_index = {instance.index: instance for instance in instances}
+    stray = sorted(set(stored) - set(by_index))
     if stray:
         raise CacheError(f"{path}: entries outside selected_test_indices: {stray}")
+    for index, (evaluation, content) in stored.items():
+        instance = by_index[index]
+        if evaluation.feature_keys != instance.keys:
+            raise StaleCacheError(
+                f"{path}: instance {index} was evaluated over features "
+                f"{list(evaluation.feature_keys)}, but the dataset has {list(instance.keys)}; "
+                f"refusing to reuse it"
+            )
+        if content != content_digest(instance):
+            raise StaleCacheError(
+                f"{path}: instance {index} was evaluated over other values than the "
+                f"dataset's row {index} holds now; refusing to reuse it"
+            )
+    return {index: evaluation for index, (evaluation, _) in stored.items()}
 
-    for idx in indices:
-        if idx in stored:
+
+def load_or_evaluate(
+    path: str | Path,
+    instances: Sequence[TabularInstance],
+    evaluate_fn: Callable[[TabularInstance], Evaluation],
+    config: SamplingConfig,
+    fingerprint: str,
+    identity: str | None = None,
+) -> list[Evaluation]:
+    """Return evaluations of ``instances`` from the store at ``path``,
+    evaluating only the missing ones.
+
+    The stored ones are checked as :func:`read_evaluations` checks them; each
+    missing one comes from ``evaluate_fn`` and is appended at once, so an
+    error or a kill keeps every instance finished before it. A new store's
+    header records ``fingerprint`` and ``identity``.
+
+    Raises:
+        StaleCacheError, CorruptCacheError, CacheError: as
+            :func:`read_evaluations` raises them.
+        ValueError: empty ``instances``, or two of the same index.
+    """
+    indices = [instance.index for instance in instances]
+    if not indices:
+        raise ValueError("instances must be non-empty")
+    if len(set(indices)) != len(indices):
+        raise ValueError("instances repeat an index")
+
+    path = Path(path)
+    stored = read_evaluations(path, instances, config, fingerprint, identity)
+    for instance in instances:
+        if instance.index in stored:
             continue
-        evaluation = evaluate_fn(idx)
-        if evaluation.instance_index != idx:
+        evaluation = evaluate_fn(instance)
+        if evaluation.instance_index != instance.index:
             raise ValueError(
-                f"evaluate_fn returned instance {evaluation.instance_index} for index {idx}"
+                f"evaluate_fn returned instance {evaluation.instance_index} "
+                f"for index {instance.index}"
             )
         with open(path, "ab") as handle:
             if handle.tell() == 0:
-                handle.write(json.dumps({"fingerprint": fingerprint}).encode("ascii") + b"\n")
-            handle.write(_encode(evaluation))
-        stored[idx] = evaluation
-    return [stored[idx] for idx in indices]
+                header = {"fingerprint": fingerprint, "backend": identity}
+                handle.write(json.dumps(header).encode("ascii") + b"\n")
+            handle.write(_encode(evaluation, content_digest(instance)))
+        stored[instance.index] = evaluation
+    return [stored[index] for index in indices]

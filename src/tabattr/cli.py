@@ -43,12 +43,20 @@ Every command reads and fills the same evaluation store,
 ``evaluations.jsonl``, once, and scores each metric it needs from it once:
 after any ``attribute``, another metric costs no backend call. The store holds each
 instance's coalitions and their class distributions as raw bytes (see
-:mod:`tabattr.cache`); a store written in another format or under another
-configuration, or a stored instance over other feature keys than the
-dataset's, is refused (exit 1). ``results_{metric}.json``
+:mod:`tabattr.cache`). A store is refused (exit 1) when it was written in
+another format or under another configuration, when a stored instance has
+other feature keys or values than its dataset row, and, for a command that
+opens a backend, when another backend filled it. ``results_{metric}.json``
 holds only the scores (phi, raw_phi, the full-input distribution and the
 degeneracy flags per instance), which scoring the stored evaluation
 reproduces exactly.
+
+Deletion curves take every row the store holds from it and send only the
+rest. ``deletion-curve`` with a metric source needs the store and refuses a
+stale one; with only ``random`` and ``external`` sources it uses the store
+when it matches the run in all of the above, and otherwise sends every row,
+as it does for an instance the store lacks. Its summary states the rows
+taken from the store and the prompts sent, ``stored=`` and ``queried=``.
 """
 
 from __future__ import annotations
@@ -75,6 +83,7 @@ from .cache import (
     config_fingerprint,
     ensure_manifest,
     load_or_evaluate,
+    read_evaluations,
 )
 from .divergence import METRICS
 from .errors import CacheError, ConfigError, StaleCacheError, TabAttrError
@@ -370,34 +379,43 @@ def select_indices(spec: RunSpec, out: Path, dataset_size: int, command: str) ->
     return indices
 
 
-def stored_evaluations(run: Run, backend: Backend | None = None) -> list[Evaluation]:
-    """Evaluations of the run's instances from its store.
-    ``backend`` evaluates the misses; without it, a missing instance is a
-    :class:`CacheError` (:meth:`Run.open` has refused a missing store). A
-    stored evaluation over other feature keys than its instance's is a
-    :class:`StaleCacheError`."""
-    path = run.out / STORE_NAME
+def _store_of(run: Run) -> tuple[Path, SamplingConfig, str, str | None]:
+    """The run's store, sampling config, fingerprint and backend identity
+    (``None`` when the run opens no backend)."""
     config = run.spec.sampling()
-    by_index = {instance.index: instance for instance in run.instances}
-    if backend is not None:
-        def evaluate_fn(idx: int) -> Evaluation:
-            return evaluate(by_index[idx], backend, run.template, run.vmap, config, run.spec.workers)
-    else:
-        def evaluate_fn(idx: int) -> Evaluation:
-            raise CacheError(f"instance {idx} missing from {path}; run `tabattr attribute` first")
+    fingerprint = config_fingerprint(config, run.template, run.vmap)
+    identity = run.backend.identity if run.backend is not None else None
+    return run.out / STORE_NAME, config, fingerprint, identity
 
-    evaluations = load_or_evaluate(
-        path, list(by_index), evaluate_fn, config,
-        fingerprint=config_fingerprint(config, run.template, run.vmap),
-    )
-    for instance, evaluation in zip(run.instances, evaluations):
-        if evaluation.feature_keys != instance.keys:
-            raise StaleCacheError(
-                f"{path}: instance {instance.index} was evaluated over features "
-                f"{list(evaluation.feature_keys)}, but the dataset has {list(instance.keys)}; "
-                f"refusing to reuse it"
+
+def stored_evaluations(run: Run, evaluate_missing: bool = False) -> list[Evaluation]:
+    """Evaluations of the run's instances from its store, which must match
+    the run (see :func:`tabattr.cache.read_evaluations`). With
+    ``evaluate_missing`` the run's backend evaluates and stores the misses;
+    without it, a missing instance is a :class:`CacheError`
+    (:meth:`Run.open` has refused a missing store)."""
+    path, config, fingerprint, identity = _store_of(run)
+    if evaluate_missing:
+        def evaluate_fn(instance: TabularInstance) -> Evaluation:
+            return evaluate(instance, run.backend, run.template, run.vmap, config, run.spec.workers)
+    else:
+        def evaluate_fn(instance: TabularInstance) -> Evaluation:
+            raise CacheError(
+                f"instance {instance.index} missing from {path}; run `tabattr attribute` first"
             )
-    return evaluations
+
+    return load_or_evaluate(path, run.instances, evaluate_fn, config, fingerprint, identity)
+
+
+def matching_evaluations(run: Run) -> list[Evaluation]:
+    """The stored evaluations of the run's instances if the store matches
+    the run in fingerprint, backend and instance content; none if it does
+    not, or if there is no store."""
+    path, config, fingerprint, identity = _store_of(run)
+    try:
+        return list(read_evaluations(path, run.instances, config, fingerprint, identity).values())
+    except StaleCacheError:
+        return []
 
 
 def attribute_step(run: Run, evaluations: list[Evaluation], metric: str) -> list[AttributionResult]:
@@ -408,11 +426,14 @@ def attribute_step(run: Run, evaluations: list[Evaluation], metric: str) -> list
     return results
 
 
-def deletion_step(run: Run, results: dict[str, list[AttributionResult]]) -> DeletionRun:
+def deletion_step(
+    run: Run, results: dict[str, list[AttributionResult]], stored: list[Evaluation]
+) -> DeletionRun:
     """A removal order per ``--sources`` entry, the deletion protocol over the
     run's instances, then ``curves.csv`` and ``curves.json``. A metric source
     orders each instance by its scores in ``results[metric]``; the external
-    source takes ``run.external``, one order for every instance or one per index."""
+    source takes ``run.external``, one order for every instance or one per index.
+    Deletion rows that the ``stored`` evaluations hold are taken from them."""
     spec, instances, external = run.spec, run.instances, run.external
     rankings: dict[str, dict[int, tuple[str, ...]]] = {}
     for source in spec.sources:
@@ -426,7 +447,7 @@ def deletion_step(run: Run, results: dict[str, list[AttributionResult]]) -> Dele
             rankings[source] = external
     deletion = run_deletion(
         instances, rankings, run.backend, run.template, run.vmap,
-        max_removals=spec.max_removals, top_k=spec.top_k, workers=spec.workers,
+        max_removals=spec.max_removals, top_k=spec.top_k, workers=spec.workers, stored=stored,
     )
     write_curves_csv(deletion, run.out / "curves.csv")
     write_curves_json(deletion, run.out / "curves.json")
@@ -466,7 +487,7 @@ def _summary_table(rows: list[tuple], header: tuple) -> str:
 def cmd_attribute(spec: RunSpec) -> int:
     run = Run.open("attribute", spec, "dataset", "schema", "backend")
     with run.backend:
-        evaluations = stored_evaluations(run, run.backend)
+        evaluations = stored_evaluations(run, evaluate_missing=True)
     results = attribute_step(run, evaluations, spec.metric)
     rows = [(k, f"{s:.6f}") for k, s in global_ranking(results).entries]
     run.finish(
@@ -482,16 +503,17 @@ def cmd_deletion_curve(spec: RunSpec) -> int:
     run = Run.open("deletion-curve", spec, "dataset", "schema", "backend", *external_source)
     with run.backend:
         metrics = [source for source in spec.sources if source in METRICS]
-        evaluations = stored_evaluations(run) if metrics else []
+        evaluations = stored_evaluations(run) if metrics else matching_evaluations(run)
         results = {m: [score(e, m) for e in evaluations] for m in metrics}
-        deletion = deletion_step(run, results)
+        deletion = deletion_step(run, results, evaluations)
     rows = [
         (source, f"{curve_auc(curve):.6f}", f"{curve.mean_probs[0]:.6f}")
         for source, curve in deletion.curves.items()
     ]
     run.finish(
         f"deletion-curve: instances={len(run.instances) - len(deletion.dropped)} "
-        f"dropped={len(deletion.dropped)} max_removals={spec.max_removals}\n"
+        f"dropped={len(deletion.dropped)} max_removals={spec.max_removals} "
+        f"stored={deletion.stored_rows} queried={deletion.queried_prompts}\n"
         + _summary_table(rows, ("source", "auc", "step0_prob"))
     )
     return 1 if deletion.dropped else 0
@@ -539,13 +561,14 @@ def cmd_synth_demo(spec: RunSpec) -> int:
     run = Run.open("synth-demo", spec)
     weights = run.backend.spec.weights
     true_order = tuple(sorted(weights, key=lambda k: (-abs(weights[k]), k)))
-    Path(spec.external).write_text(dump_canonical({"global": true_order}), encoding="utf-8")
     run = dataclasses.replace(run, external=true_order)
 
     with run.backend:
-        evaluations = stored_evaluations(run, run.backend)
+        evaluations = stored_evaluations(run, evaluate_missing=True)
+        # Written once the store has matched, so a refused run leaves --out as it was.
+        Path(spec.external).write_text(dump_canonical({"global": true_order}), encoding="utf-8")
         results = {metric: attribute_step(run, evaluations, metric) for metric in METRICS}
-        deletion = deletion_step(run, results)
+        deletion = deletion_step(run, results, evaluations)
     ranked = {metric: rank_against(results[metric], true_order) for metric in METRICS}
     _write_rank_report(run.out, *ranked["jsd"])
 

@@ -10,6 +10,12 @@ every ranking source shares identical step-0 values per instance. The step
 axis is reported both as an absolute count and as a fraction of the mean
 feature count over evaluated instances.
 
+A deletion row is a coalition, so an instance's stored :class:`Evaluation`
+may already hold its answer: the full row always, every leave-one-out row,
+and any row that was sampled. Those rows are taken from the store, and only
+the rest are sent to the backend. A stored distribution reads back bit for
+bit, so the curves are the same bytes either way.
+
 A removal order is a tuple of feature keys, most important first; an
 external ranking file holds one for all instances, ``{"global": [keys]}``,
 or one per instance, ``{"per_instance": {"<index>": [keys]}}``.
@@ -21,11 +27,12 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from ._json_io import dump_canonical
+from .attribution import Evaluation, row_keys
 from .backends import Backend, evaluate_prompts
 from .errors import BackendError, RankingError
 from .tabular import PromptTemplate, TabularInstance, build_prompts
@@ -127,12 +134,15 @@ class DeletionCurve:
 
 @dataclass(frozen=True)
 class DeletionRun:
-    """All curves of one run plus the symmetric-drop bookkeeping."""
+    """All curves of one run plus the symmetric-drop bookkeeping, and the
+    distinct rows it took from stored evaluations and the prompts it sent."""
 
     curves: Mapping[str, DeletionCurve]
     dropped: tuple[int, ...]
     mean_features: float
     tie_count: int
+    stored_rows: int
+    queried_prompts: int
 
 
 def curve_auc(curve: DeletionCurve) -> float:
@@ -155,6 +165,7 @@ def run_deletion(
     max_removals: int = 10,
     top_k: int = 10,
     workers: int = 1,
+    stored: Iterable[Evaluation] = (),
 ) -> DeletionRun:
     """Run the deletion protocol for every source over the same instances.
 
@@ -164,10 +175,17 @@ def run_deletion(
     Per instance: the full prompt fixes the predicted class; then for
     t = 1..min(max_removals, M - 1) the top-t ranked features are omitted
     and the new distribution's mass on that original class is recorded.
-    The final feature is never deleted (prompts never go empty). An
-    instance's prompts, for every source, are built in one
-    :func:`~tabattr.tabular.build_prompts` pass and verbalized in one
-    :func:`~tabattr.verbalizer.class_distributions` pass.
+    The final feature is never deleted (prompts never go empty).
+
+    ``stored`` holds evaluations of some of the instances, made with the
+    same template, verbalizer and ``top_k``. A distinct deletion row is
+    taken from its instance's evaluation when that holds it, found by its
+    packed bytes (the full row is ``full_dist``). The other distinct rows of
+    an instance, for every source, are built in one
+    :func:`~tabattr.tabular.build_prompts` pass, sent in one
+    :func:`~tabattr.backends.evaluate_prompts` call and verbalized in one
+    :func:`~tabattr.verbalizer.class_distributions` pass. The curves do not
+    depend on which rows were stored.
 
     An instance whose backend calls fail is dropped from ALL sources
     symmetrically and counted in the run metadata.
@@ -175,7 +193,9 @@ def run_deletion(
     Raises:
         RankingError: an order is missing or empty, repeats a key or names
             a key its instance lacks.
-        ValueError: ``max_removals`` < 1 or no instances.
+        ValueError: ``max_removals`` < 1, no instances, or a stored
+            evaluation over other feature keys or another ``top_k`` than
+            its instance's run.
     """
     if max_removals < 1:
         raise ValueError("max_removals must be >= 1")
@@ -193,18 +213,29 @@ def run_deletion(
             if unknown:
                 raise RankingError(f"{named} names keys absent from instance {instance.index}: "
                                    f"{unknown}")
+    evaluations = {evaluation.instance_index: evaluation for evaluation in stored}
+    for instance in instances:
+        evaluation = evaluations.get(instance.index)
+        if evaluation is not None and (
+            evaluation.feature_keys != instance.keys or evaluation.config.top_k != top_k
+        ):
+            raise ValueError(
+                f"stored evaluation of instance {instance.index} is over features "
+                f"{list(evaluation.feature_keys)} at top_k={evaluation.config.top_k}; the run "
+                f"needs {list(instance.keys)} at top_k={top_k}"
+            )
 
     # traces[source][index] -> [p0, p1, ...]; built per instance so a failure
     # can drop the instance everywhere before anything is recorded.
     traces: dict[str, dict[int, tuple[float, ...]]] = {s: {} for s in rankings}
     dropped: list[int] = []
-    tie_count = 0
+    tie_count = stored_rows = queried_prompts = 0
 
     for instance in instances:
         m = instance.num_features
         column = {key: j for j, key in enumerate(instance.keys)}
-        # One membership row per prompt: the full row first, then per source
-        # row t - 1 drops the source's top-t keys.
+        # One membership row per deletion step: the full row first, then per
+        # source row t - 1 drops the source's top-t keys.
         blocks = [np.ones((1, m), dtype=bool)]
         for source, per_instance in rankings.items():
             order_keys = per_instance[instance.index]
@@ -212,18 +243,29 @@ def run_deletion(
             block = np.ones((t_max, m), dtype=bool)
             block[:, [column[k] for k in order_keys[:t_max]]] = ~np.tri(t_max, dtype=bool)
             blocks.append(block)
+        rows = np.vstack(blocks)
+        keys = row_keys(rows)
+        first: dict[bytes, int] = {}  # each distinct row's first position
+        for i, key in enumerate(keys):
+            first.setdefault(key, i)
 
-        prompts = build_prompts(template, instance, np.vstack(blocks))
-        try:
-            responses = evaluate_prompts(backend, prompts, top_k, workers=workers)
-        except BackendError:
-            dropped.append(instance.index)
-            continue
+        dists = _stored_dists(evaluations.get(instance.index), first, keys[0])
+        missing = [key for key in first if key not in dists]
+        stored_rows += len(dists)
+        queried_prompts += len(missing)
+        if missing:
+            prompts = build_prompts(template, instance, rows[[first[key] for key in missing]])
+            try:
+                responses = evaluate_prompts(backend, prompts, top_k, workers=workers)
+            except BackendError:
+                dropped.append(instance.index)
+                continue
+            fresh, _ = class_distributions([responses[prompt] for prompt in prompts], vmap)
+            dists.update(zip(missing, fresh))
 
-        dists, _ = class_distributions([responses[prompt] for prompt in prompts], vmap)
-        target = predicted_class(dists[0])
+        target = predicted_class(dists[keys[0]])
         tie_count += int(target.tie)
-        mass = dists[:, target.index].tolist()
+        mass = [float(dists[key][target.index]) for key in keys]
         start = 1
         for source, block in zip(rankings, blocks[1:]):
             traces[source][instance.index] = (mass[0], *mass[start : start + len(block)])
@@ -258,7 +300,24 @@ def run_deletion(
         dropped=tuple(dropped),
         mean_features=mean_features,
         tie_count=tie_count,
+        stored_rows=stored_rows,
+        queried_prompts=queried_prompts,
     )
+
+
+def _stored_dists(
+    evaluation: Evaluation | None, wanted: Mapping[bytes, int], full: bytes
+) -> dict[bytes, np.ndarray]:
+    """The class distribution of each ``wanted`` row key that ``evaluation``
+    holds: the ``full`` row's is its ``full_dist``, a coalition's its row of
+    ``class_dists``."""
+    if evaluation is None:
+        return {}
+    dists = {full: evaluation.full_dist}
+    for i, key in enumerate(row_keys(evaluation.membership)):
+        if key in wanted:
+            dists.setdefault(key, evaluation.class_dists[i])
+    return dists
 
 
 def write_curves_csv(run: DeletionRun, path: str | Path) -> None:

@@ -199,11 +199,17 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _Server(ThreadingHTTPServer):
+    # socketserver listens with a backlog of 5; a test with more connections
+    # opening at once would wait out dropped SYNs.
+    request_queue_size = 64
+
+
 @contextmanager
 def serving(handler, tls=None):
     """Serve ``handler`` on a localhost port; ``tls`` is a server-side
     ``ssl.SSLContext`` that makes it an https endpoint."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server = _Server(("127.0.0.1", 0), handler)
     scheme = "http"
     if tls is not None:
         server.socket = tls.wrap_socket(server.socket, server_side=True)

@@ -32,6 +32,7 @@ from tabattr import (
     Backend,
     FeatureField,
     PromptTemplate,
+    SyntheticBackend,
     SyntheticOracleSpec,
     TabularInstance,
     TopKDistribution,
@@ -257,6 +258,11 @@ class ReferenceOracle(Backend):
         self.spec = spec
         self.input_marker = input_marker
         self.response_marker = response_marker
+
+    @property
+    def identity(self) -> str:
+        """The synthetic oracle's of the same spec, whose answers it gives."""
+        return SyntheticBackend(self.spec).identity
 
     def _fetch(self, prompt: str, k: int, wait) -> TopKDistribution:
         present = present_keys(prompt, self.input_marker, self.response_marker)

@@ -336,8 +336,8 @@ class TestEvaluateThenScore:
         config = SamplingConfig(ratio=1.0, seed=5)
         evaluation = evaluate(instance, backend, template, vmap, config)
         path = tmp_path / "evaluations.jsonl"
-        load_or_evaluate(path, [0], lambda idx: evaluation, config, "f")
-        [again] = load_or_evaluate(path, [0], lambda idx: pytest.fail("stored"), config, "f")
+        load_or_evaluate(path, [instance], lambda i: evaluation, config, "f")
+        [again] = load_or_evaluate(path, [instance], lambda i: pytest.fail("stored"), config, "f")
         for name in ("membership", "class_dists", "degenerate", "full_dist"):
             assert np.array_equal(getattr(again, name), getattr(evaluation, name))
             assert getattr(again, name).dtype == getattr(evaluation, name).dtype

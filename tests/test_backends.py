@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -479,6 +480,47 @@ class TestReplayAndRecording:
         store.write_text("[]")
         with pytest.raises(BackendError, match="recording.json"):
             RecordingBackend(oracle_backend({"a": 1.0}), store)
+
+
+class TestIdentity:
+    """Each backend names what its answers come from; the evaluation store
+    records that name and refuses another."""
+
+    def test_http_is_its_url_and_a_recording_of_it_the_same(self, tmp_path):
+        url = "http://127.0.0.1:9/logprobs"
+        assert HttpBackend(url).identity == f"http:{url}"
+        assert HttpBackend(url + "2").identity != HttpBackend(url).identity
+        with open_backend("http", url, record=str(tmp_path / "recording.json")) as recorder:
+            assert isinstance(recorder, RecordingBackend)
+            assert recorder.identity == f"http:{url}"
+
+    def test_replay_is_the_sha256_of_the_recording_bytes(self, tmp_path):
+        path = tmp_path / "recording.json"
+        shutil.copyfile(RECORDING, path)
+        digest = hashlib.sha256(RECORDING.read_bytes()).hexdigest()
+        assert ReplayBackend(path).identity == f"replay:{digest}"
+        _record(path, ["a:1 b:2"])
+        assert ReplayBackend(path).identity == (
+            f"replay:{hashlib.sha256(path.read_bytes()).hexdigest()}"
+        ) != f"replay:{digest}"
+
+    def test_synthetic_is_the_sha256_of_the_spec_payload(self, tmp_path):
+        spec = SyntheticOracleSpec(classes=("yes", "no"), weights={"a": 1.0, "b": -0.5})
+        payload = json.dumps(spec.to_payload(), separators=(",", ":")).encode()
+        identity = f"synthetic:{hashlib.sha256(payload).hexdigest()}"
+        assert SyntheticBackend(spec).identity == identity
+        path = tmp_path / "oracle.json"
+        path.write_text(json.dumps({"weights": {"a": 1, "b": -0.5}, "classes": ["yes", "no"]}))
+        assert open_backend("synthetic", str(path)).identity == identity
+        others = [{"a": 1.0, "b": -0.25}, {"b": -0.5, "a": 1.0}]
+        assert identity not in {
+            SyntheticBackend(SyntheticOracleSpec(("yes", "no"), weights)).identity
+            for weights in others
+        }
+
+    def test_a_backend_without_one_says_so(self):
+        with pytest.raises(NotImplementedError, match="_CountingBackend names no identity"):
+            _CountingBackend(oracle_backend({"a": 1.0})).identity
 
 
 class _CountingBackend(tabattr.Backend):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -122,7 +123,8 @@ class TestSynthDemoGolden:
         config = SamplingConfig(ratio=1.0)
         vmap = VerbalizerMap.from_mapping({c: [c] for c in spec.classes})
         evaluations = load_or_evaluate(
-            out / "evaluations.jsonl", [0, 1, 2], lambda idx: pytest.fail("not stored"),
+            out / "evaluations.jsonl", cli.synthetic_instances(spec, 3, 0),
+            lambda instance: pytest.fail("not stored"),
             config, config_fingerprint(config, PromptTemplate(), vmap),
         )
         for metric in ("jsd", "kl", "l1"):
@@ -578,6 +580,263 @@ class TestEvaluationStore:
         assert err.startswith("error: ") and str(out / "index_manifest.json") in err
 
 
+def _without_store(monkeypatch) -> None:
+    """Make ``cli.run_deletion`` ignore the stored evaluations it is given."""
+    run_deletion = cli.run_deletion
+
+    def storeless(*args, stored=(), **kwargs):
+        return run_deletion(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_deletion", storeless)
+
+
+def _curves(out: Path) -> tuple[bytes, bytes]:
+    return (out / "curves.csv").read_bytes(), (out / "curves.json").read_bytes()
+
+
+def _served(spec):
+    class Served(KeepAliveHandler):
+        oracle = SyntheticBackend(spec)
+
+    return Served
+
+
+def _vmap(tmp_path) -> list[str]:
+    path = tmp_path / "vmap.json"
+    path.write_text(json.dumps({"yes": ["yes"], "no": ["no"]}))
+    return ["--verbalizer", str(path)]
+
+
+class TestStoreFirstCurves:
+    """Deletion curves take every row the store holds and send only the rest."""
+
+    _argv = staticmethod(TestEvaluationStore._argv)
+    _counting = staticmethod(TestEvaluationStore._counting)
+
+    @staticmethod
+    def _wide(command, oracle_path, tmp_path, *extra):
+        """Rows i = 0, 1, 2 of six features, f{j}:{10 i + j}, all three selected."""
+        dataset, schema = tmp_path / "wide.csv", tmp_path / "wide_schema.json"
+        keys = [f"f{j}" for j in range(6)]
+        rows = [",".join(str(10 * i + j) for j in range(6)) for i in range(3)]
+        dataset.write_text("\n".join([",".join(keys), *rows]) + "\n")
+        schema.write_text(json.dumps(dict.fromkeys(keys, "numeric")))
+        return [command, "--dataset", str(dataset), "--schema", str(schema), "--backend",
+                f"synthetic:{oracle_path}", "--max-coalitions", "10", "--indices", "0,1,2",
+                "--out", str(tmp_path / "out"), *extra]
+
+    def test_synth_demo_curves_are_the_same_bytes_without_the_store(
+        self, oracle, tmp_path, monkeypatch, capsys
+    ):
+        _, path = oracle
+        argv = ["synth-demo", "--oracle", str(path), "--n-instances", "3", "--seed", "2",
+                "--max-coalitions", "20"]
+        fetched = self._counting(monkeypatch)
+        assert cli.main([*argv, "--out", str(tmp_path / "stored")]) == 0
+        with_store = len(fetched)
+        fetched.clear()
+        _without_store(monkeypatch)
+        assert cli.main([*argv, "--out", str(tmp_path / "fresh")]) == 0
+        assert len(fetched) > with_store
+        assert _curves(tmp_path / "stored") == _curves(tmp_path / "fresh")
+        assert (tmp_path / "stored" / "summary.txt").read_bytes() == (
+            tmp_path / "fresh" / "summary.txt"
+        ).read_bytes()
+
+    def test_record_then_replay_curves_are_the_same_bytes_with_and_without_the_store(
+        self, oracle, tmp_path, monkeypatch, capsys
+    ):
+        spec, _ = oracle
+        recording = tmp_path / "recording.json"
+        common = [*_tabular_inputs(tmp_path), *_vmap(tmp_path), "--max-coalitions", "10",
+                  "--indices", "0,1,2"]
+        curve = ["--sources", "jsd,l1,random"]
+
+        def run(backend, out, *extra):
+            for command in (["attribute"], ["deletion-curve", *curve]):
+                argv = [*command, *common, "--backend", backend, "--out", str(tmp_path / out)]
+                assert cli.main([*argv, *extra]) == 0
+
+        with serving(_served(spec)) as endpoint:
+            run(endpoint, "recorded", "--record", str(recording))
+        run(f"replay:{recording}", "replayed")
+        _without_store(monkeypatch)
+        run(f"replay:{recording}", "storeless")
+        recorded = _curves(tmp_path / "recorded")
+        assert _curves(tmp_path / "replayed") == recorded == _curves(tmp_path / "storeless")
+
+    def test_deletion_curve_after_attribute_sends_no_full_or_leave_one_out_row(
+        self, oracle, tmp_path, monkeypatch, capsys
+    ):
+        _, oracle_path = oracle
+        assert cli.main(self._wide("attribute", oracle_path, tmp_path)) == 0
+        curve = self._wide("deletion-curve", oracle_path, tmp_path, "--sources", "jsd,kl,random")
+        fetched = self._counting(monkeypatch)
+        capsys.readouterr()
+        assert cli.main(curve) == 0
+        template = PromptTemplate()
+        dataset = cli.load_dataset(tmp_path / "wide.csv", json.loads(
+            (tmp_path / "wide_schema.json").read_text()))
+        held = {
+            build_prompt(template, fields_at(dataset[i], [j for j in range(6) if j != left]))
+            for i in range(3) for left in range(-1, 6)
+        }
+        assert fetched and not held & set(fetched)
+        stored = capsys.readouterr().out.splitlines()[0]
+
+        _without_store(monkeypatch)
+        sent = len(fetched)
+        fetched.clear()
+        assert cli.main(curve) == 0
+        # The same rows, less those taken from the store.
+        assert len(fetched) > sent
+        assert stored.endswith(f" stored={len(fetched) - sent} queried={sent}")
+
+    def test_random_source_into_a_fresh_out_queries_every_row(
+        self, oracle, tmp_path, monkeypatch, capsys
+    ):
+        _, oracle_path = oracle
+        fetched = self._counting(monkeypatch)
+        assert cli.main(self._argv("deletion-curve", oracle_path, tmp_path, tmp_path / "out",
+                                   "--sources", "random")) == 0
+        # Two instances of three rows each: the full row and two deletion steps.
+        assert len(fetched) == len(set(fetched)) == 6
+        assert "stored=0 queried=6\n" in capsys.readouterr().out
+
+    def test_random_source_after_attribute_of_another_seed_queries_every_row(
+        self, oracle, tmp_path, monkeypatch, capsys
+    ):
+        _, oracle_path = oracle
+        out = tmp_path / "out"
+        assert cli.main(self._argv("attribute", oracle_path, tmp_path, out, "--seed", "0")) == 0
+        fetched = self._counting(monkeypatch)
+        capsys.readouterr()
+        assert cli.main(self._argv("deletion-curve", oracle_path, tmp_path, out,
+                                   "--sources", "random", "--seed", "5")) == 0
+        assert len(fetched) == 6
+        assert "stored=0 queried=6\n" in capsys.readouterr().out
+        fetched.clear()
+        assert cli.main(self._argv("deletion-curve", oracle_path, tmp_path, out,
+                                   "--sources", "random", "--seed", "0")) == 0
+        assert len(fetched) < 6
+        assert f"stored={6 - len(fetched)} queried={len(fetched)}\n" in capsys.readouterr().out
+
+    def test_failing_instance_is_dropped_from_every_source_though_rows_were_stored(
+        self, oracle, tmp_path, monkeypatch, capsys
+    ):
+        _, oracle_path = oracle
+        assert cli.main(self._wide("attribute", oracle_path, tmp_path)) == 0
+        fetch = SyntheticBackend._fetch
+        row_1 = [f"f{j}:{10 + j}" for j in range(6)]
+
+        def failing_on_row_1(self, prompt, k, wait):
+            if any(field in prompt for field in row_1):
+                raise BackendError("injected failure")
+            return fetch(self, prompt, k, wait)
+
+        monkeypatch.setattr(SyntheticBackend, "_fetch", failing_on_row_1)
+        capsys.readouterr()
+        curve = self._wide("deletion-curve", oracle_path, tmp_path, "--sources", "jsd,random")
+        assert cli.main(curve) == 1
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert "instances=2 dropped=1" in summary and " stored=0 " not in summary
+        curves = json.loads((tmp_path / "out" / "curves.json").read_text())
+        assert curves["dropped_instances"] == [1]
+        assert all(set(c["traces"]) == {"0", "2"} for c in curves["curves"].values())
+
+
+class TestStoreKnowsItsInputs:
+    """A store is refused when its rows' values or its backend differ from the run's."""
+
+    _argv = staticmethod(TestEvaluationStore._argv)
+    _counting = staticmethod(TestEvaluationStore._counting)
+
+    def test_changed_values_of_a_stored_row_are_stale(self, oracle, tmp_path, monkeypatch, capsys):
+        _, oracle_path = oracle
+        out = tmp_path / "out"
+        assert cli.main(self._argv("attribute", oracle_path, tmp_path, out)) == 0
+        # Each argv writes the dataset again, so all are made before it changes.
+        attribute, jsd_curve, random_curve = (
+            self._argv("attribute", oracle_path, tmp_path, out),
+            self._argv("deletion-curve", oracle_path, tmp_path, out, "--sources", "jsd"),
+            self._argv("deletion-curve", oracle_path, tmp_path, out, "--sources", "random"),
+        )
+        dataset = tmp_path / "data.csv"
+        dataset.write_text(dataset.read_text().replace("1,2,3\n", "10,20,30\n"))
+        fetched = self._counting(monkeypatch)
+        capsys.readouterr()
+        assert cli.main(attribute) == 1
+        assert fetched == []
+        message = "instance 0 was evaluated over other values than the dataset's row 0"
+        assert message in capsys.readouterr().err
+        assert cli.main(jsd_curve) == 1
+        assert message in capsys.readouterr().err
+        # Without a metric source the stale store is left unused.
+        assert cli.main(random_curve) == 0
+        assert "stored=0 queried=6\n" in capsys.readouterr().out
+
+    def test_synth_demo_with_another_oracle_is_stale(self, oracle, tmp_path, capsys):
+        _, path = oracle
+        other = tmp_path / "other.json"
+        payload = json.loads(path.read_text())
+        payload["weights"] = dict(reversed(list(payload["weights"].items())))
+        other.write_text(json.dumps(payload))
+        argv = ["synth-demo", "--n-instances", "2", "--max-coalitions", "20",
+                "--out", str(tmp_path / "out")]
+        assert cli.main([*argv, "--oracle", str(path)]) == 0
+        files = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        capsys.readouterr()
+        assert cli.main([*argv, "--oracle", str(other)]) == 1
+        err = capsys.readouterr().err
+        assert "store was filled through backend 'synthetic:" in err
+        assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == files
+        assert cli.main([*argv, "--oracle", str(other), "--out", str(tmp_path / "fresh")]) == 0
+
+    def test_http_store_belongs_to_the_url_actually_used(
+        self, oracle, tmp_path, monkeypatch, capsys
+    ):
+        spec, oracle_path = oracle
+        out = tmp_path / "out"
+        recording = tmp_path / "recording.json"
+        common = ["attribute", *_tabular_inputs(tmp_path), *_vmap(tmp_path),
+                  "--max-coalitions", "10", "--indices", "0,1", "--out", str(out)]
+        with serving(_served(spec)) as first, serving(_served(spec)) as second:
+            # The environment's URL is the one used, and the one recorded.
+            monkeypatch.setenv(cli.ENDPOINT_ENV, first)
+            assert cli.main([*common, "--backend", "http://127.0.0.1:9/logprobs"]) == 0
+            header = json.loads((out / "evaluations.jsonl").read_text().splitlines()[0])
+            assert header["backend"] == f"http:{first}"
+            monkeypatch.delenv(cli.ENDPOINT_ENV)
+            assert cli.main([*common, "--backend", first, "--record", str(recording)]) == 0
+            capsys.readouterr()
+            assert cli.main([*common, "--backend", second]) == 1
+            assert f"but this run uses 'http:{second}'" in capsys.readouterr().err
+        # compare opens no backend, so it reads the store whatever --backend says.
+        assert cli.main(["compare", *common[1:], "--backend", f"synthetic:{oracle_path}",
+                         "--external", str(_true_order(tmp_path))]) == 0
+
+    def test_replay_store_belongs_to_the_recording_bytes(self, oracle, tmp_path, capsys):
+        spec, oracle_path = oracle
+        recording = tmp_path / "recording.json"
+        common = [*_tabular_inputs(tmp_path), *_vmap(tmp_path), "--max-coalitions", "10",
+                  "--indices", "0,1"]
+        with serving(_served(spec)) as endpoint:
+            assert cli.main(["attribute", *common, "--backend", endpoint, "--record",
+                             str(recording), "--out", str(tmp_path / "recorded")]) == 0
+            replay = ["--backend", f"replay:{recording}", "--out", str(tmp_path / "out")]
+            assert cli.main(["attribute", *common, *replay]) == 0
+            # Recording the deletion rows too makes it another recording.
+            assert cli.main(["deletion-curve", *common, "--sources", "random", "--backend",
+                             endpoint, "--record", str(recording), "--out",
+                             str(tmp_path / "recorded")]) == 0
+        capsys.readouterr()
+        assert cli.main(["attribute", *common, *replay]) == 1
+        assert "store was filled through backend 'replay:" in capsys.readouterr().err
+        assert cli.main(["deletion-curve", *common, "--sources", "jsd", *replay]) == 1
+        assert cli.main(["attribute", *common, "--backend", f"synthetic:{oracle_path}",
+                         "--out", str(tmp_path / "out")]) == 1
+
+
 class TestRecordingFile:
     def test_corrupt_recording_is_a_backend_error(self, tmp_path, capsys):
         recording = tmp_path / "recording.json"
@@ -986,20 +1245,26 @@ class TestRetriedHttpRun:
         recording = tmp_path / "recording.json"
 
         def attribute(backend, out, *extra):
+            """The results, the store's header and the store's evaluation lines."""
             argv = ["attribute", *_tabular_inputs(tmp_path), "--verbalizer", str(vmap),
                     "--indices", "0,1,2", "--seed", "5", "--backend", backend,
                     "--out", str(tmp_path / out), *extra]
             assert cli.main(argv) == 0
-            return [(tmp_path / out / name).read_bytes()
-                    for name in ("results_jsd.json", "evaluations.jsonl")]
+            header, lines = (tmp_path / out / "evaluations.jsonl").read_bytes().split(b"\n", 1)
+            return (tmp_path / out / "results_jsd.json").read_bytes(), json.loads(header), lines
 
         serial = attribute(f"synthetic:{oracle_path}", "serial", "--workers", "1")
         with serving(Flaky) as endpoint:
             recorded = attribute(endpoint, "recorded", "--workers", "2",
                                  "--record", str(recording))
+        replayed = attribute(f"replay:{recording}", "replayed", "--workers", "2")
         assert len(Flaky.failed) >= 2
-        assert recorded == serial
-        assert attribute(f"replay:{recording}", "replayed", "--workers", "2") == serial
+        assert recorded[0::2] == replayed[0::2] == serial[0::2]
+        # The header names the backend that answered.
+        digest = hashlib.sha256(recording.read_bytes()).hexdigest()
+        assert [run[1]["backend"] for run in (serial, recorded, replayed)] == [
+            SyntheticBackend(spec).identity, f"http:{endpoint}", f"replay:{digest}"
+        ]
 
 
 def test_cli_import_loads_neither_scipy_nor_an_http_library():

@@ -5,13 +5,19 @@ import json
 import pytest
 
 from tabattr import (
+    Backend,
+    SamplingConfig,
+    evaluate,
     load_external_ranking,
     predicted_class,
     random_order,
     run_deletion,
+    write_curves_csv,
+    write_curves_json,
 )
 from tabattr.errors import BackendError, RankingError
 from conftest import FlakyBackend, make_instance, oracle_backend
+from reference import build_prompt, fields_at
 
 KEYS = ("a", "b", "c", "d")
 
@@ -89,6 +95,110 @@ class TestRunDeletion:
     def test_no_instances_is_refused(self, template, yes_no_vmap):
         with pytest.raises(ValueError, match="no instances"):
             run_deletion([], {}, oracle_backend({"a": 1.0}), template, yes_no_vmap)
+
+
+class Logging(Backend):
+    """Delegates to an inner backend and keeps every prompt it was sent."""
+
+    def __init__(self, inner: Backend):
+        super().__init__()
+        self.inner = inner
+        self.sent: list[str] = []
+
+    def _fetch(self, prompt, k, wait):
+        self.sent.append(prompt)
+        return self.inner.query(prompt, k, wait)
+
+
+def _files(run, tmp_path, name) -> tuple[bytes, bytes]:
+    write_curves_csv(run, tmp_path / f"{name}.csv")
+    write_curves_json(run, tmp_path / f"{name}.json")
+    return (tmp_path / f"{name}.csv").read_bytes(), (tmp_path / f"{name}.json").read_bytes()
+
+
+class TestStoredRows:
+    """Deletion rows an evaluation already answered are taken from it, not sent."""
+
+    WEIGHTS = {"a": 1.5, "b": -0.7, "c": 0.4, "d": 0.1}
+
+    def _evaluations(self, instances, template, vmap, ratio=0.4):
+        config = SamplingConfig(ratio=ratio, max_coalitions=16, seed=2)
+        backend = oracle_backend(self.WEIGHTS)
+        return [evaluate(i, backend, template, vmap, config) for i in instances]
+
+    def test_curves_are_the_same_bytes_and_only_the_other_rows_are_sent(
+        self, instances, template, yes_no_vmap, tmp_path
+    ):
+        stored = self._evaluations(instances, template, yes_no_vmap)
+        fresh = Logging(oracle_backend(self.WEIGHTS))
+        without = run_deletion(instances, _rankings(instances), fresh, template, yes_no_vmap)
+        backend = Logging(oracle_backend(self.WEIGHTS))
+        with_store = run_deletion(instances, _rankings(instances), backend, template,
+                                  yes_no_vmap, stored=stored)
+        assert _files(with_store, tmp_path, "stored") == _files(without, tmp_path, "fresh")
+
+        # No row the evaluations hold is sent: not the full row, not a
+        # leave-one-out row, not a sampled row.
+        held = {
+            build_prompt(template, fields_at(i, e.membership[r].nonzero()[0]))
+            for i, e in zip(instances, stored) for r in range(len(e.membership))
+        } | {build_prompt(template, i.fields) for i in instances}
+        assert backend.sent and not held & set(backend.sent)
+        assert set(backend.sent) < set(fresh.sent)
+        assert len(backend.sent) == len(set(backend.sent)) == with_store.queried_prompts
+        assert with_store.stored_rows == len(set(fresh.sent) - set(backend.sent))
+        assert (without.stored_rows, without.queried_prompts) == (0, len(fresh.sent))
+
+    def test_an_instance_whose_rows_are_all_stored_sends_nothing(
+        self, instances, template, yes_no_vmap, tmp_path
+    ):
+        stored = self._evaluations(instances, template, yes_no_vmap, ratio=1.0)
+        down = FlakyBackend(oracle_backend(self.WEIGHTS), poison="")
+        run = run_deletion(instances, _rankings(instances), down, template, yes_no_vmap,
+                           stored=stored)
+        without = run_deletion(instances, _rankings(instances), oracle_backend(self.WEIGHTS),
+                               template, yes_no_vmap)
+        assert down.calls == run.queried_prompts == 0 and run.dropped == ()
+        assert _files(run, tmp_path, "stored") == _files(without, tmp_path, "fresh")
+
+    def test_only_the_stored_instances_take_rows_from_the_store(
+        self, instances, template, yes_no_vmap, tmp_path
+    ):
+        stored = self._evaluations(instances[:1], template, yes_no_vmap, ratio=1.0)
+        backend = Logging(oracle_backend(self.WEIGHTS))
+        run = run_deletion(instances, _rankings(instances), backend, template, yes_no_vmap,
+                           stored=stored)
+        values = {f"{key}:v0{j}" for j, key in enumerate(KEYS)}
+        assert not any(value in prompt for prompt in backend.sent for value in values)
+        assert build_prompt(template, instances[1].fields) in backend.sent
+        without = run_deletion(instances, _rankings(instances), oracle_backend(self.WEIGHTS),
+                               template, yes_no_vmap)
+        assert _files(run, tmp_path, "stored") == _files(without, tmp_path, "fresh")
+
+    def test_failing_instance_is_dropped_from_every_source_though_rows_were_stored(
+        self, instances, template, yes_no_vmap
+    ):
+        stored = self._evaluations(instances, template, yes_no_vmap)
+        backend = FlakyBackend(oracle_backend(self.WEIGHTS), poison="v1")
+        run = run_deletion(instances, _rankings(instances), backend, template, yes_no_vmap,
+                           stored=stored)
+        assert run.dropped == (1,) and run.stored_rows > 0
+        for curve in run.curves.values():
+            assert set(curve.traces) == {0, 2}
+            assert curve.n_instances == 2
+
+    @pytest.mark.parametrize("top_k, keys", [(5, KEYS), (10, ("a", "b", "c", "e"))])
+    def test_evaluation_of_other_keys_or_top_k_is_refused_before_any_query(
+        self, top_k, keys, instances, template, yes_no_vmap
+    ):
+        config = SamplingConfig(max_coalitions=8, top_k=top_k)
+        other = make_instance(0, keys, [f"v0{j}" for j in range(4)])
+        evaluation = evaluate(other, oracle_backend(self.WEIGHTS), template, yes_no_vmap, config)
+        backend = oracle_backend(self.WEIGHTS)
+        with pytest.raises(ValueError, match="stored evaluation of instance 0"):
+            run_deletion(instances, _rankings(instances), backend, template, yes_no_vmap,
+                         stored=[evaluation])
+        assert backend.calls == 0
 
 
 class TestPredictedClass:
