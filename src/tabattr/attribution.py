@@ -254,8 +254,12 @@ def score(evaluation: Evaluation, metric: str) -> AttributionResult:
     membership = evaluation.membership
     # Essential leave-one-out sets guarantee every feature is present in at
     # least one coalition and absent from at least one, so both means exist.
-    with_mean = np.array([sims[column].mean() for column in membership.T])
-    without_mean = np.array([sims[~column].mean() for column in membership.T])
+    # Each is sims[mask].mean() to the bit: the same pairwise sum, over the
+    # same rows in the same order, divided by the count.
+    with_rows = map(np.flatnonzero, membership.T)
+    without_rows = map(np.flatnonzero, ~membership.T)
+    with_mean = np.array([np.add.reduce(sims[rows]) / len(rows) for rows in with_rows])
+    without_mean = np.array([np.add.reduce(sims[rows]) / len(rows) for rows in without_rows])
     raw_phi = with_mean - without_mean
     phi, fallback = normalize_phi(raw_phi)
     evaluated = {f.name: getattr(evaluation, f.name) for f in fields(Evaluation)}

@@ -35,11 +35,17 @@ bytes. Recordings in any other JSON layout, such as pretty-printed ones,
 are read and appended to the same way.
 
 :class:`HttpBackend` speaks a minimal HTTP/1.1 over a pool of kept-alive
-sockets, TLS-wrapped for ``https``: one write per request, sent with
-``Accept-Encoding: identity``, and a response body framed by
-``Content-Length``, by chunked transfer coding or by the server closing.
-Unlike a full HTTP client it ignores ``HTTP_PROXY``, ``HTTPS_PROXY``,
-``NO_PROXY`` and ``.netrc``, and it follows no redirects: a 3xx answer is a
+sockets, TLS-wrapped for ``https``: one write per request, its JSON body
+formatted directly, sent with ``Accept-Encoding: identity``. Each connection
+receives into its own buffer. A response is read from it in one pass: the
+empty line that ends the head is found in the received bytes, the status
+line and the four headers the client reads (``Content-Length``,
+``Transfer-Encoding``, ``Connection``, ``Retry-After``) are taken from the
+head, and the body follows from the same buffer, framed by
+``Content-Length``, by chunked transfer coding or by the server closing. The
+limits are ``http.client``'s: 64 KiB per line, 100 header lines. Unlike a
+full HTTP client it ignores ``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY``
+and ``.netrc``, and it follows no redirects: a 3xx answer is a
 :class:`ProtocolError`.
 """
 
@@ -55,6 +61,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 from urllib.parse import urlsplit
@@ -67,7 +74,7 @@ from .errors import (
     NormalizationError,
     ProtocolError,
 )
-from .tabular import normalize_key
+from .tabular import PromptTemplate, normalize_key
 
 _EXP_SUM_TOLERANCE = 1e-6
 _NEG_INF = float("-inf")
@@ -314,9 +321,12 @@ class SyntheticBackend(Backend):
     @property
     def identity(self) -> str:
         """``synthetic:`` and the sha256 of the spec's payload, its weights in
-        the order the oracle sums them."""
-        payload = json.dumps(self.spec.to_payload(), separators=(",", ":"))
-        return "synthetic:" + hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        the order the oracle sums them, with the two markers it reads the
+        input block between."""
+        payload = self.spec.to_payload()
+        payload.update(input_marker=self.input_marker, response_marker=self.response_marker)
+        text = json.dumps(payload, separators=(",", ":"))
+        return "synthetic:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def _fetch(self, prompt: str, k: int, wait: Callable[[float], None]) -> TopKDistribution:
         block = prompt
@@ -475,23 +485,122 @@ class RecordingBackend(Backend):
 #: response; the limits ``http.client`` applies.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
+#: Most bytes one receive takes from the socket.
+_RECEIVE_SIZE = 65536
 
 
 class _MalformedResponse(Exception):
     """A response whose framing cannot be read; retried like a dropped connection."""
 
 
-def _read_line(reader) -> bytes:
-    line = reader.readline(_MAX_LINE + 1)
-    if len(line) > _MAX_LINE:
-        raise _MalformedResponse("response line longer than 64 KiB")
-    return line
+def _line_too_long() -> _MalformedResponse:
+    return _MalformedResponse("response line longer than 64 KiB")
 
 
-def _read_chunked(reader) -> bytes:
+class _Connection:
+    """One socket to the endpoint and the bytes received on it but not yet read.
+
+    Each receive appends what one ``recv_into`` brings to ``buffer``; what is
+    read is cut from its front. A receive of no bytes means the server has
+    closed the connection.
+    """
+
+    __slots__ = ("sock", "buffer", "_chunk")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.buffer = bytearray()
+        self._chunk = memoryview(bytearray(_RECEIVE_SIZE))
+
+    def receive(self) -> bool:
+        """Append one receive to ``buffer``; false if the server has closed."""
+        size = self.sock.recv_into(self._chunk)
+        self.buffer += self._chunk[:size]
+        return size > 0
+
+    def line_end(self, start: int) -> int:
+        """Where the line from ``start`` ends, just after its ``\\n``, or the
+        end of ``buffer`` if the server closes first; receives until then. A
+        line over 64 KiB, its ``\\n`` included, is refused."""
+        buffer = self.buffer
+        searched = start
+        while not (end := buffer.find(b"\n", searched) + 1):
+            if len(buffer) - start > _MAX_LINE:
+                raise _line_too_long()
+            searched = len(buffer)
+            if not self.receive():
+                return searched
+        if end - start > _MAX_LINE:
+            raise _line_too_long()
+        return end
+
+    def take(self, size: int) -> bytes:
+        """The next ``size`` bytes, or fewer if the server closes first."""
+        buffer = self.buffer
+        while len(buffer) < size and self.receive():
+            pass
+        data = bytes(buffer[:size])
+        del buffer[:size]
+        return data
+
+    def take_line(self) -> bytes:
+        return self.take(self.line_end(0))
+
+    def take_rest(self) -> bytes:
+        """Every byte up to the server's close."""
+        while self.receive():
+            pass
+        return self.take(len(self.buffer))
+
+    def close(self) -> None:
+        self.sock.close()
+
+
+def _status_line(line: bytes) -> tuple[bytes, int]:
+    """The version and code of a status line; a malformed one is refused."""
+    version, _, rest = line.partition(b" ")
+    code = rest[:3]
+    if not (version.startswith(b"HTTP/1.") and code.isdigit() and rest[3:4].isspace()):
+        raise _MalformedResponse(f"bad status line {line[:40]!r}")
+    return version, int(code)
+
+
+def _check_lines(buffer: bytes | bytearray, start: int, stop: int, count: int) -> int:
+    """Refuse the first of the header lines in ``buffer[start:stop]`` that is
+    over 64 KiB or beyond the 100th, ``count`` lines having come before;
+    return the count with them."""
+    while start < stop:
+        end = buffer.find(b"\n", start, stop) + 1 or stop
+        if end - start > _MAX_LINE:
+            raise _line_too_long()
+        count += 1
+        if count > _MAX_HEADERS:
+            raise _MalformedResponse(f"more than {_MAX_HEADERS} headers")
+        start = end
+    return count
+
+
+def _check_partial_head(buffer: bytearray, checked: int, count: int) -> tuple[int, int]:
+    """Refuse what a head not yet complete already has to be refused for: its
+    status line, once complete, and its complete header lines, those from
+    ``checked`` on, ``count`` before them. Returns where the complete lines
+    end and the header lines' count."""
+    last = buffer.rfind(b"\n") + 1
+    if last > checked:
+        if not checked:
+            checked = buffer.find(b"\n") + 1
+            if checked > _MAX_LINE:
+                raise _line_too_long()
+            _status_line(bytes(buffer[:checked]))
+        count = _check_lines(buffer, checked, last, count)
+        checked = last
+    return checked, count
+
+
+def _read_chunked(conn: _Connection) -> bytes:
     chunks = []
     while True:
-        line = _read_line(reader)
+        line = conn.take_line()
         try:
             size = int(line.partition(b";")[0], 16)
         except ValueError:
@@ -500,90 +609,116 @@ def _read_chunked(reader) -> bytes:
             raise _MalformedResponse(f"bad chunk size line {line[:40]!r}")
         if not size:
             break
-        chunk = reader.read(size + 2)  # the data and its CRLF
+        chunk = conn.take(size + 2)  # the data and its CRLF
         if len(chunk) < size + 2:
             raise _MalformedResponse("chunked body ended early")
         chunks.append(chunk[:size])
-    while _read_line(reader) not in (b"\r\n", b"\n", b""):  # trailer fields
+    while conn.take_line() not in (b"\r\n", b"\n", b""):  # trailer fields
         pass
     return b"".join(chunks)
 
 
-def _read_response(reader) -> tuple[int, str, bytes, bool]:
-    """One response from ``reader``: its status, ``Retry-After``, body, and
+def _read_response(conn: _Connection) -> tuple[int, str, bytes, bool]:
+    """One response from ``conn``: its status, ``Retry-After``, body, and
     whether the connection can carry another request.
 
-    Interim 1xx responses are skipped. Only the headers that frame the body or
-    that the retry policy reads are looked at."""
+    The head runs from the status line to the empty line that ends it, or to
+    where the server closes. Its lines are refused in the order they come,
+    each once it is complete, as a reader taking one line at a time would: a
+    bad status line, a line over 64 KiB, a 101st header line. Interim 1xx
+    responses are skipped. Only the last line of each header that frames the
+    body or that the retry policy reads is looked at."""
+    buffer = conn.buffer
     while True:
-        line = _read_line(reader)
-        if not line:
+        # Lines before ``checked`` are refused if they have to be; ``count``
+        # of them are header lines.
+        checked = count = 0
+        if not buffer and not conn.receive():
             raise ConnectionResetError("server closed the connection without a response")
-        version, _, rest = line.partition(b" ")
-        code = rest[:3]
-        if not (version.startswith(b"HTTP/1.") and code.isdigit() and rest[3:4].isspace()):
-            raise _MalformedResponse(f"bad status line {line[:40]!r}")
-        length = encoding = None
-        connection, retry_after, count = b"", b"", 0
-        while (line := _read_line(reader)) not in (b"\r\n", b"\n", b""):
-            count += 1
-            if count > _MAX_HEADERS:
-                raise _MalformedResponse(f"more than {_MAX_HEADERS} headers")
-            name, _, value = line.partition(b":")
-            name = name.lower()
-            if name == b"content-length":
-                length = value.strip()
-            elif name == b"transfer-encoding":
-                encoding = value.strip().lower()
-            elif name == b"connection":
-                connection = value.lower()
-            elif name == b"retry-after":
-                retry_after = value.strip()
-        status = int(code)
+        while True:
+            # The empty line ends the line before it, with CRLF or a bare LF.
+            start = checked - 1 if checked else 0
+            crlf = buffer.find(b"\n\r\n", start)
+            bare = buffer.find(b"\n\n", start, crlf + 1 if crlf >= 0 else len(buffer))
+            if bare >= 0:
+                stop, end = bare + 1, bare + 2
+                break
+            if crlf >= 0:
+                stop, end = crlf + 1, crlf + 3
+                break
+            checked, count = _check_partial_head(buffer, checked, count)
+            stop = conn.line_end(checked)
+            if not buffer.endswith(b"\n", checked, stop):
+                # Closed: what is left is the last line. Given a line end, and a
+                # colon if it has none, it reads as a line-by-line reader reads
+                # it: a line without a colon names a header with no value.
+                buffer += b"\n" if buffer.find(b":", checked) >= 0 else b":\n"
+                end = len(buffer)
+                break
+        head = bytes(buffer[:end])
+        del buffer[:end]
+        line_end = head.find(b"\n") + 1
+        if line_end > stop:  # the last line, cut short by the close
+            line_end = stop
+        if line_end > _MAX_LINE:
+            raise _line_too_long()
+        version, status = _status_line(head[:line_end])
+        if checked < line_end:
+            checked = line_end
+        # Lines of at least two bytes each, none over 64 KiB: within the limits.
+        if stop - checked > 2 * (_MAX_HEADERS - count) or stop - checked > _MAX_LINE:
+            _check_lines(head, checked, stop, count)
         if status >= 200:
             break
-    tokens = {token.strip() for token in connection.split(b",")}
-    keep_alive = b"close" not in tokens and (version != b"HTTP/1.0" or b"keep-alive" in tokens)
+    lower = head.lower()
+    # Just past the colon of each header's last line; one less than its
+    # needle's length if the head has no such line.
+    length = lower.rfind(b"\ncontent-length:") + 16
+    encoding = lower.rfind(b"\ntransfer-encoding:") + 19
+    connection = lower.rfind(b"\nconnection:") + 12
+    retry_after = lower.rfind(b"\nretry-after:") + 13
+    keep_alive = version != b"HTTP/1.0"
+    if connection > 11:
+        tokens = {t.strip() for t in lower[connection : lower.find(b"\n", connection)].split(b",")}
+        keep_alive = b"close" not in tokens and (keep_alive or b"keep-alive" in tokens)
     if status in (204, 304):
         content = b""
-    elif encoding is not None and encoding.rpartition(b",")[2].strip() == b"chunked":
-        content = _read_chunked(reader)
-    elif length is not None and encoding is None:
+    elif encoding > 18:
+        coding = lower[encoding : lower.find(b"\n", encoding)].rpartition(b",")[2]
+        if coding.strip() != b"chunked":
+            content, keep_alive = conn.take_rest(), False
+        else:
+            content = _read_chunked(conn)
+    elif length > 15:
+        length = head[length : head.find(b"\n", length)].strip()
         if not length.isdigit():
             raise _MalformedResponse(f"bad Content-Length {length[:40]!r}")
         size = int(length)
-        content = reader.read(size)
+        content = conn.take(size)
         if len(content) < size:
             raise _MalformedResponse(f"body ended after {len(content)} of {size} bytes")
     else:
-        content, keep_alive = reader.read(), False
-    return status, retry_after.decode("latin-1"), content, keep_alive
-
-
-class _Connection:
-    """One socket to the endpoint and the buffered reader over it."""
-
-    __slots__ = ("sock", "reader")
-
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-        self.reader = sock.makefile("rb")
-
-    def close(self) -> None:
-        self.reader.close()
-        self.sock.close()
+        content, keep_alive = conn.take_rest(), False
+    if retry_after > 12:
+        retry_after = head[retry_after : head.find(b"\n", retry_after)].strip().decode("latin-1")
+    else:
+        retry_after = ""
+    return status, retry_after, content, keep_alive
 
 
 class HttpBackend(Backend):
     """POST client for the logprob service, speaking HTTP/1.1 over sockets.
 
-    Each request is one write of a head built once plus the JSON body, sent
-    with ``Accept-Encoding: identity`` on a kept-alive connection from an idle
-    pool that grows to the number of requests in flight at once; the caller
-    bounds those, as :func:`evaluate_prompts` does with ``workers``. A response
-    body is read by ``Content-Length``, by ``Transfer-Encoding: chunked``, or
-    until the server closes; ``Connection: close``, and an HTTP/1.0 answer
-    without ``keep-alive``, end the connection. Retries transport failures,
+    Each request is one write of a head built once plus the JSON body, the
+    bytes ``json.dumps`` would give, sent with ``Accept-Encoding: identity``
+    on a kept-alive connection from an idle pool that grows to the number of
+    requests in flight at once; the caller bounds those, as
+    :func:`evaluate_prompts` does with ``workers``. A connection reads each
+    response from its own receive buffer: the head up to its empty line,
+    interim 1xx heads skipped, then the body from the same buffer by
+    ``Content-Length``, by ``Transfer-Encoding: chunked``, or until the server
+    closes; ``Connection: close``, and an HTTP/1.0 answer without
+    ``keep-alive``, end the connection. Retries transport failures,
     malformed framing, 5xx and 429 responses with exponential backoff; a 429
     whose ``Retry-After`` gives delta-seconds waits that long instead, at most
     ``timeout``. Each pause is one call of the query's ``wait``, during which
@@ -660,7 +795,7 @@ class HttpBackend(Backend):
         pool if it can carry another request and is closed otherwise."""
         try:
             conn.sock.sendall(request)
-            status, retry_after, content, keep_alive = _read_response(conn.reader)
+            status, retry_after, content, keep_alive = _read_response(conn)
         except BaseException:
             conn.close()
             raise
@@ -689,7 +824,8 @@ class HttpBackend(Backend):
         return self._exchange(self._connect(), request)
 
     def _fetch(self, prompt: str, k: int, wait: Callable[[float], None]) -> TopKDistribution:
-        body = json.dumps({"prompt": prompt, "top_k": k}).encode("utf-8")
+        # Byte for byte what json.dumps({"prompt": prompt, "top_k": k}) gives.
+        body = b'{"prompt": %s, "top_k": %d}' % (encode_basestring_ascii(prompt).encode(), k)
         last_error: Exception | None = None
         retry_after: float | None = None
         for attempt in range(self.retries + 1):
@@ -746,14 +882,21 @@ def parse_backend(text: str) -> tuple[str, str]:
 
 
 def open_backend(
-    kind: str, target: str, timeout: float = 30.0, retries: int = 2, record: str | None = None
+    kind: str,
+    target: str,
+    timeout: float = 30.0,
+    retries: int = 2,
+    record: str | None = None,
+    template: PromptTemplate = PromptTemplate(),
 ) -> Backend:
     """The backend a parsed spec names; ``record`` wraps an http backend in a
-    :class:`RecordingBackend` writing to that file."""
+    :class:`RecordingBackend` writing to that file. The synthetic oracle reads
+    the input block between ``template``'s markers."""
     if record and kind != "http":
         raise ConfigError("recording applies to the http backend only")
     if kind == "synthetic":
-        return SyntheticBackend(SyntheticOracleSpec.from_json(target))
+        spec = SyntheticOracleSpec.from_json(target)
+        return SyntheticBackend(spec, template.input_marker, template.response_marker)
     if kind == "replay":
         return ReplayBackend(target)
     backend: Backend = HttpBackend(target, timeout=timeout, retries=retries)

@@ -331,7 +331,7 @@ class Run:
             raise CacheError(f"no evaluation store at {store}; run `tabattr attribute` first")
         backend = None
         if command != "compare":
-            backend = open_backend(kind, target, spec.timeout, spec.retries, spec.record)
+            backend = open_backend(kind, target, spec.timeout, spec.retries, spec.record, template)
         try:
             out.mkdir(parents=True, exist_ok=True)
             ensure_manifest(out / MANIFEST_NAME, [i.index for i in instances], spec.seed)

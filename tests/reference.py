@@ -17,6 +17,11 @@ input block normalized once; :class:`ReferenceOracle` splits the block into
 a set of present keys, sums the weights of those in the set and computes
 each entry's logprob on its own, and the production oracle must answer
 exactly as it does.
+
+``HttpBackend`` reads each response from its connection's receive buffer in
+one pass over the head; :func:`read_response_by_lines` reads it one line at
+a time from a buffered reader, and the buffered reader must return what it
+returns and refuse what it refuses, with the same message.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from tabattr import (
     TopKDistribution,
     VerbalizerMap,
 )
+from tabattr.backends import _MalformedResponse
 from tabattr.divergence import _SUM_TOLERANCE, KL_EPSILON, LN2, METRICS
 from tabattr.errors import DatasetError, NormalizationError, SerializationError
 from tabattr.tabular import CATEGORICAL, LABEL, MISSING_VALUE, normalize_key, normalize_value
@@ -274,3 +280,83 @@ class ReferenceOracle(Backend):
         tokens = tuple(t for t, _ in ranked[:k])
         logprobs = tuple(math.log(p) if p > 0 else float("-inf") for _, p in ranked[:k])
         return TopKDistribution(tokens=tokens, logprobs=logprobs, k=k)
+
+
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+
+def _read_line(reader) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise _MalformedResponse("response line longer than 64 KiB")
+    return line
+
+
+def _read_chunked(reader) -> bytes:
+    chunks = []
+    while True:
+        line = _read_line(reader)
+        try:
+            size = int(line.partition(b";")[0], 16)
+        except ValueError:
+            size = -1
+        if size < 0:
+            raise _MalformedResponse(f"bad chunk size line {line[:40]!r}")
+        if not size:
+            break
+        chunk = reader.read(size + 2)
+        if len(chunk) < size + 2:
+            raise _MalformedResponse("chunked body ended early")
+        chunks.append(chunk[:size])
+    while _read_line(reader) not in (b"\r\n", b"\n", b""):
+        pass
+    return b"".join(chunks)
+
+
+def read_response_by_lines(reader) -> tuple[int, str, bytes, bool]:
+    """One response read line by line from a buffered ``reader``: status,
+    ``Retry-After``, body and whether the connection can carry another."""
+    while True:
+        line = _read_line(reader)
+        if not line:
+            raise ConnectionResetError("server closed the connection without a response")
+        version, _, rest = line.partition(b" ")
+        code = rest[:3]
+        if not (version.startswith(b"HTTP/1.") and code.isdigit() and rest[3:4].isspace()):
+            raise _MalformedResponse(f"bad status line {line[:40]!r}")
+        length = encoding = None
+        connection, retry_after, count = b"", b"", 0
+        while (line := _read_line(reader)) not in (b"\r\n", b"\n", b""):
+            count += 1
+            if count > _MAX_HEADERS:
+                raise _MalformedResponse(f"more than {_MAX_HEADERS} headers")
+            name, _, value = line.partition(b":")
+            name = name.lower()
+            if name == b"content-length":
+                length = value.strip()
+            elif name == b"transfer-encoding":
+                encoding = value.strip().lower()
+            elif name == b"connection":
+                connection = value.lower()
+            elif name == b"retry-after":
+                retry_after = value.strip()
+        status = int(code)
+        if status >= 200:
+            break
+    tokens = {token.strip() for token in connection.split(b",")}
+    keep_alive = b"close" not in tokens and (version != b"HTTP/1.0" or b"keep-alive" in tokens)
+    if status in (204, 304):
+        content = b""
+    elif encoding is not None and encoding.rpartition(b",")[2].strip() == b"chunked":
+        content = _read_chunked(reader)
+    elif length is not None and encoding is None:
+        if not length.isdigit():
+            raise _MalformedResponse(f"bad Content-Length {length[:40]!r}")
+        size = int(length)
+        content = reader.read(size)
+        if len(content) < size:
+            raise _MalformedResponse(f"body ended after {len(content)} of {size} bytes")
+    else:
+        content, keep_alive = reader.read(), False
+    return status, retry_after.decode("latin-1"), content, keep_alive

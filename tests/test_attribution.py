@@ -18,7 +18,9 @@ from tabattr import (
     sample_extra,
     score,
 )
+from tabattr.attribution import Evaluation
 from tabattr.cache import load_or_evaluate
+from tabattr.divergence import similarity_rows
 from tabattr.errors import AttributionError, ConfigError
 from conftest import FlakyBackend, attribute, brute_force_raw_phi, make_instance, oracle_backend
 from reference import build_prompt
@@ -323,6 +325,24 @@ class TestEvaluateThenScore:
             assert scored.to_payload() == one_shot.to_payload()
             assert scored.to_payload()["config"]["metric"] == metric
         assert backend.calls == queried * (1 + len(METRICS))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_means_equal_the_masked_means_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 15))
+        membership = np.vstack([essential_coalitions(m), rng.random((int(rng.integers(0, 800)), m)) < 0.5])
+        membership = membership[membership.any(axis=1)]
+        dists = rng.dirichlet(np.ones(3), size=len(membership) + 1)
+        evaluation = Evaluation(
+            instance_index=0, feature_keys=tuple(f"f{j}" for j in range(m)),
+            config=SamplingConfig(), membership=membership, class_dists=dists[1:],
+            degenerate=np.zeros(len(membership), dtype=bool), full_dist=dists[0],
+            full_degenerate=False,
+        )
+        for metric in METRICS:
+            sims = similarity_rows(metric, dists[0], dists[1:])
+            masked = [sims[column].mean() - sims[~column].mean() for column in membership.T]
+            assert score(evaluation, metric).raw_phi.tolist() == masked
 
     def test_unknown_metric_rejected(self, dominant_setup):
         backend, instance, template, vmap = dominant_setup

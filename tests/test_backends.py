@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
+import random
 import re
 import shutil
 import socket
@@ -36,6 +38,7 @@ from tabattr import (
     parse_backend,
     prompt_digest,
 )
+from tabattr.backends import _Connection, _MalformedResponse, _read_response
 from tabattr.errors import (
     BackendError,
     BackendUnavailableError,
@@ -52,6 +55,7 @@ from conftest import (
     serving,
     topk_from,
 )
+from reference import read_response_by_lines
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 RECORDING = Path(__file__).resolve().parent / "data" / "recording.json"
@@ -506,7 +510,8 @@ class TestIdentity:
 
     def test_synthetic_is_the_sha256_of_the_spec_payload(self, tmp_path):
         spec = SyntheticOracleSpec(classes=("yes", "no"), weights={"a": 1.0, "b": -0.5})
-        payload = json.dumps(spec.to_payload(), separators=(",", ":")).encode()
+        markers = {"input_marker": "### Input:", "response_marker": "### Response:"}
+        payload = json.dumps({**spec.to_payload(), **markers}, separators=(",", ":")).encode()
         identity = f"synthetic:{hashlib.sha256(payload).hexdigest()}"
         assert SyntheticBackend(spec).identity == identity
         path = tmp_path / "oracle.json"
@@ -516,7 +521,8 @@ class TestIdentity:
         assert identity not in {
             SyntheticBackend(SyntheticOracleSpec(("yes", "no"), weights)).identity
             for weights in others
-        }
+        } | {SyntheticBackend(spec, "INPUT:", "### Response:").identity,
+             SyntheticBackend(spec, "### Input:", "ANSWER:").identity}
 
     def test_a_backend_without_one_says_so(self):
         with pytest.raises(NotImplementedError, match="_CountingBackend names no identity"):
@@ -1123,10 +1129,12 @@ def opened(monkeypatch):
 
 class _FakeSocket:
     """A connected socket's stand-in: keeps what is sent and answers with
-    canned bytes."""
+    canned bytes, then with no bytes as a closed connection does. With
+    ``split`` each receive brings 1 to 3 bytes at most."""
 
-    def __init__(self, response: bytes):
-        self.response = response
+    def __init__(self, response: bytes, split: bool = False):
+        self.response = io.BytesIO(response)
+        self.sizes = itertools.cycle((1, 3, 2)) if split else None
         self.sent: list[bytes] = []
         self.closed = False
 
@@ -1136,8 +1144,9 @@ class _FakeSocket:
     def sendall(self, data):
         self.sent.append(bytes(data))
 
-    def makefile(self, mode, *args, **kwargs):
-        return io.BytesIO(self.response)
+    def recv_into(self, buffer):
+        most = len(buffer) if self.sizes is None else next(self.sizes)
+        return self.response.readinto(memoryview(buffer)[:most])
 
     def close(self):
         self.closed = True
@@ -1146,10 +1155,11 @@ class _FakeSocket:
 @pytest.fixture
 def fake_sockets(monkeypatch):
     """Make each connection the client opens a :class:`_FakeSocket` answering
-    with the next of the given responses; returns those sockets."""
+    with the next of the given responses, split or not; returns those
+    sockets."""
 
-    def install(*responses):
-        sockets = [_FakeSocket(r) for r in responses]
+    def install(*responses, split=False):
+        sockets = [_FakeSocket(r, split) for r in responses]
         pending = iter(sockets)
         monkeypatch.setattr(socket, "create_connection", lambda *args, **kwargs: next(pending))
         return sockets
@@ -1254,6 +1264,57 @@ class TestResponseFraming:
         with HttpBackend("http://tabattr.invalid/x", retries=0) as backend:
             assert backend.query("p", 2).tokens[0] == " yes"
 
+    @pytest.mark.parametrize(
+        "head, body, kept",
+        [(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", None, True),
+         (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n", _chunked, True),
+         (b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n", None, False),
+         (b"HTTP/1.1 100 Continue\r\nX-Wait: 1\r\n\r\n"
+          b"HTTP/1.1 200 OK\nContent-Length: %d\n\n", None, True)],
+        ids=["content_length", "chunked", "close_delimited", "interim_then_bare_lf"],
+    )
+    def test_responses_split_across_receives(self, head, body, kept, fake_sockets):
+        content = _ok_body(_ANSWER)
+        framed = body(content) if body else content
+        response = (head % len(content) if b"%d" in head else head) + framed
+        (sock,) = fake_sockets(response, split=True)
+        with HttpBackend("http://tabattr.invalid/x", retries=0) as backend:
+            assert backend.query("p", 2).tokens == (" yes", " no")
+            assert sock.closed is not kept
+
+    @pytest.mark.parametrize("length, refused", [(65536, False), (65537, True)])
+    def test_line_limit_holds_across_split_receives(self, length, refused, fake_sockets):
+        # The header line is ``length`` bytes with its CRLF.
+        content = _ok_body(_ANSWER)
+        line = b"X-Long: " + b"a" * (length - 10) + b"\r\n"
+        response = b"HTTP/1.1 200 OK\r\n%sContent-Length: %d\r\n\r\n%s" % (
+            line, len(content), content)
+        sockets = fake_sockets(response, response, split=True)
+        with HttpBackend("http://tabattr.invalid/x", retries=1, backoff=0.0) as backend:
+            if refused:
+                with pytest.raises(BackendUnavailableError, match="line longer than 64 KiB"):
+                    backend.query("p", 2)
+                assert all(s.closed for s in sockets)
+            else:
+                assert backend.query("p", 2).tokens == (" yes", " no")
+
+    def test_request_bodies_are_the_json_dumps_bytes(self, fake_sockets):
+        prompts = ['say "hi"', "back\\slash \\n", "ctl \x00\x01\t\n\r\x1f\x7f end",
+                   "caf\u00e9 \u00fc \u2028 \ufeff", "astral \U0001f600 \U0001d11e", "\ud800 lone"]
+        content = _ok_body(_ANSWER)
+        response = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(content), content)
+        (sock,) = fake_sockets(response * len(prompts))
+        head = (b"POST /x HTTP/1.1\r\nHost: tabattr.invalid\r\nAccept-Encoding: identity\r\n"
+                b"Content-Type: application/json\r\nContent-Length: ")
+        with HttpBackend("http://tabattr.invalid/x", retries=0) as backend:
+            for prompt, k in zip(prompts, itertools.cycle((2, 5, 17))):
+                backend.query(prompt, k)
+        expected = []
+        for prompt, k in zip(prompts, itertools.cycle((2, 5, 17))):
+            body = json.dumps({"prompt": prompt, "top_k": k}).encode()
+            expected.append(head + b"%d\r\n\r\n" % len(body) + body)
+        assert sock.sent == expected
+
     def test_each_request_is_one_write(self, fake_sockets):
         body = _ok_body(_ANSWER)
         response = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
@@ -1270,6 +1331,62 @@ class TestResponseFraming:
             assert b"Accept-Encoding: identity" in lines
             assert b"Content-Length: %d" % len(sent_body) in lines
             assert json.loads(sent_body) == {"prompt": f"prompt {i}", "top_k": 2}
+
+
+def _random_response(rng: random.Random) -> bytes:
+    """A response head, now and then an interim one before it, and a body,
+    cut short at a random byte in some; any of them may be malformed."""
+
+    def head() -> bytes:
+        status = rng.choice([
+            b"HTTP/1.1 200 OK", b"HTTP/1.0 200 OK", b"HTTP/1.1 100 Continue", b"HTTP/1.1 204 No",
+            b"HTTP/1.1 304 Same", b"HTTP/1.1 429 Slow", b"ICY 200 OK", b"HTTP/1.1 2000",
+            b"HTTP/1.1 200", b"", b"\r", b"HTTP/1.1 200\tOK", b"H" * 65536])
+        lines = [status]
+        count = rng.choice([0, 1, 2, 3, 5, 100, 101])
+        for _ in range(count):
+            name, values = rng.choice(_HEADER_VALUES[: -1 if count > 5 else None])
+            lines.append(name + b":" + rng.choice(values))
+        return b"".join(line + rng.choice([b"\r\n", b"\n"]) for line in lines + [b""])
+
+    data = head() if rng.random() < 0.8 else head() + head()
+    content = rng.choice([b"", b"hello", b"0123456789abcdefghij"])
+    data += _chunked(content, 3) if rng.random() < 0.3 else content
+    return data[:rng.randrange(len(data) + 1)] if rng.random() < 0.3 else data
+
+
+_HEADER_VALUES = [
+    (b"Content-Length", [b"5", b" 5 ", b"0", b"20", b"ten", b"-1", b"", b"99"]),
+    (b"CONTENT-length", [b"5", b"12"]),
+    (b" Content-Length", [b"5"]),
+    (b"Transfer-Encoding", [b"chunked", b" Chunked", b"gzip, chunked", b"chunked, gzip", b"x"]),
+    (b"Connection", [b"close", b"keep-alive", b"Keep-Alive, x", b" CLOSE ", b"x"]),
+    (b"Retry-After", [b"1", b" 2 ", b"x"]),
+    (b"X-Any", [b"v", b""]),
+    (b"X-Long", [b"a" * 65524, b"a" * 65525, b"a" * 65526]),
+]
+
+
+class TestReaderMatchesLineReference:
+    """The buffered reader returns and refuses what a line-by-line one does."""
+
+    @staticmethod
+    def _outcome(read, source):
+        try:
+            return read(source)
+        except (_MalformedResponse, ConnectionResetError) as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_responses_in_any_split(self, seed):
+        rng = random.Random(seed)
+        for _ in range(200):
+            data = _random_response(rng)
+            expected = self._outcome(read_response_by_lines, io.BufferedReader(io.BytesIO(data)))
+            # Lines near 64 KiB split in 1-3 bytes are left to the line limit test.
+            for split in (False, True) if len(data) < 8192 else (False,):
+                connection = _Connection(_FakeSocket(data, split))
+                assert self._outcome(_read_response, connection) == expected, data[:80]
 
 
 @pytest.fixture(scope="module")

@@ -179,6 +179,39 @@ def _true_order(tmp_path):
     return path
 
 
+class TestTemplateMarkers:
+    """The synthetic oracle reads the input block between the run's markers."""
+
+    def _phi(self, tmp_path, name, *template):
+        spec = SyntheticOracleSpec(("yes", "no"), {"age": 2.0, "job": 1.0, "city": 0.5})
+        oracle_path = tmp_path / "weights.json"
+        oracle_path.write_text(json.dumps(spec.to_payload()))
+        dataset = tmp_path / "people.csv"
+        dataset.write_text("age,job,city\n42,clerk,paris\n")
+        schema = tmp_path / "people_schema.json"
+        schema.write_text(json.dumps({"age": "numeric", "job": "categorical",
+                                      "city": "categorical"}))
+        out = tmp_path / name
+        argv = ["attribute", "--dataset", str(dataset), "--schema", str(schema),
+                "--backend", f"synthetic:{oracle_path}", "--out", str(out), *template]
+        assert cli.main(argv) == 0
+        (result,) = json.loads((out / "results_jsd.json").read_text()).values()
+        return result["phi"], json.loads((out / "evaluations.jsonl").read_text().splitlines()[0])
+
+    def test_phi_is_the_same_under_another_templates_markers(self, tmp_path):
+        template = tmp_path / "template.json"
+        template.write_text(json.dumps({
+            "instruction": "Rows list fields such as age:42 and job:clerk.",
+            "input_marker": "INPUT:", "response_marker": "ANSWER:",
+        }))
+        default_phi, default_header = self._phi(tmp_path, "default")
+        marked_phi, marked_header = self._phi(tmp_path, "marked", "--template", str(template))
+        assert marked_phi == default_phi
+        assert default_phi["city"] < default_phi["job"] < default_phi["age"]
+        # Another reading of the prompts is another oracle: its store is not reused.
+        assert marked_header["backend"] != default_header["backend"]
+
+
 class TestIndexSelection:
     @pytest.mark.parametrize("command", ["attribute", "deletion-curve"])
     def test_duplicate_indices_rejected(self, command, oracle, tmp_path, capsys):
