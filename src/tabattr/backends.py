@@ -485,8 +485,9 @@ class RecordingBackend(Backend):
 #: response; the limits ``http.client`` applies.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
-#: Most bytes one receive takes from the socket.
-_RECEIVE_SIZE = 65536
+#: Most bytes one receive takes from the socket: the buffer size of a
+#: buffered socket reader, so each connection's zero-filled chunk is small.
+_RECEIVE_SIZE = 8192
 
 
 class _MalformedResponse(Exception):
