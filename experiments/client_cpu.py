@@ -34,7 +34,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from tabattr.backends import HttpBackend, evaluate_prompts  # noqa: E402
-from tabattr.tabular import FeatureField, PromptTemplate, TabularInstance, build_prompts  # noqa: E402
+from tabattr.tabular import (  # noqa: E402
+    FeatureField,
+    PromptTemplate,
+    TabularInstance,
+    build_prompts,
+)
 
 WORKERS = (1, 2, 8, 32)
 BATCHES = 5

@@ -666,7 +666,8 @@ def _read_response(conn: _Connection) -> tuple[int, str, bytes, bool]:
         version, status = _status_line(head[:line_end])
         if checked < line_end:
             checked = line_end
-        # Lines of at least two bytes each, none over 64 KiB: within the limits.
+        # A header line takes two bytes at least, so the lines not yet checked
+        # are within both limits when they are this short in all.
         if stop - checked > 2 * (_MAX_HEADERS - count) or stop - checked > _MAX_LINE:
             _check_lines(head, checked, stop, count)
         if status >= 200:
@@ -686,10 +687,10 @@ def _read_response(conn: _Connection) -> tuple[int, str, bytes, bool]:
         content = b""
     elif encoding > 18:
         coding = lower[encoding : lower.find(b"\n", encoding)].rpartition(b",")[2]
-        if coding.strip() != b"chunked":
-            content, keep_alive = conn.take_rest(), False
-        else:
+        if coding.strip() == b"chunked":
             content = _read_chunked(conn)
+        else:
+            content, keep_alive = conn.take_rest(), False
     elif length > 15:
         length = head[length : head.find(b"\n", length)].strip()
         if not length.isdigit():

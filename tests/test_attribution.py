@@ -330,8 +330,8 @@ class TestEvaluateThenScore:
     def test_means_equal_the_masked_means_exactly(self, seed):
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 15))
-        membership = np.vstack([essential_coalitions(m), rng.random((int(rng.integers(0, 800)), m)) < 0.5])
-        membership = membership[membership.any(axis=1)]
+        drawn = rng.random((int(rng.integers(0, 800)), m)) < 0.5
+        membership = np.vstack([essential_coalitions(m), drawn[drawn.any(axis=1)]])
         dists = rng.dirichlet(np.ones(3), size=len(membership) + 1)
         evaluation = Evaluation(
             instance_index=0, feature_keys=tuple(f"f{j}" for j in range(m)),

@@ -1306,13 +1306,12 @@ class TestResponseFraming:
         (sock,) = fake_sockets(response * len(prompts))
         head = (b"POST /x HTTP/1.1\r\nHost: tabattr.invalid\r\nAccept-Encoding: identity\r\n"
                 b"Content-Type: application/json\r\nContent-Length: ")
+        expected = []
         with HttpBackend("http://tabattr.invalid/x", retries=0) as backend:
             for prompt, k in zip(prompts, itertools.cycle((2, 5, 17))):
                 backend.query(prompt, k)
-        expected = []
-        for prompt, k in zip(prompts, itertools.cycle((2, 5, 17))):
-            body = json.dumps({"prompt": prompt, "top_k": k}).encode()
-            expected.append(head + b"%d\r\n\r\n" % len(body) + body)
+                body = json.dumps({"prompt": prompt, "top_k": k}).encode()
+                expected.append(head + b"%d\r\n\r\n" % len(body) + body)
         assert sock.sent == expected
 
     def test_each_request_is_one_write(self, fake_sockets):
