@@ -2,15 +2,24 @@
 
 Starts the benchmark's stand-in endpoint (``perfbench/endpoint.py``) in a
 child process, on a generated 10-key oracle with a 10 ms median latency and
-no scripted failures, and queries it with ``HttpBackend`` through
-``evaluate_prompts``. For each worker count it first opens the connections
-the batches will use, one more per warm-up batch, because the endpoint
-listens with a backlog of 5 and a burst of new connections beyond it waits
-out SYN retries. Then it times 5 batches of 415 distinct prompts, the
-requests of one M=10 instance of the ``http-attribute`` workload, and prints
-the user+sys CPU time of this process per request: the median of the 5
-batches and each batch, in microseconds. The server's CPU is the child's
-and is not counted. Run from the root of a checkout::
+no scripted failures, and queries it through ``evaluate_prompts``. For each
+worker count it first opens the connections the batches will use, one more
+per warm-up batch, because the endpoint listens with a backlog of 5 and a
+burst of new connections beyond it waits out SYN retries. Then it times 5
+batches of 415 distinct prompts, the requests of one M=10 instance of the
+``http-attribute`` workload, and prints the user+sys CPU time of this
+process per request: the median of the 5 batches and each batch, in
+microseconds. The server's CPU is the child's and is not counted.
+
+Each worker count gets two rows:
+
+* ``http``: a bare ``HttpBackend``, as ``attribute`` without ``--record``
+  and the ``http-attribute`` workload use it;
+* ``record``: the same wrapped in a ``RecordingBackend`` that appends every
+  answer to a new file in a temporary directory, as ``--record`` and the
+  record phase of the ``record-replay`` workload use it.
+
+Run from the root of a checkout::
 
     PYTHONHASHSEED=0 python3 experiments/client_cpu.py
 
@@ -33,7 +42,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from tabattr.backends import HttpBackend, evaluate_prompts  # noqa: E402
+from tabattr.backends import HttpBackend, RecordingBackend, evaluate_prompts  # noqa: E402
 from tabattr.tabular import (  # noqa: E402
     FeatureField,
     PromptTemplate,
@@ -67,6 +76,19 @@ def prompts(rng: random.Random, keys: list[str], count: int, tag: str) -> list[s
     return build_prompts(PromptTemplate(), instance, np.array(sorted(rows)))
 
 
+def time_batches(backend, rng: random.Random, keys: list[str], workers: int) -> list[float]:
+    """Client CPU per request, in microseconds, of each timed batch."""
+    for opened in range(1, workers + 1):
+        evaluate_prompts(backend, prompts(rng, keys, opened, "w"), TOP_K, opened)
+    per_request = []
+    for batch in range(BATCHES):
+        batch_prompts = prompts(rng, keys, BATCH_PROMPTS, f"b{batch}x")
+        started = time.process_time()
+        evaluate_prompts(backend, batch_prompts, TOP_K, workers)
+        per_request.append((time.process_time() - started) / BATCH_PROMPTS * 1e6)
+    return per_request
+
+
 def main() -> int:
     rng = random.Random(0)
     keys = [f"f{i}" for i in range(M)]
@@ -83,20 +105,17 @@ def main() -> int:
             if not line.startswith("PORT "):
                 raise RuntimeError(f"endpoint did not start: {line!r}")
             url = f"http://127.0.0.1:{int(line.split()[1])}/"
-            print("workers  median_us_per_request  batches_us")
+            print("backend  workers  median_us_per_request  batches_us")
             for workers in WORKERS:
-                with HttpBackend(url, retries=0) as backend:
-                    for opened in range(1, workers + 1):
-                        evaluate_prompts(backend, prompts(rng, keys, opened, "w"), TOP_K, opened)
-                    per_request = []
-                    for batch in range(BATCHES):
-                        batch_prompts = prompts(rng, keys, BATCH_PROMPTS, f"b{batch}x")
-                        started = time.process_time()
-                        evaluate_prompts(backend, batch_prompts, TOP_K, workers)
-                        per_request.append((time.process_time() - started) / BATCH_PROMPTS * 1e6)
-                median = statistics.median(per_request)
-                batches = " ".join(f"{us:.0f}" for us in per_request)
-                print(f"{workers:7d}  {median:21.1f}  {batches}", flush=True)
+                for kind in ("http", "record"):
+                    backend = HttpBackend(url, retries=0)
+                    if kind == "record":
+                        backend = RecordingBackend(backend, Path(work) / f"rec-{workers}.json")
+                    with backend:
+                        per_request = time_batches(backend, rng, keys, workers)
+                    median = statistics.median(per_request)
+                    batches = " ".join(f"{us:.0f}" for us in per_request)
+                    print(f"{kind:7s}  {workers:7d}  {median:21.1f}  {batches}", flush=True)
         finally:
             server.terminate()
             server.wait(timeout=10)

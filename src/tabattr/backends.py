@@ -21,11 +21,14 @@ per prompt.
 Wrapping any live backend in :class:`RecordingBackend` persists every
 response so the run can later be replayed bit-exactly.
 
-:func:`evaluate_prompts` queries a batch with at most ``workers`` requests in
-flight, on one thread per slot. A request waiting out a backoff step or a
-``Retry-After`` before its retry holds no slot: the query pauses through the
-``wait`` callable it is given, which lends the slot to a newly started
-thread for the pause.
+An answer is taken in two steps: a backend's ``_fetch`` receives it, and its
+``_read`` decodes, checks and, in a recording, records it (see
+:class:`Backend`). :func:`evaluate_prompts` receives a batch with at most
+``workers`` requests in flight, on one thread per slot, then reads every
+answer on the calling thread in one pass, in prompt order. A request waiting
+out a backoff step or a ``Retry-After`` before its retry holds no slot: the
+query pauses through the ``wait`` callable it is given, which lends the slot
+to a newly started thread for the pause.
 
 A recording is one JSON object mapping prompt digest to response. Each new
 response is appended as one compact line, ``"<digest>":{...}`` (with a
@@ -153,9 +156,18 @@ def prompt_digest(prompt: str, k: int) -> str:
 
 
 class Backend(abc.ABC):
-    """Common query contract. Subclasses implement :meth:`_fetch`.
+    """Common query contract. Subclasses implement :meth:`_fetch`, and
+    :meth:`_read` if what they receive is not yet the answer.
 
-    ``calls`` counts completed queries; replay and synthetic backends are
+    A query takes its answer in two steps. :meth:`_fetch` receives it: the
+    round trip, the status check and the retries, or whatever else brings
+    the answer in. :meth:`_read` reads what was received into the
+    :class:`TopKDistribution`: it decodes and checks it, and a
+    :class:`RecordingBackend` records it. :meth:`query` does both in turn;
+    with ``read=False`` it only receives, and :func:`evaluate_prompts` reads
+    a whole batch on the calling thread once its last answer is in.
+
+    ``calls`` counts completed receives; replay and synthetic backends are
     otherwise immutable and safe to share across threads. A query that has to
     pause between attempts, as :class:`HttpBackend` does before a retry, calls
     the ``wait`` it was given with the seconds to pause instead of sleeping
@@ -171,20 +183,26 @@ class Backend(abc.ABC):
         return self._calls
 
     def query(
-        self, prompt: str, k: int, wait: Callable[[float], None] = time.sleep
-    ) -> TopKDistribution:
+        self, prompt: str, k: int, wait: Callable[[float], None] = time.sleep, *, read: bool = True
+    ):
+        """The answer to ``prompt``, or with ``read=False`` what was received
+        for it, which :meth:`_read` turns into the answer."""
         if not prompt:
             raise ValueError("prompt must be non-empty")
         if k < 1:
             raise ValueError("k must be >= 1")
-        result = self._fetch(prompt, k, wait)
+        received = self._fetch(prompt, k, wait)
         with self._calls_lock:
             self._calls += 1
-        return result
+        return self._read(received, k) if read else received
 
     @abc.abstractmethod
-    def _fetch(self, prompt: str, k: int, wait: Callable[[float], None]) -> TopKDistribution:
-        ...
+    def _fetch(self, prompt: str, k: int, wait: Callable[[float], None]):
+        """Receive the answer to ``prompt``, in whatever form :meth:`_read` reads."""
+
+    def _read(self, received, k: int) -> TopKDistribution:
+        """The answer :meth:`_fetch` received; here it is the answer itself."""
+        return received
 
     @property
     def identity(self) -> str:
@@ -398,12 +416,15 @@ class ReplayBackend(Backend):
         """``replay:`` and the sha256 of the recording's bytes."""
         return self._identity
 
-    def _fetch(self, prompt: str, k: int, wait: Callable[[float], None]) -> TopKDistribution:
+    def _fetch(self, prompt: str, k: int, wait: Callable[[float], None]) -> dict:
         digest = prompt_digest(prompt, k)
         payload = self._store.get(digest)
         if payload is None:
             raise CacheMissError(digest)
-        return TopKDistribution.from_payload(payload, k=k)
+        return payload
+
+    def _read(self, received: dict, k: int) -> TopKDistribution:
+        return TopKDistribution.from_payload(received, k=k)
 
 
 def _open_recording(path: Path) -> tuple[dict[str, dict], int | None]:
@@ -426,6 +447,13 @@ def _open_recording(path: Path) -> tuple[dict[str, dict], int | None]:
 class RecordingBackend(Backend):
     """Wraps a live backend and persists every response for later replay.
 
+    A prompt already recorded is answered from the recording; any other is
+    received from the live backend. A response is appended when it is read,
+    after the live backend's own read, so :func:`evaluate_prompts` appends a
+    batch's new responses in prompt order, whatever order they arrived in,
+    and a recording made with any ``workers`` has the same bytes. A response
+    that does not read as an answer is not appended.
+
     Appends are serialized through a lock. Each is one write of one line over
     the closing brace, at an offset tracked here, so earlier bytes are never
     touched and a crash can tear at most the last line, which the next open
@@ -446,13 +474,21 @@ class RecordingBackend(Backend):
         """The recorded backend's: a recording adds no answer of its own."""
         return self.inner.identity
 
-    def _fetch(self, prompt: str, k: int, wait: Callable[[float], None]) -> TopKDistribution:
+    def _fetch(self, prompt: str, k: int, wait: Callable[[float], None]) -> tuple:
+        """The prompt's digest, and its recorded payload or else what the live
+        backend received for it."""
         digest = prompt_digest(prompt, k)
         with self._write_lock:
             cached = self._store.get(digest)
         if cached is not None:
+            return digest, cached, None
+        return digest, None, self.inner.query(prompt, k, wait, read=False)
+
+    def _read(self, received: tuple, k: int) -> TopKDistribution:
+        digest, cached, live = received
+        if cached is not None:
             return TopKDistribution.from_payload(cached, k=k)
-        result = self.inner.query(prompt, k, wait)
+        result = self.inner._read(live, k)
         payload = result.to_payload()
         with self._write_lock:
             if digest not in self._store:
@@ -724,9 +760,15 @@ class HttpBackend(Backend):
     malformed framing, 5xx and 429 responses with exponential backoff; a 429
     whose ``Retry-After`` gives delta-seconds waits that long instead, at most
     ``timeout``. Each pause is one call of the query's ``wait``, during which
-    no connection is held. Other non-200 responses, 3xx included, and
-    malformed bodies raise :class:`ProtocolError` immediately. A query that
-    fails after all retries raises :class:`BackendUnavailableError`.
+    no connection is held. Other non-200 responses, 3xx included, raise
+    :class:`ProtocolError` immediately. A query that fails after all retries
+    raises :class:`BackendUnavailableError`.
+
+    :meth:`_fetch` receives a 200 body as bytes, and :meth:`_read` decodes
+    it: a body that is not JSON, or not a top-k answer, is a
+    :class:`ProtocolError` there. So in :func:`evaluate_prompts` such a body
+    is refused when the batch is read, after the batch's other requests, not
+    when it arrives.
     """
 
     def __init__(
@@ -825,7 +867,7 @@ class HttpBackend(Backend):
                 pass
         return self._exchange(self._connect(), request)
 
-    def _fetch(self, prompt: str, k: int, wait: Callable[[float], None]) -> TopKDistribution:
+    def _fetch(self, prompt: str, k: int, wait: Callable[[float], None]) -> bytes:
         # Byte for byte what json.dumps({"prompt": prompt, "top_k": k}) gives.
         body = b'{"prompt": %s, "top_k": %d}' % (encode_basestring_ascii(prompt).encode(), k)
         last_error: Exception | None = None
@@ -848,14 +890,17 @@ class HttpBackend(Backend):
             if status != 200:
                 text = content.decode("utf-8", "replace")
                 raise ProtocolError(f"{self.endpoint} answered {status}: {text[:200]}")
-            try:
-                payload = json.loads(content)
-            except ValueError as exc:
-                raise ProtocolError(f"{self.endpoint} returned non-JSON body") from exc
-            return TopKDistribution.from_payload(payload, k=k)
+            return content
         raise BackendUnavailableError(
             f"{self.endpoint} unreachable after {self.retries + 1} attempts: {last_error}"
         )
+
+    def _read(self, received: bytes, k: int) -> TopKDistribution:
+        try:
+            payload = json.loads(received)
+        except ValueError as exc:
+            raise ProtocolError(f"{self.endpoint} returned non-JSON body") from exc
+        return TopKDistribution.from_payload(payload, k=k)
 
     def close(self) -> None:
         while self._idle:
@@ -908,18 +953,19 @@ def open_backend(
 
 
 class _Batch:
-    """One query per prompt on threads that each hold one slot.
+    """One receive per prompt on threads that each hold one slot.
 
     :meth:`run` starts one thread per first prompt; a thread pulls the next
-    prompt not yet started once its query is done. A query that pauses lends
-    its slot to a newly started thread for the pause; back from it, the query
-    takes a free slot, or else waits for the slot the next finishing query
-    gives up, ahead of the prompts not yet started. The first failure stops
-    new prompts; the queries already running or waiting finish, and the
-    failure is raised by :meth:`run`.
+    prompt not yet started once its receive is done, and puts what it
+    received into ``received``. A query that pauses lends its slot to a
+    newly started thread for the pause; back from it, the query takes a free
+    slot, or else waits for the slot the next finishing query gives up, ahead
+    of the prompts not yet started. The first failure stops new prompts; the
+    queries already running or waiting finish, and the failure is raised by
+    :meth:`run`.
     """
 
-    def __init__(self, backend: Backend, k: int, pending: Sequence[str]):
+    def __init__(self, backend: Backend, k: int, pending: Sequence[str], received: dict):
         self._backend = backend
         self._k = k
         self._pending = iter(pending)
@@ -930,9 +976,9 @@ class _Batch:
         self._error: BaseException | None = None
         self._threads: list[threading.Thread] = []
         self._names = itertools.count()
-        self._results: dict[str, TopKDistribution] = {}
+        self._received = received
 
-    def run(self, first: Sequence[str]) -> dict[str, TopKDistribution]:
+    def run(self, first: Sequence[str]) -> None:
         try:
             for prompt in first:
                 self._start(prompt)
@@ -946,7 +992,6 @@ class _Batch:
             raise
         if self._error is not None:
             raise self._error
-        return self._results
 
     def _start(self, prompt: str) -> None:
         thread = threading.Thread(
@@ -959,12 +1004,12 @@ class _Batch:
         while prompt is not None:
             error = None
             try:
-                answer = self._backend.query(prompt, self._k, self._pause)
+                received = self._backend.query(prompt, self._k, self._pause, read=False)
             except BaseException as exc:
                 error = exc
             with self._lock:
                 if error is None:
-                    self._results[prompt] = answer
+                    self._received[prompt] = received
                 else:
                     self._error = self._error or error
                 prompt = self._pass_slot()
@@ -999,27 +1044,66 @@ class _Batch:
         turn.acquire()
 
 
+def _read_received(
+    backend: Backend, prompts: Sequence[str], received: dict, k: int
+) -> tuple[dict[str, TopKDistribution], Exception | None]:
+    """Read what was received for each of ``prompts``, in their order: the
+    answers read, and the first error reading one. An answer that fails to
+    read is left out, and the rest are still read."""
+    answers = {}
+    error = None
+    for prompt in prompts:
+        try:
+            answers[prompt] = backend._read(received[prompt], k)
+        except (BackendError, OSError) as exc:
+            error = error or exc
+    return answers, error
+
+
 def evaluate_prompts(
     backend: Backend, prompts: Sequence[str], k: int, workers: int = 1
 ) -> dict[str, TopKDistribution]:
     """Query each distinct prompt once, with at most ``workers`` requests in flight.
 
-    With one worker the prompts are queried in turn in the calling thread.
-    With more, one thread per slot, ``min(workers, distinct prompts)`` of
-    them, named ``tabattr-query-<n>``, each queries the next prompt not yet
-    started until none is left. A query holds its slot while it runs, but not
-    while it waits out a backoff step or a ``Retry-After`` between attempts:
-    it lends the slot to a newly started thread for the wait, so another
-    prompt uses it meanwhile, and takes a slot back before it retries, ahead
-    of the prompts not yet started. A query that raises stops the prompts not
-    yet started; the queries already running or waiting finish, and the
-    error is raised here.
+    Each answer is taken in two steps (see :class:`Backend`). First every
+    prompt's answer is received, through one ``backend.query(..., read=False)``
+    per distinct prompt. With one worker the prompts are received in turn in
+    the calling thread. With more, one thread per slot, ``min(workers,
+    distinct prompts)`` of them, named ``tabattr-query-<n>``, each receives
+    the next prompt not yet started until none is left. A query holds its
+    slot while it runs, but not while it waits out a backoff step or a
+    ``Retry-After`` between attempts: it lends the slot to a newly started
+    thread for the wait, so another prompt uses it meanwhile, and takes a
+    slot back before it retries, ahead of the prompts not yet started.
+
+    Then, once the last receive is done, the calling thread reads every
+    received answer in one pass, in prompt order: it decodes and checks
+    each, and a :class:`RecordingBackend` appends each new one, so a
+    recording's bytes do not depend on ``workers``. An answer that does not
+    read raises its error after the others are read.
+
+    A receive that raises stops the prompts not yet started; the queries
+    already running or waiting finish. The answers received by then are read,
+    and so recorded, in prompt order, any that fails to read skipped, and the
+    receive's error is raised here. The same holds when the caller is
+    interrupted while the batch runs.
 
     The result is keyed by prompt, so aggregation downstream is independent
     of completion order.
     """
     unique = list(dict.fromkeys(prompts))
-    if workers <= 1 or len(unique) <= 1:
-        return {p: backend.query(p, k) for p in unique}
-    results = _Batch(backend, k, unique[workers:]).run(unique[:workers])
-    return {p: results[p] for p in unique}
+    received: dict = {}
+    try:
+        if workers <= 1 or len(unique) <= 1:
+            for prompt in unique:
+                received[prompt] = backend.query(prompt, k, read=False)
+        else:
+            _Batch(backend, k, unique[workers:], received).run(unique[:workers])
+    except BaseException:
+        # Threads still running may add to ``received``; read what is there now.
+        _read_received(backend, [p for p in unique if p in received], received, k)
+        raise
+    answers, error = _read_received(backend, unique, received, k)
+    if error is not None:
+        raise error
+    return answers

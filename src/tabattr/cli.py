@@ -25,7 +25,10 @@ and ``synth-demo`` open the backend; ``compare`` scores the store alone.
 ``--workers`` bounds the backend requests in flight at once, and is the only
 bound on them: each slot is one thread. A request waiting out a backoff or
 ``Retry-After`` before its retry lends its slot to a new thread, so another
-request goes out meanwhile.
+request goes out meanwhile. The slots only receive the answers; once a
+batch's last one is in, the main thread reads them all in prompt order, so
+``--record`` writes the same bytes at any ``--workers``, and a malformed
+answer is refused after the batch's other requests.
 
 ``--external`` names a ranking file: ``{"global": [keys]}``, or, for
 ``deletion-curve`` only, ``{"per_instance": {"<index>": [keys]}}``.

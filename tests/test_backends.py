@@ -1113,6 +1113,84 @@ class TestQueryBatch:
         assert sorted(backend.answered) == ["a:0", "a:1"]
 
 
+def _recorded_digests(path: Path) -> list[str]:
+    """The digests of a recording's lines, in file order."""
+    return re.findall(r'"([0-9a-f]{64})":', path.read_text(encoding="utf-8"))
+
+
+class TestReadAfterReceive:
+    """A batch is received first and read after: each answer is decoded,
+    checked and recorded on the calling thread, in prompt order, also when
+    the batch fails."""
+
+    PROMPTS = [f"a:{i}" for i in range(12)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failed_batch_records_what_it_received(self, retry_handler, workers, tmp_path):
+        retry_handler.script = {"a:3": [_BUSY, _BUSY]}
+        retry_handler.hold = 0.01
+        store = tmp_path / "recording.json"
+        with serving(retry_handler) as endpoint:
+            live = HttpBackend(endpoint, retries=1, backoff=0.05)
+            with RecordingBackend(live, store) as recorder:
+                with pytest.raises(BackendUnavailableError):
+                    evaluate_prompts(recorder, self.PROMPTS, 2, workers)
+            answered = {p for _, p, status, _ in retry_handler.events if status == 200}
+            assert answered and "a:3" not in answered
+            assert _recorded_digests(store) == [
+                prompt_digest(p, 2) for p in self.PROMPTS if p in answered
+            ]
+            # A second run requests only what the first did not receive.
+            retry_handler.events.clear()
+            with RecordingBackend(HttpBackend(endpoint, retries=0), store) as recorder:
+                answers = evaluate_prompts(recorder, self.PROMPTS, 2, workers)
+        assert answers == {p: retry_handler.oracle.query(p, 2) for p in self.PROMPTS}
+        requested = [p for _, p, status, _ in retry_handler.events if status is None]
+        assert sorted(requested) == sorted(set(self.PROMPTS) - answered)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_malformed_answer_is_refused_after_the_batch_and_not_recorded(
+        self, retry_handler, workers, tmp_path
+    ):
+        retry_handler.script = {"a:3": [(200, b"<html>")]}
+        store = tmp_path / "recording.json"
+        with serving(retry_handler) as endpoint:
+            with RecordingBackend(HttpBackend(endpoint, retries=0), store) as recorder:
+                with pytest.raises(ProtocolError, match=re.escape(f"{endpoint} returned non-JSON")):
+                    evaluate_prompts(recorder, self.PROMPTS, 2, workers)
+        requested = [p for _, p, status, _ in retry_handler.events if status is None]
+        assert sorted(requested) == sorted(self.PROMPTS)
+        assert _recorded_digests(store) == [
+            prompt_digest(p, 2) for p in self.PROMPTS if p != "a:3"
+        ]
+
+    def test_an_interrupted_batch_records_what_it_received(self, monkeypatch, tmp_path):
+        release = threading.Event()
+        backend = _Hooked(lambda prompt, wait: prompt in ("a:0", "a:1") or release.wait(10.0))
+        join = threading.Thread.join
+
+        def interrupted(self, timeout=None):
+            # Once both slots have moved on to a:2 and a:3, a:0 and a:1 are received.
+            deadline = time.monotonic() + 10.0
+            while len(backend.started) < 4 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            raise KeyboardInterrupt
+
+        store = tmp_path / "recording.json"
+        with RecordingBackend(backend, store) as recorder:
+            monkeypatch.setattr(threading.Thread, "join", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                evaluate_prompts(recorder, [f"a:{i}" for i in range(50)], 2, workers=2)
+            monkeypatch.undo()
+            assert _recorded_digests(store) == [prompt_digest(p, 2) for p in ("a:0", "a:1")]
+            release.set()
+            for thread in threading.enumerate():
+                if thread.name in query_threads():
+                    join(thread, timeout=10.0)
+                    assert not thread.is_alive()
+        assert sorted(backend.started) == ["a:0", "a:1", "a:2", "a:3"]
+
+
 @pytest.fixture
 def opened(monkeypatch):
     """Every socket the client under test opens, in order."""

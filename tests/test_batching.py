@@ -34,10 +34,17 @@ from tabattr import (
     random_order,
     run_deletion,
 )
-from tabattr import attribution, faithfulness
+from tabattr import HttpBackend, attribution, faithfulness
 from tabattr.attribution import _new_rows
 from tabattr.errors import SerializationError
-from conftest import ADULT_KEYS, adult_like_instance, make_instance, oracle_backend
+from conftest import (
+    ADULT_KEYS,
+    KeepAliveHandler,
+    adult_like_instance,
+    make_instance,
+    oracle_backend,
+    serving,
+)
 from reference import (
     ReferenceOracle,
     build_prompt,
@@ -347,7 +354,9 @@ def _backend_classes(cls=Backend) -> set[type]:
 
 class TestOneQueryPerDistinctPrompt:
     """The benchmark counts backend calls by patching ``Backend.query`` on the
-    base class: each distinct prompt of a batch must be one call there."""
+    base class: each distinct prompt of a batch must be one call there, on
+    the backend the batch was given, whether it answers at once or is read
+    after the batch's last receive."""
 
     def test_no_backend_class_defines_query(self):
         classes = _backend_classes()
@@ -356,16 +365,16 @@ class TestOneQueryPerDistinctPrompt:
         }
         assert [cls for cls in classes if "query" in vars(cls)] == []
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_synth_demo_queries_each_distinct_prompt_once_per_batch(
-        self, workers, tmp_path, monkeypatch, capsys
-    ):
-        queried: list[str] = []
-        batches: list[tuple[list[str], list[str]]] = []
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Every ``Backend.query`` as (backend, prompt), and per batch its
+        backend, its distinct prompts and the prompts queried on it."""
+        queried: list[tuple[Backend, str]] = []
+        batches: list[tuple[Backend, list[str], list[str]]] = []
         query = Backend.query
 
         def counted_query(self, prompt, *args, **kwargs):
-            queried.append(prompt)
+            queried.append((self, prompt))
             return query(self, prompt, *args, **kwargs)
 
         monkeypatch.setattr(Backend, "query", counted_query)
@@ -373,15 +382,75 @@ class TestOneQueryPerDistinctPrompt:
             def counted_batch(backend, prompts, *args, _inner=module.evaluate_prompts, **kwargs):
                 start = len(queried)
                 answers = _inner(backend, prompts, *args, **kwargs)
-                batches.append((list(dict.fromkeys(prompts)), queried[start:]))
+                calls = [prompt for owner, prompt in queried[start:] if owner is backend]
+                batches.append((backend, list(dict.fromkeys(prompts)), calls))
                 return answers
 
             monkeypatch.setattr(module, "evaluate_prompts", counted_batch)
+        return queried, batches
+
+    @staticmethod
+    def _check(queried, batches) -> None:
+        """One query per distinct prompt of each batch on its backend, and
+        none on that backend outside a batch."""
+        assert batches
+        for _, distinct, calls in batches:
+            assert collections.Counter(calls) == collections.Counter(distinct)
+        outer = {backend for backend, _, _ in batches}
+        assert sum(len(calls) for *_, calls in batches) == sum(
+            owner in outer for owner, _ in queried
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_synth_demo_queries_each_distinct_prompt_once_per_batch(
+        self, workers, counted, tmp_path, capsys
+    ):
+        queried, batches = counted
         weights = {key: 1.0 + i for i, key in enumerate(ADULT_KEYS)}
         oracle = tmp_path / "oracle.json"
         oracle.write_text(json.dumps({"classes": ["yes", "no"], "weights": weights}))
         assert cli.main(["synth-demo", "--oracle", str(oracle), "--n-instances", "2",
                          "--workers", str(workers), "--out", str(tmp_path / "out")]) == 0
-        assert len(batches) == 2 + 2 and sum(len(q) for _, q in batches) == len(queried)
-        for distinct, calls in batches:
-            assert collections.Counter(calls) == collections.Counter(distinct)
+        assert len(batches) == 2 + 2 and sum(len(q) for *_, q in batches) == len(queried)
+        self._check(queried, batches)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", ["http", "record", "replay"])
+    def test_attribute_and_curves_query_each_distinct_prompt_once_per_batch(
+        self, kind, workers, counted, tmp_path, capsys
+    ):
+        queried, batches = counted
+        keys = ["age", "job", "city", "hours"]
+        spec = SyntheticOracleSpec(("yes", "no"), {"age": 1.2, "job": -0.7, "city": 0.4,
+                                                    "hours": 0.9})
+        dataset, schema, vmap = (tmp_path / name for name in ("d.csv", "s.json", "v.json"))
+        dataset.write_text("age,job,city,hours\n31,clerk,oslo,40\n58,smith,rome,25\n")
+        schema.write_text(json.dumps(dict.fromkeys(keys, "categorical")))
+        vmap.write_text(json.dumps({"yes": ["yes"], "no": ["no"]}))
+        recording = tmp_path / "recording.json"
+
+        def run(backend, out, *extra):
+            common = ["--dataset", str(dataset), "--schema", str(schema), "--verbalizer",
+                      str(vmap), "--indices", "0,1", "--workers", str(workers), "--backend",
+                      backend, "--out", str(tmp_path / out), *extra]
+            assert cli.main(["attribute", *common]) == 0
+            assert cli.main(["deletion-curve", *common, "--sources", "jsd,random"]) == 0
+
+        class Served(KeepAliveHandler):
+            oracle = SyntheticBackend(spec)
+
+        with serving(Served) as endpoint:
+            if kind == "replay":
+                run(endpoint, "recorded", "--record", str(recording))
+                queried.clear()
+                batches.clear()
+                run(f"replay:{recording}", "out")
+            else:
+                run(endpoint, "out", *(["--record", str(recording)] if kind == "record" else []))
+        self._check(queried, batches)
+        if kind == "record":
+            # The recording was empty: the live backend received every prompt once.
+            inner = [prompt for owner, prompt in queried if isinstance(owner, HttpBackend)]
+            assert collections.Counter(inner) == collections.Counter(
+                prompt for *_, calls in batches for prompt in calls
+            )

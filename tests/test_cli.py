@@ -8,6 +8,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -882,6 +883,29 @@ class TestRecordingFile:
                 str(vmap), "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 1
         assert str(recording) in capsys.readouterr().err
+
+    def test_the_same_bytes_at_one_and_two_workers(self, oracle, tmp_path, capsys):
+        spec, _ = oracle
+
+        class Uneven(KeepAliveHandler):
+            oracle = SyntheticBackend(spec)
+
+            def answer(self, request):
+                # 0-14 ms by prompt, so two workers' answers arrive out of prompt order.
+                digest = hashlib.sha256(request["prompt"].encode()).digest()
+                time.sleep(0.002 * (digest[0] % 8))
+                super().answer(request)
+
+        common = [*_tabular_inputs(tmp_path), *_vmap(tmp_path), "--indices", "0,1,2"]
+        recorded = {}
+        with serving(Uneven) as endpoint:
+            for name, workers in (("serial", 1), ("first", 2), ("second", 2)):
+                recording = tmp_path / f"{name}.json"
+                assert cli.main(["attribute", *common, "--workers", str(workers), "--backend",
+                                 endpoint, "--record", str(recording), "--out",
+                                 str(tmp_path / name)]) == 0
+                recorded[name] = recording.read_bytes()
+        assert recorded["first"] == recorded["serial"] == recorded["second"]
 
 
 class TestRunSpec:
