@@ -23,12 +23,14 @@ all its inputs, the backend last, before it makes the output directory, so a
 refused input leaves no ``--out`` behind. ``attribute``, ``deletion-curve``
 and ``synth-demo`` open the backend; ``compare`` scores the store alone.
 ``--workers`` bounds the backend requests in flight at once, and is the only
-bound on them: each slot is one thread. A request waiting out a backoff or
-``Retry-After`` before its retry lends its slot to a new thread, so another
-request goes out meanwhile. The slots only receive the answers; once a
-batch's last one is in, the main thread reads them all in prompt order, so
-``--record`` writes the same bytes at any ``--workers``, and a malformed
-answer is refused after the batch's other requests.
+bound on them. Above 1, each slot is one thread, and a request waiting out a
+backoff or ``Retry-After`` before its retry lends its slot to a new thread,
+so another request goes out meanwhile; at 1, the requests go out in turn on
+the main thread, and a retry's wait holds the one slot. The slots only
+receive the answers; once a batch's last one is in, the main thread reads
+them all in prompt order, so ``--record`` writes the same bytes at any
+``--workers``, and a malformed answer is refused after the batch's other
+requests.
 
 ``--external`` names a ranking file: ``{"global": [keys]}``, or, for
 ``deletion-curve`` only, ``{"per_instance": {"<index>": [keys]}}``.
@@ -131,7 +133,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--indices", help="explicit comma-separated instance indices")
     parser.add_argument(
         "--workers", type=int,
-        help="most backend requests in flight at once; one waiting to retry holds no slot",
+        help="most backend requests in flight at once; above 1, one waiting to retry holds no slot",
     )
     parser.add_argument("--max-removals", type=int, dest="max_removals")
     parser.add_argument("--record", help="record live http responses to this replay file")
@@ -263,6 +265,7 @@ class RunSpec:
             value = getattr(spec, field.name)
             if field.metadata.get("input_file") and value and not Path(value).is_file():
                 raise ConfigError(f"--{field.name} file not found: {value}")
+        spec.sampling()  # refuses a ratio, coalition cap or top-k out of range
         return spec
 
     def require(self, *names: str) -> None:
@@ -323,6 +326,11 @@ class Run:
         keys = instances[0].keys
         if len(keys) < 2:
             raise ConfigError(f"attribution needs at least 2 features, got {list(keys)}")
+        if spec.max_coalitions < len(keys):
+            raise ConfigError(
+                f"--max-coalitions {spec.max_coalitions} is below the {len(keys)} features; "
+                "every essential coalition must fit"
+            )
         external = load_external_ranking(spec.external, keys) if "external" in required else None
         if command == "compare" and not isinstance(external, tuple):
             raise ConfigError("compare needs a ranking file in the global form")

@@ -18,10 +18,11 @@ a set of present keys, sums the weights of those in the set and computes
 each entry's logprob on its own, and the production oracle must answer
 exactly as it does.
 
-``HttpBackend`` reads each response from its connection's receive buffer in
-one pass over the head; :func:`read_response_by_lines` reads it one line at
-a time from a buffered reader, and the buffered reader must return what it
-returns and refuse what it refuses, with the same message.
+``HttpBackend`` reads each response from its connection's receive buffer,
+each head received whole and then checked; :func:`read_response_by_lines`
+reads it one line at a time from a buffered reader. Where every head is
+complete and breaks at most one rule, the buffered reader must return what
+it returns and refuse what it refuses, with the same message.
 """
 
 from __future__ import annotations
@@ -305,7 +306,10 @@ def _read_chunked(reader) -> bytes:
             raise _MalformedResponse(f"bad chunk size line {line[:40]!r}")
         if not size:
             break
-        chunk = reader.read(size + 2)
+        # In bounded reads: a size line of random bytes may name more than memory holds.
+        chunk = b""
+        while len(chunk) < size + 2 and (piece := reader.read(min(size + 2 - len(chunk), 1 << 20))):
+            chunk += piece
         if len(chunk) < size + 2:
             raise _MalformedResponse("chunked body ended early")
         chunks.append(chunk[:size])

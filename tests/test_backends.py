@@ -870,11 +870,16 @@ class TestPooledConnections:
     @pytest.mark.parametrize(
         "setting, named",
         [({"retries": -1}, "retries=-1"), ({"timeout": 0.0}, "timeout=0.0"),
-         ({"timeout": -1.0}, "timeout=-1.0")],
+         ({"timeout": -1.0}, "timeout=-1.0"), ({"timeout": float("nan")}, "timeout=nan"),
+         ({"timeout": float("inf")}, "timeout=inf"), ({"timeout": 9.3e9}, "timeout=9300000000.0")],
     )
     def test_invalid_setting_is_a_config_error(self, setting, named):
         with pytest.raises(ConfigError, match=named):
             HttpBackend("http://127.0.0.1:9/logprobs", **setting)
+
+    def test_the_longest_timeout_a_socket_takes_is_accepted(self):
+        with HttpBackend("http://127.0.0.1:9/logprobs", timeout=threading.TIMEOUT_MAX) as backend:
+            assert backend.timeout == threading.TIMEOUT_MAX
 
 
 @pytest.fixture
@@ -1335,6 +1340,24 @@ class TestResponseFraming:
                 backend.query("p", 2)
         assert all(s.sent and s.closed for s in sockets)
 
+    def test_a_head_cut_by_the_close_is_retried(self, fake_sockets):
+        body = _ok_body(_ANSWER)
+        cut = b"HTTP/1.1 200 OK\r\nX-Any: 1\r\nContent-Le"
+        good = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+        sockets = fake_sockets(cut, good)
+        with HttpBackend("http://tabattr.invalid/x", retries=1, backoff=0.0) as backend:
+            assert backend.query("p", 2).tokens == (" yes", " no")
+        assert all(s.sent for s in sockets) and sockets[0].closed
+
+    def test_a_head_that_never_ends_is_refused_at_its_101st_header(self, fake_sockets):
+        response = b"HTTP/1.1 200 OK\r\n" + b"X-Any: 1\r\n" * 200
+        sockets = fake_sockets(response, response, split=True)
+        with HttpBackend("http://tabattr.invalid/x", retries=1, backoff=0.0) as backend:
+            with pytest.raises(BackendUnavailableError, match="more than 100 headers"):
+                backend.query("p", 2)
+        # Refused before the server closes: the rest of the head is never received.
+        assert all(s.closed and s.response.tell() < len(response) for s in sockets)
+
     def test_interim_response_is_skipped(self, fake_sockets):
         body = _ok_body(_ANSWER)
         response = b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s"
@@ -1410,11 +1433,15 @@ class TestResponseFraming:
             assert json.loads(sent_body) == {"prompt": f"prompt {i}", "top_k": 2}
 
 
-def _random_response(rng: random.Random) -> bytes:
+def _random_response(rng: random.Random) -> tuple[bytes, bool, int]:
     """A response head, now and then an interim one before it, and a body,
-    cut short at a random byte in some; any of them may be malformed."""
+    cut short at a random byte in some; any of them may be malformed.
 
-    def head() -> bytes:
+    Also whether the cut falls inside a head that a reader reads as one, and
+    how many of the three head rules (a good status line, no line over
+    64 KiB, at most 100 header lines) the last head it reads breaks."""
+
+    def head() -> tuple[bytes, int]:
         status = rng.choice([
             b"HTTP/1.1 200 OK", b"HTTP/1.0 200 OK", b"HTTP/1.1 100 Continue", b"HTTP/1.1 204 No",
             b"HTTP/1.1 304 Same", b"HTTP/1.1 429 Slow", b"ICY 200 OK", b"HTTP/1.1 2000",
@@ -1424,14 +1451,33 @@ def _random_response(rng: random.Random) -> bytes:
         for _ in range(count):
             name, values = rng.choice(_HEADER_VALUES[: -1 if count > 5 else None])
             lines.append(name + b":" + rng.choice(values))
-        return b"".join(line + rng.choice([b"\r\n", b"\n"]) for line in lines + [b""])
+        lines = [line + rng.choice([b"\r\n", b"\n"]) for line in lines + [b""]]
+        faults = (status in _BAD_STATUS) + any(len(line) > 65536 for line in lines) + (count > 100)
+        return b"".join(lines), faults
 
-    data = head() if rng.random() < 0.8 else head() + head()
+    parts = [head()] if rng.random() < 0.8 else [head(), head()]
     content = rng.choice([b"", b"hello", b"0123456789abcdefghij"])
-    data += _chunked(content, 3) if rng.random() < 0.3 else content
-    return data[:rng.randrange(len(data) + 1)] if rng.random() < 0.3 else data
+    # After an interim head, the body is read as a head too, with a bad status line.
+    parts.append((_chunked(content, 3) if rng.random() < 0.3 else content, 1))
+    # Where each part read as a head starts and ends, one byte past the data
+    # if no empty line ends it, and its faults: the first part, and each one
+    # after an interim head that is not refused.
+    data, heads, interim = b"", [], True
+    for part, part_faults in parts:
+        if interim and part:
+            end = len(data) + len(part) + (not part.endswith((b"\n\n", b"\n\r\n")))
+            heads.append((len(data), end, part_faults))
+            interim = part.startswith(b"HTTP/1.1 100 ") and not part_faults
+        data += part
+    cut = rng.randrange(len(data) + 1) if rng.random() < 0.3 else len(data)
+    cut_head, faults = False, 0
+    for start, end, head_faults in heads:
+        if start < cut:  # read, from what is left
+            cut_head, faults = cut < end, head_faults
+    return data[:cut], cut_head, faults
 
 
+_BAD_STATUS = (b"ICY 200 OK", b"HTTP/1.1 2000", b"", b"\r", b"H" * 65536)
 _HEADER_VALUES = [
     (b"Content-Length", [b"5", b" 5 ", b"0", b"20", b"ten", b"-1", b"", b"99"]),
     (b"CONTENT-length", [b"5", b"12"]),
@@ -1440,12 +1486,16 @@ _HEADER_VALUES = [
     (b"Connection", [b"close", b"keep-alive", b"Keep-Alive, x", b" CLOSE ", b"x"]),
     (b"Retry-After", [b"1", b" 2 ", b"x"]),
     (b"X-Any", [b"v", b""]),
-    (b"X-Long", [b"a" * 65524, b"a" * 65525, b"a" * 65526]),
+    # With ``X-Long:`` and the line end, 65535 to 65538 bytes: either side of the limit.
+    (b"X-Long", [b"a" * 65527, b"a" * 65528, b"a" * 65529]),
 ]
 
 
 class TestReaderMatchesLineReference:
-    """The buffered reader returns and refuses what a line-by-line one does."""
+    """The buffered reader returns and refuses what a line-by-line one does,
+    with the same message, when every head it reads is complete and breaks at
+    most one rule. A head cut short by the server's close, and one that
+    breaks two rules, it refuses too, but may say why otherwise."""
 
     @staticmethod
     def _outcome(read, source):
@@ -1454,16 +1504,19 @@ class TestReaderMatchesLineReference:
         except (_MalformedResponse, ConnectionResetError) as exc:
             return type(exc), str(exc)
 
-    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("seed", range(32))
     def test_random_responses_in_any_split(self, seed):
         rng = random.Random(seed)
         for _ in range(200):
-            data = _random_response(rng)
+            data, cut_head, faults = _random_response(rng)
             expected = self._outcome(read_response_by_lines, io.BufferedReader(io.BytesIO(data)))
             # Lines near 64 KiB split in 1-3 bytes are left to the line limit test.
             for split in (False, True) if len(data) < 8192 else (False,):
-                connection = _Connection(_FakeSocket(data, split))
-                assert self._outcome(_read_response, connection) == expected, data[:80]
+                outcome = self._outcome(_read_response, _Connection(_FakeSocket(data, split)))
+                if cut_head or faults > 1:
+                    assert outcome[0] is _MalformedResponse, data[:80]
+                else:
+                    assert outcome == expected, data[:80]
 
 
 @pytest.fixture(scope="module")

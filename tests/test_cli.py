@@ -1162,6 +1162,22 @@ class TestRefusedBeforeWriting:
         self._refused(argv, named, out, capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra, named",
+        [(["--ratio", "0"], "ratio must be in (0, 1], got 0.0"),
+         (["--ratio", "1.5"], "ratio must be in (0, 1], got 1.5"),
+         (["--max-coalitions", "0"], "max_coalitions must be positive"),
+         (["--top-k", "0"], "top_k must be >= 1"),
+         (["--max-coalitions", "2"], "--max-coalitions 2 is below the 3 features")],
+    )
+    def test_bad_sampling_setting(self, extra, named, oracle, tmp_path, capsys):
+        _, oracle_path = oracle
+        out = tmp_path / "out"
+        argv = ["attribute", *_tabular_inputs(tmp_path), "--backend",
+                f"synthetic:{oracle_path}", "--out", str(out), *extra]
+        self._refused(argv, named, out, capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["attribute", "synth-demo"])
     def test_record_with_a_synthetic_backend(self, command, oracle, tmp_path, capsys):
         _, oracle_path = oracle
@@ -1249,6 +1265,18 @@ class TestRunErrors:
                 "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 2
         assert "retries=-1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout, named", [("inf", "timeout=inf"), ("1e10", "timeout=10000000000.0")])
+    def test_http_timeout_a_socket_cannot_take_exits_2(self, timeout, named, tmp_path, capsys):
+        vmap = tmp_path / "vmap.json"
+        vmap.write_text(json.dumps({"yes": ["yes"], "no": ["no"]}))
+        out = tmp_path / "out"
+        argv = ["attribute", *_tabular_inputs(tmp_path), "--backend",
+                "http://127.0.0.1:9/logprobs", "--timeout", timeout, "--verbalizer", str(vmap),
+                "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deletion_curve_exits_1_when_an_instance_fails(
         self, oracle, tmp_path, monkeypatch, capsys
