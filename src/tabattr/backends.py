@@ -741,6 +741,8 @@ class HttpBackend(Backend):
                 f"http backend needs retries >= 0 and 0 < timeout <= {threading.TIMEOUT_MAX:.0f}, "
                 f"got retries={retries}, timeout={timeout}"
             )
+        if not 0 <= backoff < math.inf:  # ``time.sleep`` refuses a negative or non-finite wait
+            raise ConfigError(f"http backend needs a finite backoff >= 0, got backoff={backoff}")
         self.endpoint = endpoint
         self.timeout = timeout
         self.retries = retries

@@ -1,16 +1,13 @@
 """Command-line front end.
 
-Subcommands::
-
-    attribute       evaluate selected instances into the store, score one metric
-    deletion-curve  build removal orders and emit faithfulness curves
-    compare         global ranking vs. an external ranking (Spearman rho)
-    synth-demo      full no-network pipeline on the analytic oracle
-    serialize       debug prompt printer
-
-Flag values override config-file values, which override defaults. Config
-keys are the :class:`RunSpec` field names, i.e. the flags' ``dest`` names
-(``max_coalitions``); an unknown key or a wrongly typed value is an error
+Each option is declared once, as a :class:`RunSpec` field, and each
+subcommand once, with its handler and help, in ``_SUBCOMMANDS``. A field's
+name is its config-file key, its ``run_manifest.json`` key and the ``dest``
+of its flag ``--<name with dashes>`` (``max_coalitions``,
+``--max-coalitions``), which parses an ``int`` or ``float`` field as one and
+any other as a string; the field's metadata holds the flag's help and the
+subcommands that take it. Flag values override config-file values, which
+override defaults; an unknown key or a wrongly typed value is an error
 (exit 2). The effective spec is echoed into ``run_manifest.json`` in the
 output directory so every run is reproducible from its artifacts.
 
@@ -117,69 +114,11 @@ from .verbalizer import VerbalizerMap
 ENDPOINT_ENV = "TABATTR_ENDPOINT"
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--dataset", help="CSV file with a header row")
-    parser.add_argument("--schema", help="JSON column->kind schema")
-    parser.add_argument("--template", help="prompt template file (text or .json)")
-    parser.add_argument("--verbalizer", help="JSON class->surface-forms map")
-    parser.add_argument("--backend", help="backend spec: http:URL | replay:FILE | synthetic:FILE")
-    parser.add_argument("--metric", choices=METRICS)
-    parser.add_argument("--ratio", type=float, help="coalition sampling ratio r in (0,1]")
-    parser.add_argument("--max-coalitions", type=int, dest="max_coalitions")
-    parser.add_argument("--top-k", type=int, dest="top_k")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--instances", type=int, help="number of instances to sample")
-    parser.add_argument("--indices", help="explicit comma-separated instance indices")
-    parser.add_argument(
-        "--workers", type=int,
-        help="most backend requests in flight at once; above 1, one waiting to retry holds no slot",
-    )
-    parser.add_argument("--max-removals", type=int, dest="max_removals")
-    parser.add_argument("--record", help="record live http responses to this replay file")
-    parser.add_argument("--timeout", type=float, help="http timeout in seconds")
-    parser.add_argument("--retries", type=int, help="http retry count")
-    parser.add_argument("--out", help="output directory")
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="tabattr",
-        description="Coalition-sampling feature attribution for prompt-served tabular classifiers",
-    )
-    parser.add_argument("--version", action="version", version=f"tabattr {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("attribute", help="compute attributions over selected instances")
-    _add_common(p)
-
-    p = sub.add_parser("deletion-curve", help="faithfulness curves per removal-order source")
-    _add_common(p)
-    p.add_argument("--sources", help=f"comma list from {RANKING_SOURCES}")
-    p.add_argument("--external", help="external ranking JSON (global or per_instance)")
-
-    p = sub.add_parser("compare", help="Spearman rho of the global ranking vs. an external one")
-    _add_common(p)
-    p.add_argument("--external", help="external ranking JSON (global form)")
-
-    p = sub.add_parser("synth-demo", help="end-to-end pipeline on the synthetic oracle")
-    _add_common(p)
-    p.add_argument("--oracle", help="synthetic oracle spec JSON")
-    p.add_argument("--n-instances", type=int, dest="n_instances")
-
-    p = sub.add_parser("serialize", help="print the prompt built for one instance")
-    _add_common(p)
-    p.add_argument("--index", type=int, help="dataset row to serialize (default 0)")
-    p.add_argument("--omit", help="comma-separated feature keys to leave out")
-
-    return parser
-
-
-def _input_file():
-    """A path field that must name an existing file when set."""
-    return dataclasses.field(default=None, metadata={"input_file": True})
+def _option(default, help=None, *, commands=None, input_file=False, choices=None):
+    """A :class:`RunSpec` field with its flag's help, the subcommands that take
+    it (all if ``None``), whether a set value must name a file, and choices."""
+    metadata = {"help": help, "commands": commands, "input_file": input_file, "choices": choices}
+    return dataclasses.field(default=default, metadata=metadata)
 
 
 def _typed(key: str, hint, value):
@@ -189,7 +128,10 @@ def _typed(key: str, hint, value):
         return None if value is None else _typed(key, args[0], value)
     if typing.get_origin(hint) is tuple:
         if isinstance(value, str):
-            return tuple(args[0](v.strip()) for v in value.split(",") if v.strip())
+            try:
+                return tuple(args[0](v.strip()) for v in value.split(",") if v.strip())
+            except ValueError as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from exc
         if not isinstance(value, list):
             raise ConfigError(f"config key {key!r} must be a list or a comma string, got {value!r}")
         return tuple(_typed(key, args[0], v) for v in value)
@@ -202,34 +144,46 @@ def _typed(key: str, hint, value):
 
 @dataclasses.dataclass(frozen=True)
 class RunSpec:
-    """Effective options of one run: one field per flag, named by the flag's
-    ``dest``, which is also its config-file key."""
+    """Effective options of one run; each field declares one option and its flag."""
 
-    config: str | None = _input_file()
-    dataset: str | None = _input_file()
-    schema: str | None = _input_file()
-    template: str | None = _input_file()
-    verbalizer: str | None = _input_file()
-    backend: str | None = None
-    metric: str = "jsd"
-    ratio: float = 0.4
-    max_coalitions: int = 800
-    top_k: int = 10
-    seed: int = 0
-    instances: int = 50
-    indices: tuple[int, ...] = ()
-    workers: int = 1
-    max_removals: int = 10
-    record: str | None = None
-    timeout: float = 30.0
-    retries: int = 2
-    out: str | None = None
-    sources: tuple[str, ...] = ("jsd", "random")
-    external: str | None = _input_file()
-    oracle: str | None = _input_file()
-    n_instances: int = 12
-    index: int = 0
-    omit: tuple[str, ...] = ()
+    config: str | None = _option(
+        None, "JSON config file; flags override its values", input_file=True
+    )
+    dataset: str | None = _option(None, "CSV file with a header row", input_file=True)
+    schema: str | None = _option(None, "JSON column->kind schema", input_file=True)
+    template: str | None = _option(None, "prompt template file (text or .json)", input_file=True)
+    verbalizer: str | None = _option(None, "JSON class->surface-forms map", input_file=True)
+    backend: str | None = _option(None, "backend spec: http:URL | replay:FILE | synthetic:FILE")
+    metric: str = _option("jsd", choices=METRICS)
+    ratio: float = _option(0.4, "coalition sampling ratio r in (0,1]")
+    max_coalitions: int = _option(800)
+    top_k: int = _option(10)
+    seed: int = _option(0)
+    instances: int = _option(50, "number of instances to sample")
+    indices: tuple[int, ...] = _option((), "explicit comma-separated instance indices")
+    workers: int = _option(
+        1, "most backend requests in flight at once; above 1, one waiting to retry holds no slot"
+    )
+    max_removals: int = _option(10)
+    record: str | None = _option(None, "record live http responses to this replay file")
+    timeout: float = _option(30.0, "http timeout in seconds")
+    retries: int = _option(2, "http retry count")
+    out: str | None = _option(None, "output directory")
+    sources: tuple[str, ...] = _option(
+        ("jsd", "random"), f"comma list from {RANKING_SOURCES}", commands=("deletion-curve",)
+    )
+    external: str | None = _option(
+        None, "external ranking JSON (global, or per_instance for deletion-curve)",
+        commands=("deletion-curve", "compare"), input_file=True,
+    )
+    oracle: str | None = _option(
+        None, "synthetic oracle spec JSON", commands=("synth-demo",), input_file=True
+    )
+    n_instances: int = _option(12, commands=("synth-demo",))
+    index: int = _option(0, "dataset row to serialize (default 0)", commands=("serialize",))
+    omit: tuple[str, ...] = _option(
+        (), "comma-separated feature keys to leave out", commands=("serialize",)
+    )
 
     @classmethod
     def resolve(cls, args: argparse.Namespace) -> "RunSpec":
@@ -263,7 +217,7 @@ class RunSpec:
                 raise ConfigError(f"unknown source {source!r}; expected one of {RANKING_SOURCES}")
         for field in dataclasses.fields(cls):
             value = getattr(spec, field.name)
-            if field.metadata.get("input_file") and value and not Path(value).is_file():
+            if field.metadata["input_file"] and value and not Path(value).is_file():
                 raise ConfigError(f"--{field.name} file not found: {value}")
         spec.sampling()  # refuses a ratio, coalition cap or top-k out of range
         return spec
@@ -278,6 +232,28 @@ class RunSpec:
 
 
 _FIELD_TYPES = typing.get_type_hints(RunSpec)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process from ``_SUBCOMMANDS``
+    and the :class:`RunSpec` fields; parsing leaves it unchanged."""
+    parser = argparse.ArgumentParser(
+        prog="tabattr",
+        description="Coalition-sampling feature attribution for prompt-served tabular classifiers",
+    )
+    parser.add_argument("--version", action="version", version=f"tabattr {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help_text) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for field in dataclasses.fields(RunSpec):
+            option, kind = field.metadata, _FIELD_TYPES[field.name]
+            if option["commands"] is None or command in option["commands"]:
+                p.add_argument(
+                    "--" + field.name.replace("_", "-"), help=option["help"],
+                    type=kind if kind in (int, float) else None, choices=option["choices"],
+                )
+    return parser
 
 
 @dataclasses.dataclass(frozen=True)
@@ -608,19 +584,21 @@ def cmd_serialize(spec: RunSpec) -> int:
     return 0
 
 
-_COMMANDS = {
-    "attribute": cmd_attribute,
-    "deletion-curve": cmd_deletion_curve,
-    "compare": cmd_compare,
-    "synth-demo": cmd_synth_demo,
-    "serialize": cmd_serialize,
+# Each subcommand's handler and its line in ``tabattr --help``, in that order.
+_SUBCOMMANDS = {
+    "attribute": (cmd_attribute, "compute attributions over selected instances"),
+    "deletion-curve": (cmd_deletion_curve, "faithfulness curves per removal-order source"),
+    "compare": (cmd_compare, "Spearman rho of the global ranking vs. an external one"),
+    "synth-demo": (cmd_synth_demo, "end-to-end pipeline on the synthetic oracle"),
+    "serialize": (cmd_serialize, "print the prompt built for one instance"),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](RunSpec.resolve(args))
+        handler, _ = _SUBCOMMANDS[args.command]
+        return handler(RunSpec.resolve(args))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -361,7 +361,7 @@ def load_template(path: str | Path) -> PromptTemplate:
 
     ``.json`` files may set any of ``instruction``, ``input_marker``,
     ``response_marker``, ``suffix``; any other file supplies the instruction
-    text verbatim (trailing newline stripped) with default markers.
+    text verbatim (UTF-8, trailing newline stripped) with default markers.
     """
     if str(path).endswith(".json"):
         try:
@@ -375,4 +375,8 @@ def load_template(path: str | Path) -> PromptTemplate:
         if unknown:
             raise DatasetError(f"template {path} has unknown keys: {sorted(unknown)}")
         return PromptTemplate(**data)
-    return PromptTemplate(instruction=Path(path).read_text(encoding="utf-8").rstrip("\n"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"template {path} is not UTF-8 text: {exc}") from exc
+    return PromptTemplate(instruction=text.rstrip("\n"))

@@ -871,7 +871,9 @@ class TestPooledConnections:
         "setting, named",
         [({"retries": -1}, "retries=-1"), ({"timeout": 0.0}, "timeout=0.0"),
          ({"timeout": -1.0}, "timeout=-1.0"), ({"timeout": float("nan")}, "timeout=nan"),
-         ({"timeout": float("inf")}, "timeout=inf"), ({"timeout": 9.3e9}, "timeout=9300000000.0")],
+         ({"timeout": float("inf")}, "timeout=inf"), ({"timeout": 9.3e9}, "timeout=9300000000.0"),
+         ({"backoff": -1.0}, "backoff=-1.0"), ({"backoff": float("nan")}, "backoff=nan"),
+         ({"backoff": float("inf")}, "backoff=inf")],
     )
     def test_invalid_setting_is_a_config_error(self, setting, named):
         with pytest.raises(ConfigError, match=named):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -908,6 +909,28 @@ class TestRecordingFile:
         assert recorded["first"] == recorded["serial"] == recorded["second"]
 
 
+_COMMON_FLAGS = [
+    "--config", "--dataset", "--schema", "--template", "--verbalizer", "--backend", "--metric",
+    "--ratio", "--max-coalitions", "--top-k", "--seed", "--instances", "--indices", "--workers",
+    "--max-removals", "--record", "--timeout", "--retries", "--out",
+]
+# The flags each subcommand takes, in ``--help`` order: the argv that perfbench
+# and users pass.
+CLI_SURFACE = {
+    "attribute": _COMMON_FLAGS,
+    "deletion-curve": [*_COMMON_FLAGS, "--sources", "--external"],
+    "compare": [*_COMMON_FLAGS, "--external"],
+    "synth-demo": [*_COMMON_FLAGS, "--oracle", "--n-instances"],
+    "serialize": [*_COMMON_FLAGS, "--index", "--omit"],
+}
+# Every other flag takes a string.
+NUMERIC_FLAGS = {
+    "--ratio": float, "--timeout": float, "--max-coalitions": int, "--top-k": int, "--seed": int,
+    "--instances": int, "--workers": int, "--max-removals": int, "--retries": int,
+    "--n-instances": int, "--index": int,
+}
+
+
 class TestRunSpec:
     @staticmethod
     def _resolve(argv):
@@ -942,15 +965,35 @@ class TestRunSpec:
         "values, named",
         [({"max_coalition": 4}, "max_coalition"), ({"seed": 1.9}, "seed"),
          ({"instances": "2"}, "instances"), ({"workers": True}, "workers"),
-         ({"indices": ["1"]}, "indices"), ({"sources": 3}, "sources")],
+         ({"indices": ["1"]}, "indices"), ({"sources": 3}, "sources"),
+         ({"indices": "1,x"}, "indices"), (["--indices", "a"], "indices"),
+         (["--indices", "1.5"], "indices")],
     )
     def test_unknown_or_mistyped_key_exits_2(self, values, named, tmp_path, capsys):
+        """``values`` is a config file's content, or flags."""
         out = tmp_path / "out"
-        argv = ["attribute", "--config", self._config(tmp_path, values), "--out", str(out)]
-        assert cli.main(argv) == 2
+        if isinstance(values, dict):
+            values = ["--config", self._config(tmp_path, values)]
+        assert cli.main(["attribute", *values, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_each_subcommand_takes_the_flags_it_always_took(self):
+        parser = cli.build_parser()
+        (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(subcommands.choices) == list(CLI_SURFACE)
+        for command, flags in CLI_SURFACE.items():
+            actions = subcommands.choices[command]._actions[1:]  # after --help
+            assert [a.option_strings for a in actions] == [[flag] for flag in flags]
+            assert [a.dest for a in actions] == [f[2:].replace("-", "_") for f in flags]
+            assert {a.option_strings[0]: a.type for a in actions if a.type is not None} == {
+                flag: kind for flag, kind in NUMERIC_FLAGS.items() if flag in flags
+            }
+            assert {a.option_strings[0]: a.choices for a in actions if a.choices} == {
+                "--metric": ("jsd", "kl", "l1")
+            }
+            assert all(a.default is None for a in actions)
 
     def test_one_parser_serves_every_call_without_carrying_values(
         self, oracle, tmp_path, capsys
@@ -1044,6 +1087,9 @@ REFUSALS = {
     "template-not-json": (
         "attribute " + _ROWS + _SYNTHETIC + "--template {tmp}/template.json", {}, 1,
         "template {tmp}/template.json is not valid JSON: Expecting property name", None),
+    "template-not-utf8": (
+        "attribute " + _ROWS + _SYNTHETIC + "--template {tmp}/latin1.txt", {}, 1,
+        "template {tmp}/latin1.txt is not UTF-8 text: 'utf-8' codec", None),
 }
 
 
@@ -1071,6 +1117,7 @@ class TestRefusedInputs:
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         (tmp_path / "latin1.json").write_bytes('{"seed": "é"}'.encode("latin-1"))
+        (tmp_path / "latin1.txt").write_bytes("Classify the row, café.".encode("latin-1"))
 
     @staticmethod
     def _files(out):
