@@ -56,7 +56,7 @@ def _line(**changes) -> str:
 GOLDEN_INSTANCE = make_instance(7, tuple(f"k{j}" for j in range(70)))
 
 
-def _golden() -> Evaluation:
+def golden_evaluation() -> Evaluation:
     """The evaluation ``tests/data/golden_store.jsonl`` holds: M=70, C=3,
     a degenerate uniform row and the floats 0.0, 1.0 and 5e-324."""
     membership = np.zeros((4, 70), dtype=bool)
@@ -269,7 +269,7 @@ class TestStoreFormat:
         [stored] = load_or_evaluate(
             path, [GOLDEN_INSTANCE], lambda row: pytest.fail("stored"), CONFIG, "golden"
         )
-        expected = _golden()
+        expected = golden_evaluation()
         for name in ("membership", "class_dists", "degenerate", "full_dist"):
             got, want = getattr(stored, name), getattr(expected, name)
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
