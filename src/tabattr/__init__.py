@@ -76,6 +76,6 @@ from .tabular import (
     normalize_key,
     normalize_value,
 )
-from .verbalizer import VerbalizerMap, canonicalize_token, class_distributions
+from .verbalizer import VerbalizerMap, canonicalize_token, class_masses, normalize_masses
 
 __all__ = [name for name in dir() if not name.startswith("_")]

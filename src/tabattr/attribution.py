@@ -11,14 +11,16 @@ for any M.
 :func:`evaluate` works per instance, one pass per layer: one
 :func:`~tabattr.tabular.build_prompts` call builds every row's prompt, each
 distinct prompt is queried once, and one
-:func:`~tabattr.verbalizer.class_distributions` call turns the answers into
-each row's class distribution. :func:`score` then applies a metric: each
-row's bounded similarity to the full-input distribution, and per feature
-the mean similarity of the rows that include it minus that of the rows that
-exclude it, shifted by the minimum and normalized to sum to one. The metric
-acts only after the backend has answered, so it is a scoring choice, not a
-sampling setting: one :class:`Evaluation`, stored once per output directory
-(:mod:`tabattr.cache`), serves every metric.
+:func:`~tabattr.verbalizer.class_masses` call turns the answers into each
+row's raw class masses. :func:`score` normalizes them into class
+distributions (:func:`~tabattr.verbalizer.normalize_masses`), then applies a
+metric: each row's bounded similarity to the full-input distribution, and
+per feature the mean similarity of the rows that include it minus that of
+the rows that exclude it, shifted by the minimum and normalized to sum to
+one. The normalization and the metric act only after the backend has
+answered, so they are scoring choices, not sampling settings: one
+:class:`Evaluation`, stored once per output directory (:mod:`tabattr.cache`),
+serves every metric.
 
 Averaging "with j minus without j" uniformly over sampled non-empty subsets
 is a Banzhaf-style value of the similarity game, not a Shapley value, which
@@ -36,7 +38,7 @@ from .backends import Backend, evaluate_prompts
 from .divergence import METRICS, similarity_rows
 from .errors import AttributionError, BackendError, ConfigError
 from .tabular import PromptTemplate, TabularInstance, build_prompts
-from .verbalizer import VerbalizerMap, class_distributions
+from .verbalizer import VerbalizerMap, class_masses, normalize_masses
 
 
 @dataclass(frozen=True)
@@ -65,29 +67,31 @@ class SamplingConfig:
 
 @dataclass(frozen=True)
 class Evaluation:
-    """One instance's coalitions (N x M bool), their class distributions
-    (N x C) and zero-mass flags (N), before any metric is applied."""
+    """One instance's coalitions (N x M bool) and the raw class masses
+    ((N + 1) x C) of the full prompt, first, and of each coalition, before
+    they are normalized or any metric is applied."""
 
     instance_index: int
     feature_keys: tuple[str, ...]
     config: SamplingConfig
     membership: np.ndarray
-    class_dists: np.ndarray
-    degenerate: np.ndarray
-    full_dist: np.ndarray
-    full_degenerate: bool
+    masses: np.ndarray
 
 
 @dataclass(frozen=True)
 class AttributionResult(Evaluation):
-    """An evaluation scored under ``metric``. Its payload keeps the scores;
-    the coalitions and their class distributions stay in the evaluation
-    store, and ``score`` of the stored evaluation reproduces phi exactly."""
+    """An evaluation scored under ``metric``, with its full-input class
+    distribution and zero-mass flags. Its payload keeps these and the scores;
+    the coalitions and their masses stay in the evaluation store, and
+    ``score`` of the stored evaluation reproduces them exactly."""
 
     metric: str
     raw_phi: np.ndarray
     phi: np.ndarray
     uniform_fallback: bool
+    full_dist: np.ndarray
+    full_degenerate: bool
+    degenerate_coalitions: int
 
     def ranking(self) -> tuple[str, ...]:
         """Feature keys most-important first; ties keep instance field order."""
@@ -107,7 +111,7 @@ class AttributionResult(Evaluation):
             "degeneracy_flags": {
                 "uniform_phi_fallback": self.uniform_fallback,
                 "full_prompt_degenerate": self.full_degenerate,
-                "degenerate_coalitions": int(self.degenerate.sum()),
+                "degenerate_coalitions": self.degenerate_coalitions,
             },
             "config": {**self.config.to_payload(), "metric": self.metric},
         }
@@ -233,16 +237,12 @@ def evaluate(
     except BackendError as exc:
         raise AttributionError(f"instance {instance.index}: backend failed: {exc}") from exc
 
-    dists, degenerate = class_distributions([responses[prompt] for prompt in prompts], vmap)
     return Evaluation(
         instance_index=instance.index,
         feature_keys=instance.keys,
         config=config,
         membership=membership,
-        class_dists=dists[1:],
-        degenerate=degenerate[1:],
-        full_dist=dists[0],
-        full_degenerate=bool(degenerate[0]),
+        masses=class_masses([responses[prompt] for prompt in prompts], vmap),
     )
 
 
@@ -250,7 +250,8 @@ def score(evaluation: Evaluation, metric: str) -> AttributionResult:
     """Attribution scores of an evaluated instance under ``metric``."""
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    sims = similarity_rows(metric, evaluation.full_dist, evaluation.class_dists)
+    dists, degenerate = normalize_masses(evaluation.masses)
+    sims = similarity_rows(metric, dists[0], dists[1:])
     membership = evaluation.membership
     # Essential leave-one-out sets guarantee every feature is present in at
     # least one coalition and absent from at least one, so both means exist.
@@ -266,4 +267,6 @@ def score(evaluation: Evaluation, metric: str) -> AttributionResult:
     return AttributionResult(
         **evaluated,
         metric=metric, raw_phi=raw_phi, phi=phi, uniform_fallback=fallback,
+        full_dist=dists[0], full_degenerate=bool(degenerate[0]),
+        degenerate_coalitions=int(degenerate[1:].sum()),
     )

@@ -166,20 +166,12 @@ class Backend(abc.ABC):
     with ``read=False`` it only receives, and :func:`evaluate_prompts` reads
     a whole batch on the calling thread once its last answer is in.
 
-    ``calls`` counts completed receives; replay and synthetic backends are
-    otherwise immutable and safe to share across threads. A query that has to
-    pause between attempts, as :class:`HttpBackend` does before a retry, calls
-    the ``wait`` it was given with the seconds to pause instead of sleeping
-    itself, so a caller can lend its concurrency slot out for the pause.
+    Replay and synthetic backends are immutable and safe to share across
+    threads. A query that has to pause between attempts, as
+    :class:`HttpBackend` does before a retry, calls the ``wait`` it was given
+    with the seconds to pause instead of sleeping itself, so a caller can
+    lend its concurrency slot out for the pause.
     """
-
-    def __init__(self):
-        self._calls = 0
-        self._calls_lock = threading.Lock()
-
-    @property
-    def calls(self) -> int:
-        return self._calls
 
     def query(
         self, prompt: str, k: int, wait: Callable[[float], None] = time.sleep, *, read: bool = True
@@ -191,8 +183,6 @@ class Backend(abc.ABC):
         if k < 1:
             raise ValueError("k must be >= 1")
         received = self._fetch(prompt, k, wait)
-        with self._calls_lock:
-            self._calls += 1
         return self._read(received, k) if read else received
 
     @abc.abstractmethod
@@ -327,7 +317,6 @@ class SyntheticBackend(Backend):
         input_marker: str = "### Input:",
         response_marker: str = "### Response:",
     ):
-        super().__init__()
         self.spec = spec
         self.input_marker = input_marker
         self.response_marker = response_marker
@@ -404,7 +393,6 @@ class ReplayBackend(Backend):
     complete response; the file is left as it is."""
 
     def __init__(self, path: str | Path):
-        super().__init__()
         self.path = Path(path)
         self._store, text, _ = _parse_recording(self.path)
         # Read with newline="", the text encodes back to the file's bytes.
@@ -461,7 +449,6 @@ class RecordingBackend(Backend):
     """
 
     def __init__(self, inner: Backend, path: str | Path):
-        super().__init__()
         self.inner = inner
         self.path = Path(path)
         self._write_lock = threading.Lock()
@@ -734,7 +721,6 @@ class HttpBackend(Backend):
         retries: int = 2,
         backoff: float = 0.25,
     ):
-        super().__init__()
         # ``threading.TIMEOUT_MAX`` is also the longest timeout a socket takes.
         if retries < 0 or not 0 < timeout <= threading.TIMEOUT_MAX:
             raise ConfigError(

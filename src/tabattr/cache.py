@@ -34,25 +34,28 @@ line torn by a kill mid-append is dropped on open; damage anywhere else is a
 :class:`CorruptCacheError` with its byte offset.
 
 Each evaluation line is one JSON object over N coalitions of M features and
-C classes. Its arrays are raw bytes in standard base64 (``+/``, padded)::
+C classes. It keeps the raw class masses the answers gave, not their
+normalized distributions: normalizing, and the uniform fallback of a row
+with no label mass, happen when the evaluation is scored. Its arrays are raw
+bytes in standard base64 (``+/``, padded)::
 
     instance_index   int
     content          str, the instance's content_digest
     feature_keys     [str] * M
     membership       base64, N x ceil(M/8) bytes: each row's bits packed
                      little-bit-order (bit j of the row is feature j)
-    class_dists      base64, N x C little-endian float64, row-major
-    degenerate       [int], the zero-mass rows' positions, strictly increasing
-    full_dist        base64, C little-endian float64
-    full_degenerate  bool
+    classes          int, C
+    masses           base64, (N + 1) x C little-endian float64, row-major:
+                     the full prompt's masses, then each coalition's
 
 so an array reads back, bit for bit, as::
 
-    full_dist = np.frombuffer(base64.b64decode(entry["full_dist"]), "<f8")
-    class_dists = np.frombuffer(base64.b64decode(entry["class_dists"]), "<f8").reshape(-1, C)
+    masses = np.frombuffer(base64.b64decode(entry["masses"]), "<f8").reshape(-1, C)
     membership = np.unpackbits(
         np.frombuffer(base64.b64decode(entry["membership"]), np.uint8).reshape(N, -1),
         axis=1, count=M, bitorder="little").view(bool)
+
+where N is one less than the rows of ``masses``.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ STORE_NAME = "evaluations.jsonl"
 MANIFEST_NAME = "index_manifest.json"
 #: Names the line format of :func:`_encode`; the fingerprint covers it, so a
 #: store written in another format is stale.
-STORE_FORMAT = "base64-float64le+content-sha256"
+STORE_FORMAT = "base64-masses-float64le+content-sha256"
 
 
 def content_digest(instance: TabularInstance) -> str:
@@ -185,20 +188,17 @@ def _read_json(path: Path):
 
 def _encode(evaluation: Evaluation, content: str) -> bytes:
     """One store line, in the format of the module docstring: the instance's
-    ``content`` digest, each array's raw bytes in base64 (membership rows as
-    little-bit-order packed bits, which hold any M; distributions as
-    little-endian float64, so a read-back value is bit-identical) and the
-    degenerate rows by position."""
+    ``content`` digest and each array's raw bytes in base64 (membership rows
+    as little-bit-order packed bits, which hold any M; masses as
+    little-endian float64, so a read-back value is bit-identical)."""
     packed = np.packbits(evaluation.membership, axis=1, bitorder="little")
     entry = {
         "instance_index": evaluation.instance_index,
         "content": content,
         "feature_keys": list(evaluation.feature_keys),
         "membership": _b64(packed),
-        "class_dists": _b64(evaluation.class_dists.astype("<f8", copy=False)),
-        "degenerate": np.flatnonzero(evaluation.degenerate).tolist(),
-        "full_dist": _b64(evaluation.full_dist.astype("<f8", copy=False)),
-        "full_degenerate": evaluation.full_degenerate,
+        "classes": evaluation.masses.shape[1],
+        "masses": _b64(evaluation.masses.astype("<f8", copy=False)),
     }
     return json.dumps(entry, separators=(",", ":")).encode("ascii") + b"\n"
 
@@ -215,39 +215,26 @@ def _unb64(text: str, dtype: str) -> np.ndarray:
 
 def _decode(entry: dict, config: SamplingConfig) -> Evaluation:
     keys = tuple(entry["feature_keys"])
-    full_dist = _unb64(entry["full_dist"], "<f8").astype(float, copy=False)
-    class_dists = _unb64(entry["class_dists"], "<f8").astype(float, copy=False)
-    c = full_dist.size
-    if c < 1:
-        raise ValueError("full_dist holds no class")
-    n, rest = divmod(class_dists.size, c)
-    if rest:
-        raise ValueError(f"class_dists of {class_dists.size} values is not rows of {c}")
-    width = -(-len(keys) // 8)
+    c = entry["classes"]
+    if type(c) is not int or c < 1:
+        raise ValueError(f"classes {c!r} is not a positive count")
+    masses = _unb64(entry["masses"], "<f8").astype(float, copy=False)
+    rows, rest = divmod(masses.size, c)
+    if rest or rows < 1:
+        raise ValueError(f"masses of {masses.size} values is not rows of {c}, the full row first")
+    n, width = rows - 1, -(-len(keys) // 8)
     packed = _unb64(entry["membership"], "u1")
     if packed.size != n * width:
         raise ValueError(f"membership of {packed.size} bytes, expected {n} rows of {width}")
     membership = np.unpackbits(
         packed.reshape(n, width), axis=1, count=len(keys), bitorder="little"
     ).view(bool)
-    positions = entry["degenerate"]
-    if not (
-        isinstance(positions, list)
-        and all(type(p) is int and 0 <= p < n for p in positions)
-        and positions == sorted(set(positions))
-    ):
-        raise ValueError(f"degenerate positions {positions!r} are not increasing in [0, {n})")
-    degenerate = np.zeros(n, dtype=bool)
-    degenerate[positions] = True
     return Evaluation(
         instance_index=int(entry["instance_index"]),
         feature_keys=keys,
         config=config,
         membership=membership,
-        class_dists=class_dists.reshape(n, c),
-        degenerate=degenerate,
-        full_dist=full_dist,
-        full_degenerate=bool(entry["full_degenerate"]),
+        masses=masses.reshape(rows, c),
     )
 
 

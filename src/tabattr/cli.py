@@ -43,15 +43,15 @@ the instances of the selected rows only.
 
 Every command reads and fills the same evaluation store,
 ``evaluations.jsonl``, once, and scores each metric it needs from it once:
-after any ``attribute``, another metric costs no backend call. The store holds each
-instance's coalitions and their class distributions as raw bytes (see
-:mod:`tabattr.cache`). A store is refused (exit 1) when it was written in
-another format or under another configuration, when a stored instance has
-other feature keys or values than its dataset row, and, for a command that
-opens a backend, when another backend filled it. ``results_{metric}.json``
-holds only the scores (phi, raw_phi, the full-input distribution and the
-degeneracy flags per instance), which scoring the stored evaluation
-reproduces exactly.
+after any ``attribute``, another metric costs no backend call. The store
+holds each instance's coalitions and the raw class masses of their answers
+as raw bytes (see :mod:`tabattr.cache`), normalized only when scored. A
+store is refused (exit 1) when it was written in another format or under
+another configuration, when a stored instance has other feature keys or
+values than its dataset row, and, for a command that opens a backend, when
+another backend filled it. ``results_{metric}.json`` holds only the scores
+(phi, raw_phi, the full-input distribution and the degeneracy flags per
+instance), which scoring the stored evaluation reproduces exactly.
 
 Deletion curves take every row the store holds from it and send only the
 rest. ``deletion-curve`` with a metric source needs the store and refuses a
@@ -112,11 +112,16 @@ from .tabular import (
 from .verbalizer import VerbalizerMap
 
 ENDPOINT_ENV = "TABATTR_ENDPOINT"
+# The subcommands that run the pipeline, all but serialize, and of them the
+# ones that open a backend, all but compare.
+_RUNS = ("attribute", "deletion-curve", "compare", "synth-demo")
+_QUERIES = ("attribute", "deletion-curve", "synth-demo")
 
 
-def _option(default, help=None, *, commands=None, input_file=False, choices=None):
+def _option(default, help=None, *, commands=_RUNS, input_file=False, choices=None):
     """A :class:`RunSpec` field with its flag's help, the subcommands that take
-    it (all if ``None``), whether a set value must name a file, and choices."""
+    it (all if ``None``; by default all but serialize), whether a set value
+    must name a file, and choices."""
     metadata = {"help": help, "commands": commands, "input_file": input_file, "choices": choices}
     return dataclasses.field(default=default, metadata=metadata)
 
@@ -147,11 +152,15 @@ class RunSpec:
     """Effective options of one run; each field declares one option and its flag."""
 
     config: str | None = _option(
-        None, "JSON config file; flags override its values", input_file=True
+        None, "JSON config file; flags override its values", commands=None, input_file=True
     )
-    dataset: str | None = _option(None, "CSV file with a header row", input_file=True)
-    schema: str | None = _option(None, "JSON column->kind schema", input_file=True)
-    template: str | None = _option(None, "prompt template file (text or .json)", input_file=True)
+    dataset: str | None = _option(
+        None, "CSV file with a header row", commands=None, input_file=True
+    )
+    schema: str | None = _option(None, "JSON column->kind schema", commands=None, input_file=True)
+    template: str | None = _option(
+        None, "prompt template file (text or .json)", commands=None, input_file=True
+    )
     verbalizer: str | None = _option(None, "JSON class->surface-forms map", input_file=True)
     backend: str | None = _option(None, "backend spec: http:URL | replay:FILE | synthetic:FILE")
     metric: str = _option("jsd", choices=METRICS)
@@ -159,15 +168,18 @@ class RunSpec:
     max_coalitions: int = _option(800)
     top_k: int = _option(10)
     seed: int = _option(0)
-    instances: int = _option(50, "number of instances to sample")
+    instances: int = _option(50, "number of instances to sample", commands=_QUERIES)
     indices: tuple[int, ...] = _option((), "explicit comma-separated instance indices")
     workers: int = _option(
-        1, "most backend requests in flight at once; above 1, one waiting to retry holds no slot"
+        1, "most backend requests in flight at once; above 1, one waiting to retry holds no slot",
+        commands=_QUERIES,
     )
-    max_removals: int = _option(10)
-    record: str | None = _option(None, "record live http responses to this replay file")
-    timeout: float = _option(30.0, "http timeout in seconds")
-    retries: int = _option(2, "http retry count")
+    max_removals: int = _option(10, commands=_QUERIES)
+    record: str | None = _option(
+        None, "record live http responses to this replay file", commands=_QUERIES
+    )
+    timeout: float = _option(30.0, "http timeout in seconds", commands=_QUERIES)
+    retries: int = _option(2, "http retry count", commands=_QUERIES)
     out: str | None = _option(None, "output directory")
     sources: tuple[str, ...] = _option(
         ("jsd", "random"), f"comma list from {RANKING_SOURCES}", commands=("deletion-curve",)

@@ -13,8 +13,9 @@ feature count over evaluated instances.
 A deletion row is a coalition, so an instance's stored :class:`Evaluation`
 may already hold its answer: the full row always, every leave-one-out row,
 and any row that was sampled. Those rows are taken from the store, and only
-the rest are sent to the backend. A stored distribution reads back bit for
-bit, so the curves are the same bytes either way.
+the rest are sent to the backend. Stored masses read back bit for bit and
+are normalized as fresh ones are, so the curves are the same bytes either
+way.
 
 A removal order is a tuple of feature keys, most important first; an
 external ranking file holds one for all instances, ``{"global": [keys]}``,
@@ -36,7 +37,7 @@ from .attribution import Evaluation, row_keys
 from .backends import Backend, evaluate_prompts
 from .errors import BackendError, RankingError
 from .tabular import PromptTemplate, TabularInstance, build_prompts
-from .verbalizer import VerbalizerMap, class_distributions
+from .verbalizer import VerbalizerMap, class_masses, normalize_masses
 
 RANKING_SOURCES = ("jsd", "kl", "l1", "external", "random")
 
@@ -180,12 +181,13 @@ def run_deletion(
     ``stored`` holds evaluations of some of the instances, made with the
     same template, verbalizer and ``top_k``. A distinct deletion row is
     taken from its instance's evaluation when that holds it, found by its
-    packed bytes (the full row is ``full_dist``). The other distinct rows of
-    an instance, for every source, are built in one
+    packed bytes (the full row is its first row of masses). The other
+    distinct rows of an instance, for every source, are built in one
     :func:`~tabattr.tabular.build_prompts` pass, sent in one
     :func:`~tabattr.backends.evaluate_prompts` call and verbalized in one
-    :func:`~tabattr.verbalizer.class_distributions` pass. The curves do not
-    depend on which rows were stored.
+    :func:`~tabattr.verbalizer.class_masses` pass. Each row's masses are
+    normalized by :func:`~tabattr.verbalizer.normalize_masses`, so the
+    curves do not depend on which rows were stored.
 
     An instance whose backend calls fail is dropped from ALL sources
     symmetrically and counted in the run metadata.
@@ -260,7 +262,7 @@ def run_deletion(
             except BackendError:
                 dropped.append(instance.index)
                 continue
-            fresh, _ = class_distributions([responses[prompt] for prompt in prompts], vmap)
+            fresh, _ = normalize_masses(class_masses([responses[p] for p in prompts], vmap))
             dists.update(zip(missing, fresh))
 
         target = predicted_class(dists[keys[0]])
@@ -309,14 +311,16 @@ def _stored_dists(
     evaluation: Evaluation | None, wanted: Mapping[bytes, int], full: bytes
 ) -> dict[bytes, np.ndarray]:
     """The class distribution of each ``wanted`` row key that ``evaluation``
-    holds: the ``full`` row's is its ``full_dist``, a coalition's its row of
-    ``class_dists``."""
+    holds, its masses normalized as :func:`~tabattr.attribution.score`
+    normalizes them: the ``full`` row's is row 0, membership row i's is row
+    i + 1."""
     if evaluation is None:
         return {}
-    dists = {full: evaluation.full_dist}
+    stored, _ = normalize_masses(evaluation.masses)
+    dists = {full: stored[0]}
     for i, key in enumerate(row_keys(evaluation.membership)):
         if key in wanted:
-            dists.setdefault(key, evaluation.class_dists[i])
+            dists.setdefault(key, stored[i + 1])
     return dists
 
 

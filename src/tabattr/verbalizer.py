@@ -3,15 +3,15 @@
 A verbalizer maps each class label to the set of token surface forms that
 count as that class. An answer is a
 :class:`~tabattr.backends.TopKDistribution`, checked when it was built; its
-``tokens`` and ``logprobs`` are read side by side. Raw class masses are sums
-of ``exp(logprob)`` over matching top-K entries; normalizing over the class
-subspace yields the distribution compared by the attribution divergences.
-Zero total mass is not fatal: the row falls back to the uniform
-distribution, flagged degenerate.
+``tokens`` and ``logprobs`` are read side by side.
 
-:func:`class_distributions` verbalizes all the answers of an instance in
-one pass: one lookup per distinct token, one ``exp`` over the matched
-logprobs and one division.
+:func:`class_masses` verbalizes all the answers of an instance in one pass,
+one lookup per distinct token and one ``exp`` over the matched logprobs,
+into raw class masses: sums of ``exp(logprob)`` over matching top-K entries.
+The evaluation store keeps these. When a run is scored,
+:func:`normalize_masses` turns them into the class distributions the
+attribution divergences compare; a row with zero total mass becomes uniform,
+flagged degenerate.
 """
 
 from __future__ import annotations
@@ -96,14 +96,11 @@ class VerbalizerMap:
         return {label: sorted(self.surface_sets[label]) for label in self.classes}
 
 
-def class_distributions(
-    topks: Sequence[TopKDistribution], vmap: VerbalizerMap
-) -> tuple[np.ndarray, np.ndarray]:
-    """Class distributions (N x C) and zero-mass flags (N) of N top-K answers.
+def class_masses(topks: Sequence[TopKDistribution], vmap: VerbalizerMap) -> np.ndarray:
+    """Raw class masses (N x C) of N top-K answers.
 
-    Each distinct token is canonicalized and looked up once. A row's raw
-    class masses are exp(logprob) of its matching entries, added in entry
-    order; a row with zero total mass becomes uniform and is flagged.
+    Each distinct token is canonicalized and looked up once. A row's masses
+    are exp(logprob) of its matching entries, added in entry order.
     """
     column = {label: i for i, label in enumerate(vmap.classes)}
     lookup: dict[str, int] = {}
@@ -120,8 +117,17 @@ def class_distributions(
     raw = np.zeros((len(topks), len(vmap.classes)))
     masses = np.exp(np.array(logprobs, dtype=float))
     np.add.at(raw, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)), masses)
-    totals = raw.sum(axis=1)
+    return raw
+
+
+def normalize_masses(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Class distributions (N x C) and zero-mass flags (N) of raw class masses.
+
+    Each row is divided by its total; a row with zero total mass becomes
+    uniform and is flagged.
+    """
+    totals = masses.sum(axis=1)
     degenerate = ~(totals > 0)
-    probs = np.full(raw.shape, 1.0 / raw.shape[1])
-    probs[~degenerate] = raw[~degenerate] / totals[~degenerate, None]
+    probs = np.full(masses.shape, 1.0 / masses.shape[1])
+    probs[~degenerate] = masses[~degenerate] / totals[~degenerate, None]
     return probs, degenerate

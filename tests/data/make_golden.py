@@ -14,8 +14,8 @@ It writes:
 * ``golden_run/``: the files ``golden_run`` of ``tests/test_golden_run.py``
   compares, from a run in a temporary directory.
 
-``decimal_store.jsonl`` is not written here: it holds a store in a format the
-code no longer writes, and must stay as it was.
+``decimal_store.jsonl`` and ``base64_store.jsonl`` are not written here: they
+hold stores in formats the code no longer writes, and must stay as they are.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Per-item reference implementations of the batched layers.
 
 ``tabattr`` builds every prompt of an instance in one ``build_prompts``
-call, verbalizes every answer in one ``class_distributions`` call and scores
-every coalition in one ``similarity_rows`` call. The plain one-prompt,
+call, verbalizes every answer in one ``class_masses`` call, normalizes the
+masses in one ``normalize_masses`` call and scores every coalition in one
+``similarity_rows`` call. The plain one-prompt,
 one-answer and one-pair versions below are what those calls must reproduce
 bit for bit; tests compare against them and check the metric properties
 through them.

@@ -52,8 +52,7 @@ class TestCoalitionRows:
         assert evaluation.membership.dtype == bool
         assert np.array_equal(evaluation.membership, np.vstack([essential_coalitions(5), extra]))
         assert evaluation.membership.any(axis=1).all()
-        assert evaluation.class_dists.shape == (len(evaluation.membership), 2)
-        assert evaluation.degenerate.shape == (len(evaluation.membership),)
+        assert evaluation.masses.shape == (len(evaluation.membership) + 1, 2)
 
     def test_row_queries_its_members_in_field_order(self, template, yes_no_vmap):
         instance = make_instance(0, ["d", "b", "c", "a"])
@@ -312,11 +311,11 @@ class TestExhaustiveEquivalence:
 
 class TestEvaluateThenScore:
     def test_one_evaluation_serves_every_metric(self, template, yes_no_vmap):
-        backend = oracle_backend({f"f{i}": 0.4 * i - 0.7 for i in range(7)}, bias=0.3)
+        backend = PromptLog(oracle_backend({f"f{i}": 0.4 * i - 0.7 for i in range(7)}, bias=0.3))
         instance = make_instance(0, [f"f{i}" for i in range(7)])
         config = SamplingConfig(ratio=0.5, seed=8)
         evaluation = evaluate(instance, backend, template, yes_no_vmap, config)
-        queried = backend.calls
+        queried = len(backend.prompts)
         full_row_drawn = evaluation.membership.all(axis=1).any()
         assert queried == len(evaluation.membership) + 1 - full_row_drawn
         for metric in METRICS:
@@ -324,7 +323,7 @@ class TestEvaluateThenScore:
             one_shot = attribute(instance, backend, template, yes_no_vmap, config, metric)
             assert scored.to_payload() == one_shot.to_payload()
             assert scored.to_payload()["config"]["metric"] == metric
-        assert backend.calls == queried * (1 + len(METRICS))
+        assert len(backend.prompts) == queried * (1 + len(METRICS))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_means_equal_the_masked_means_exactly(self, seed):
@@ -332,13 +331,12 @@ class TestEvaluateThenScore:
         m = int(rng.integers(2, 15))
         drawn = rng.random((int(rng.integers(0, 800)), m)) < 0.5
         membership = np.vstack([essential_coalitions(m), drawn[drawn.any(axis=1)]])
-        dists = rng.dirichlet(np.ones(3), size=len(membership) + 1)
+        masses = rng.random((len(membership) + 1, 3))
         evaluation = Evaluation(
             instance_index=0, feature_keys=tuple(f"f{j}" for j in range(m)),
-            config=SamplingConfig(), membership=membership, class_dists=dists[1:],
-            degenerate=np.zeros(len(membership), dtype=bool), full_dist=dists[0],
-            full_degenerate=False,
+            config=SamplingConfig(), membership=membership, masses=masses,
         )
+        dists = masses / masses.sum(axis=1, keepdims=True)
         for metric in METRICS:
             sims = similarity_rows(metric, dists[0], dists[1:])
             masked = [sims[column].mean() - sims[~column].mean() for column in membership.T]
@@ -358,11 +356,9 @@ class TestEvaluateThenScore:
         path = tmp_path / "evaluations.jsonl"
         load_or_evaluate(path, [instance], lambda i: evaluation, config, "f")
         [again] = load_or_evaluate(path, [instance], lambda i: pytest.fail("stored"), config, "f")
-        for name in ("membership", "class_dists", "degenerate", "full_dist"):
+        for name in ("membership", "masses"):
             assert np.array_equal(getattr(again, name), getattr(evaluation, name))
             assert getattr(again, name).dtype == getattr(evaluation, name).dtype
-        assert (again.instance_index, again.feature_keys, again.config, again.full_degenerate) == (
-            0, ("a", "b"), config, evaluation.full_degenerate
-        )
+        assert (again.instance_index, again.feature_keys, again.config) == (0, ("a", "b"), config)
         for metric in METRICS:
             assert score(again, metric).to_payload() == score(evaluation, metric).to_payload()

@@ -1,11 +1,11 @@
 """The batched per-instance layers against their one-item references.
 
-``build_prompts``, ``class_distributions`` and ``_new_rows`` each replace a
-loop of one call per coalition row; every result must equal the stacked
-per-item results bit for bit. The synthetic oracle's one pass per answer
-must answer exactly as the reference oracle does. The last classes check, by
-counting calls, that an instance is processed in one pass per layer and that
-each distinct prompt of a batch is queried once.
+``build_prompts``, ``class_masses`` with ``normalize_masses``, and
+``_new_rows`` each replace a loop of one call per coalition row; every result
+must equal the stacked per-item results bit for bit. The synthetic oracle's
+one pass per answer must answer exactly as the reference oracle does. The
+last classes check, by counting calls, that an instance is processed in one
+pass per layer and that each distinct prompt of a batch is queried once.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ from tabattr import (
     TopKDistribution,
     VerbalizerMap,
     build_prompts,
-    class_distributions,
+    class_masses,
     cli,
     evaluate,
+    normalize_masses,
     random_order,
     run_deletion,
 )
@@ -47,6 +48,7 @@ from conftest import (
 )
 from reference import (
     ReferenceOracle,
+    aggregate_raw,
     build_prompt,
     class_distribution,
     fields_at,
@@ -133,7 +135,10 @@ class TestClassDistributions:
     def test_equals_stacked_per_answer_results(self, case):
         topks, vmap = case
         reference = [class_distribution(topk, vmap) for topk in topks]
-        probs, degenerate = class_distributions(topks, vmap)
+        masses = class_masses(topks, vmap)
+        expected_masses = np.array([aggregate_raw(topk, vmap) for topk in topks])
+        assert masses.tobytes() == expected_masses.reshape(masses.shape).tobytes()
+        probs, degenerate = normalize_masses(masses)
         expected_probs = np.array([r.probs for r in reference])
         expected_flags = np.array([r.degenerate for r in reference])
         assert (probs.dtype, degenerate.dtype) == (expected_probs.dtype, expected_flags.dtype)
@@ -148,7 +153,10 @@ class TestClassDistributions:
             TopKDistribution(("no",), (float("-inf"),), 1),
             TopKDistribution((), (), 3),
         ]
-        probs, degenerate = class_distributions(topks, vmap)
+        masses = class_masses(topks, vmap)
+        assert masses[0, 0] > 0 and masses[0, 1:].tolist() == [0.0, 0.0]
+        assert masses[1:].tolist() == [[0.0] * 3] * 3
+        probs, degenerate = normalize_masses(masses)
         assert probs[0].tolist() == [1.0, 0.0, 0.0]
         assert probs[1:].tolist() == [[1 / 3] * 3] * 3
         assert degenerate.tolist() == [False, True, True, True]
@@ -238,7 +246,11 @@ class TestSyntheticOracle:
                  "evaluations.jsonl", "rank_report_jsd.json"]
         argv = ["synth-demo", "--oracle", str(oracle), "--n-instances", "2", "--seed", "3"]
         assert cli.main([*argv, "--out", str(tmp_path / "production")]) == 0
-        references = []
+        references, answered = [], []
+        fetch = ReferenceOracle._fetch
+        monkeypatch.setattr(ReferenceOracle, "_fetch",
+                            lambda self, prompt, *args: answered.append(prompt)
+                            or fetch(self, prompt, *args))
 
         def reference_backend(kind, target, *args):
             assert kind == "synthetic"
@@ -247,7 +259,7 @@ class TestSyntheticOracle:
 
         monkeypatch.setattr(cli, "open_backend", reference_backend)
         assert cli.main([*argv, "--out", str(tmp_path / "reference")]) == 0
-        assert len(references) == 1 and references[0].calls > 2 * 800
+        assert len(references) == 1 and len(answered) > 2 * 800
         for name in names:
             production = (tmp_path / "production" / name).read_bytes()
             assert production == (tmp_path / "reference" / name).read_bytes(), name
@@ -311,7 +323,7 @@ class TestOnePassPerInstance:
     def test_evaluate_builds_and_verbalizes_once(self, monkeypatch, template, yes_no_vmap):
         instance = adult_like_instance(0, np.random.default_rng(3))
         built = _counting(monkeypatch, attribution, "build_prompts")
-        verbalized = _counting(monkeypatch, attribution, "class_distributions")
+        verbalized = _counting(monkeypatch, attribution, "class_masses")
         backend = oracle_backend({"age": 1.2, "sex": -0.5, "race": 0.3})
         evaluation = evaluate(instance, backend, template, yes_no_vmap, SamplingConfig(seed=1))
         assert len(evaluation.membership) == 800 and instance.num_features == len(ADULT_KEYS)
@@ -322,7 +334,7 @@ class TestOnePassPerInstance:
     ):
         instances, rankings = _deletion_case()
         built = _counting(monkeypatch, faithfulness, "build_prompts")
-        verbalized = _counting(monkeypatch, faithfulness, "class_distributions")
+        verbalized = _counting(monkeypatch, faithfulness, "class_masses")
         backend = oracle_backend({"a": 1.5, "b": -0.7, "c": 0.4})
         run_deletion(instances, rankings, backend, template, yes_no_vmap, max_removals=3)
         assert (len(built), len(verbalized)) == (3, 3)

@@ -25,7 +25,7 @@ from conftest import make_instance, oracle_backend
 KEYS = ("a", "b", "c")
 CONFIG = SamplingConfig(max_coalitions=10)
 GOLDEN_STORE = Path(__file__).resolve().parent / "data" / "golden_store.jsonl"
-PINNED_FINGERPRINT = "1b06fd866425c1f83e89d6e014bf7ebf0a3245ea2ceacbe0472e9ffe61ff9712"
+PINNED_FINGERPRINT = "b6427aa751b0e92e53397cee8eee72b0de8408848471a7a0a6ae3e5b9db8cc70"
 
 
 def _floats(*values: float) -> str:
@@ -38,16 +38,15 @@ def _rows(*indices: int) -> list[TabularInstance]:
 
 
 def _line(**changes) -> str:
-    """A store line of instance 0: 2 coalitions over KEYS and 2 classes, with ``changes``."""
+    """A store line of instance 0: 2 coalitions over KEYS and 2 classes, the
+    second coalition without mass, with ``changes``."""
     entry = {
         "instance_index": 0,
         "content": cache.content_digest(_rows(0)[0]),
         "feature_keys": list(KEYS),
         "membership": base64.b64encode(bytes([0b011, 0b110])).decode("ascii"),
-        "class_dists": _floats(0.5, 0.5, 1.0, 0.0),
-        "degenerate": [1],
-        "full_dist": _floats(0.25, 0.75),
-        "full_degenerate": False,
+        "classes": 2,
+        "masses": _floats(0.2, 0.6, 0.45, 0.45, 0.0, 0.0),
         **changes,
     }
     return json.dumps(entry)
@@ -58,21 +57,19 @@ GOLDEN_INSTANCE = make_instance(7, tuple(f"k{j}" for j in range(70)))
 
 def golden_evaluation() -> Evaluation:
     """The evaluation ``tests/data/golden_store.jsonl`` holds: M=70, C=3,
-    a degenerate uniform row and the floats 0.0, 1.0 and 5e-324."""
+    a row without mass and the floats 0.0, 1.0 and 5e-324."""
     membership = np.zeros((4, 70), dtype=bool)
     membership[0] = True
     membership[0, 3] = False
     membership[1, ::3] = True
     membership[2, 64:] = True  # bits an int64 mask cannot hold
     membership[3, [0, 69]] = True
-    class_dists = np.array(
-        [[0.0, 1.0, 0.0], [1 / 3, 1 / 3, 1 / 3], [5e-324, 0.75, 0.25], [0.1, 0.2, 0.7]]
-    )
+    masses = np.array([
+        [0.2, 0.3, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [5e-324, 0.75, 0.25], [0.01, 0.02, 0.7]
+    ])
     return Evaluation(
         instance_index=7, feature_keys=tuple(f"k{j}" for j in range(70)), config=CONFIG,
-        membership=membership, class_dists=class_dists,
-        degenerate=np.array([False, True, False, False]),
-        full_dist=np.array([0.2, 0.3, 0.5]), full_degenerate=False,
+        membership=membership, masses=masses,
     )
 
 
@@ -87,10 +84,9 @@ def evaluate_row(template, yes_no_vmap):
 
 
 def _same(a: Evaluation, b: Evaluation) -> bool:
-    arrays = ("membership", "class_dists", "degenerate", "full_dist")
+    arrays = ("membership", "masses")
     return all(np.array_equal(getattr(a, n), getattr(b, n)) for n in arrays) and (
-        (a.instance_index, a.feature_keys, a.full_degenerate)
-        == (b.instance_index, b.feature_keys, b.full_degenerate)
+        (a.instance_index, a.feature_keys) == (b.instance_index, b.feature_keys)
     )
 
 
@@ -208,24 +204,22 @@ class TestLoadOrCompute:
         path.write_text(f'{{"fingerprint": "f"}}\n{_line()}\n')
         [stored] = load_or_evaluate(path, _rows(0), lambda row: pytest.fail("stored"), CONFIG, "f")
         assert stored.membership.tolist() == [[True, True, False], [False, True, True]]
-        assert stored.class_dists.tolist() == [[0.5, 0.5], [1.0, 0.0]]
-        assert stored.degenerate.tolist() == [False, True]
-        assert stored.full_dist.tolist() == [0.25, 0.75]
+        assert stored.masses.tolist() == [[0.2, 0.6], [0.45, 0.45], [0.0, 0.0]]
 
     @pytest.mark.parametrize(
         "line",
         ['[1, 2]', '{"instance_index": 0}', '"x"']
-        + [pytest.param(_line(degenerate=d), id=f"degenerate-{d}")
-           for d in ([-1, -1], [-1], [2], [1, 0], [1, 1], [True], [0.0])]
+        + [pytest.param(_line(classes=c), id=f"classes-{c}")
+           for c in (0, -1, 3, 4, True, 2.0, "2", None)]
         + [pytest.param(_line(**{key: value}), id=name) for name, key, value in [
-            ("bad-padding", "full_dist", _floats(0.25, 0.75)[:-1]),
-            ("urlsafe-char", "class_dists", _floats(0.5, 0.5, 1.0, 0.0)[:-2] + "-="),
+            ("bad-padding", "masses", _floats(0.2, 0.6, 0.45, 0.45, 0.0, 0.0)[:-1]),
+            ("urlsafe-char", "masses", _floats(0.2, 0.6, 0.45, 0.45, 0.0, 0.0)[:-2] + "-="),
             ("newline", "membership", "Aw\nY="),
-            ("decimal-list", "full_dist", [0.25, 0.75]),
-            ("no-class", "full_dist", ""),
-            ("partial-float", "full_dist", base64.b64encode(bytes(12)).decode("ascii")),
-            ("partial-row", "class_dists", _floats(0.5, 0.5, 1.0)),
-            ("extra-row", "class_dists", _floats(0.5, 0.5, 1.0, 0.0, 0.5, 0.5)),
+            ("decimal-list", "masses", [0.2, 0.6, 0.45, 0.45, 0.0, 0.0]),
+            ("no-class", "masses", ""),
+            ("partial-float", "masses", base64.b64encode(bytes(12)).decode("ascii")),
+            ("partial-row", "masses", _floats(0.2, 0.6, 0.45, 0.45, 0.0)),
+            ("extra-row", "masses", _floats(0.2, 0.6, 0.45, 0.45, 0.0, 0.0, 0.5, 0.5)),
             ("short-membership", "membership", base64.b64encode(bytes([3])).decode("ascii")),
             ("long-membership", "membership", base64.b64encode(bytes(3)).decode("ascii")),
             ("content-number", "content", 5),
@@ -246,18 +240,17 @@ class TestLoadOrCompute:
         m, n = 70, 9
         membership = rng.integers(0, 2, size=(n, m)).astype(bool)
         membership[:, 65] = True  # bits an int64 mask cannot hold
-        dists = rng.dirichlet([1.0, 1.0], size=n)
+        masses = rng.random((n + 1, 2)) * (rng.random((n + 1, 1)) < 0.7)
         evaluation = Evaluation(
             instance_index=4, feature_keys=tuple(f"k{j}" for j in range(m)), config=CONFIG,
-            membership=membership, class_dists=dists, degenerate=rng.random(n) < 0.3,
-            full_dist=dists[0], full_degenerate=True,
+            membership=membership, masses=masses,
         )
         path = tmp_path / "evaluations.jsonl"
         row = make_instance(4, evaluation.feature_keys)
         load_or_evaluate(path, [row], lambda row: evaluation, CONFIG, "f")
         [again] = load_or_evaluate(path, [row], lambda row: pytest.fail("stored"), CONFIG, "f")
         assert _same(again, evaluation)
-        assert again.membership.dtype == bool and again.degenerate.dtype == bool
+        assert again.membership.dtype == bool and again.masses.dtype == np.float64
 
 
 class TestStoreFormat:
@@ -270,12 +263,12 @@ class TestStoreFormat:
             path, [GOLDEN_INSTANCE], lambda row: pytest.fail("stored"), CONFIG, "golden"
         )
         expected = golden_evaluation()
-        for name in ("membership", "class_dists", "degenerate", "full_dist"):
+        for name in ("membership", "masses"):
             got, want = getattr(stored, name), getattr(expected, name)
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes()
-        assert (stored.instance_index, stored.feature_keys, stored.full_degenerate) == (
-            expected.instance_index, expected.feature_keys, expected.full_degenerate
+        assert (stored.instance_index, stored.feature_keys) == (
+            expected.instance_index, expected.feature_keys
         )
         line = GOLDEN_STORE.read_bytes().split(b"\n")[1] + b"\n"
         content = cache.content_digest(GOLDEN_INSTANCE)

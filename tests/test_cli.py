@@ -36,8 +36,10 @@ from reference import build_prompt, fields_at
 
 WEIGHTS = {"f0": 0.9, "f1": 2.0, "f2": 0.3, "f3": 1.4, "f4": 0.6, "f5": 0.15}
 # Written by `attribute ... --max-coalitions 10 --indices 0,1` over the
-# inputs below, before the store held raw bytes: decimal lists, old fingerprint.
+# inputs below, in two formats the store no longer writes: decimal lists, and
+# base64 distributions before it held raw class masses.
 DECIMAL_STORE = Path(__file__).resolve().parent / "data" / "decimal_store.jsonl"
+BASE64_STORE = DECIMAL_STORE.with_name("base64_store.jsonl")
 
 
 @pytest.fixture
@@ -577,20 +579,25 @@ class TestEvaluationStore:
         assert "evaluated over features ['f0', 'f1', 'f2']" in captured.err
         assert "the dataset has ['g0', 'g1', 'g2']" in captured.err
 
-    def test_store_of_the_decimal_format_is_stale_and_left_alone(self, oracle, tmp_path, capsys):
+    @pytest.mark.parametrize("old", [DECIMAL_STORE, BASE64_STORE], ids=["decimal", "base64"])
+    def test_store_of_an_older_format_is_stale_and_left_alone(
+        self, old, oracle, tmp_path, capsys
+    ):
         _, oracle_path = oracle
         out = tmp_path / "out"
         out.mkdir()
         cache.ensure_manifest(out / "index_manifest.json", [0, 1])
         store = out / "evaluations.jsonl"
-        shutil.copyfile(DECIMAL_STORE, store)
-        assert isinstance(json.loads(store.read_text().splitlines()[1])["class_dists"], list)
+        shutil.copyfile(old, store)
+        assert "class_dists" in json.loads(store.read_text().splitlines()[1])
         argv = self._argv("compare", oracle_path, tmp_path, out,
                           "--external", str(_true_order(tmp_path)))
         assert cli.main(argv) == 1
         assert "does not match the current configuration" in capsys.readouterr().err
-        assert store.read_bytes() == DECIMAL_STORE.read_bytes()
+        assert store.read_bytes() == old.read_bytes()
         assert not (out / "rank_report_jsd.json").exists()
+        assert cli.main(self._argv("attribute", oracle_path, tmp_path, out)) == 1
+        assert store.read_bytes() == old.read_bytes()
 
     @pytest.mark.parametrize("command", ["attribute", "compare"])
     @pytest.mark.parametrize(
@@ -914,14 +921,17 @@ _COMMON_FLAGS = [
     "--ratio", "--max-coalitions", "--top-k", "--seed", "--instances", "--indices", "--workers",
     "--max-removals", "--record", "--timeout", "--retries", "--out",
 ]
+_BACKEND_FLAGS = ["--instances", "--workers", "--max-removals", "--record", "--timeout",
+                  "--retries"]
 # The flags each subcommand takes, in ``--help`` order: the argv that perfbench
-# and users pass.
+# and users pass. compare opens no backend and serialize only prints a prompt,
+# so neither takes a flag it would not read.
 CLI_SURFACE = {
     "attribute": _COMMON_FLAGS,
     "deletion-curve": [*_COMMON_FLAGS, "--sources", "--external"],
-    "compare": [*_COMMON_FLAGS, "--external"],
+    "compare": [*(f for f in _COMMON_FLAGS if f not in _BACKEND_FLAGS), "--external"],
     "synth-demo": [*_COMMON_FLAGS, "--oracle", "--n-instances"],
-    "serialize": [*_COMMON_FLAGS, "--index", "--omit"],
+    "serialize": [*_COMMON_FLAGS[:4], "--index", "--omit"],
 }
 # Every other flag takes a string.
 NUMERIC_FLAGS = {
@@ -991,9 +1001,19 @@ class TestRunSpec:
                 flag: kind for flag, kind in NUMERIC_FLAGS.items() if flag in flags
             }
             assert {a.option_strings[0]: a.choices for a in actions if a.choices} == {
-                "--metric": ("jsd", "kl", "l1")
+                flag: ("jsd", "kl", "l1") for flag in flags if flag == "--metric"
             }
             assert all(a.default is None for a in actions)
+
+    @pytest.mark.parametrize(
+        "argv", [["serialize", "--workers", "0"], ["serialize", "--backend", "bogus"],
+                 ["compare", "--record", "x"], ["compare", "--workers", "2"]],
+    )
+    def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as usage:
+            cli.main(argv)
+        assert usage.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
     def test_one_parser_serves_every_call_without_carrying_values(
         self, oracle, tmp_path, capsys

@@ -78,11 +78,11 @@ class TestRunDeletion:
     ):
         rankings = _rankings(instances)
         rankings["external"][2] = order
-        backend = oracle_backend({"a": 1.0})
+        backend = Logging(oracle_backend({"a": 1.0}))
         with pytest.raises(RankingError) as caught:
             run_deletion(instances, rankings, backend, template, yes_no_vmap)
         assert named in str(caught.value)
-        assert backend.calls == 0
+        assert backend.sent == []
 
     @pytest.mark.parametrize("max_removals", [0, -1])
     def test_max_removals_below_one_is_refused(
@@ -153,12 +153,12 @@ class TestStoredRows:
         self, instances, template, yes_no_vmap, tmp_path
     ):
         stored = self._evaluations(instances, template, yes_no_vmap, ratio=1.0)
-        down = FlakyBackend(oracle_backend(self.WEIGHTS), poison="")
+        down = Logging(FlakyBackend(oracle_backend(self.WEIGHTS), poison=""))
         run = run_deletion(instances, _rankings(instances), down, template, yes_no_vmap,
                            stored=stored)
         without = run_deletion(instances, _rankings(instances), oracle_backend(self.WEIGHTS),
                                template, yes_no_vmap)
-        assert down.calls == run.queried_prompts == 0 and run.dropped == ()
+        assert down.sent == [] and run.queried_prompts == 0 and run.dropped == ()
         assert _files(run, tmp_path, "stored") == _files(without, tmp_path, "fresh")
 
     def test_only_the_stored_instances_take_rows_from_the_store(
@@ -194,11 +194,11 @@ class TestStoredRows:
         config = SamplingConfig(max_coalitions=8, top_k=top_k)
         other = make_instance(0, keys, [f"v0{j}" for j in range(4)])
         evaluation = evaluate(other, oracle_backend(self.WEIGHTS), template, yes_no_vmap, config)
-        backend = oracle_backend(self.WEIGHTS)
+        backend = Logging(oracle_backend(self.WEIGHTS))
         with pytest.raises(ValueError, match="stored evaluation of instance 0"):
             run_deletion(instances, _rankings(instances), backend, template, yes_no_vmap,
                          stored=[evaluation])
-        assert backend.calls == 0
+        assert backend.sent == []
 
 
 class TestPredictedClass:

@@ -13,9 +13,9 @@ def _result(index: int, phi: dict[str, float], metric: str = "jsd") -> Attributi
     values = np.array(list(phi.values()))
     return AttributionResult(
         instance_index=index, feature_keys=tuple(phi), config=SamplingConfig(),
-        membership=np.ones((1, len(phi)), dtype=bool), class_dists=np.ones((1, 2)) / 2,
-        degenerate=np.zeros(1, dtype=bool), full_dist=np.ones(2) / 2, full_degenerate=False,
+        membership=np.ones((1, len(phi)), dtype=bool), masses=np.ones((2, 2)),
         metric=metric, raw_phi=values, phi=values, uniform_fallback=False,
+        full_dist=np.ones(2) / 2, full_degenerate=False, degenerate_coalitions=0,
     )
 
 
